@@ -38,7 +38,7 @@
 
 #include "baseline/smith_waterman.hpp"
 #include "bench_common.hpp"
-#include "cluster/gen_chain.hpp"
+#include "cluster/member_set.hpp"
 #include "common/faultinject.hpp"
 #include "common/json_writer.hpp"
 #include "common/rng.hpp"
@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
   save_db_index_file_durable(chain_base.string(), DbIndex::build(db_base, {}));
   const AppendResult appended =
       append_generation(chain_base.string(), db_delta);
-  const cluster::GenerationChain chain = cluster::GenerationChain::load(
+  const cluster::MemberSet chain = cluster::MemberSet::open_index(
       chain_base.string(), {SearchParams{}, MuBlastpOptions{}, true}, nullptr);
   std::filesystem::remove(chain_base);
   std::filesystem::remove(appended.delta_path);
@@ -369,8 +369,8 @@ int main(int argc, char** argv) {
         full_engine.search_batch(queries, threads);
     full_sec = std::min(full_sec, ft.seconds());
     Timer ct;
-    const cluster::ChainSearchResult chained =
-        cluster::search_chain(chain, queries, threads);
+    const cluster::MemberSearchResult chained =
+        chain.search(queries, threads);
     chain_sec = std::min(chain_sec, ct.seconds());
     full_alignments = chain_alignments = 0;
     for (const QueryResult& r : full) full_alignments += r.alignments.size();

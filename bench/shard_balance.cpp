@@ -4,12 +4,12 @@
 //
 // Three numbers per (strategy, N) cell:
 //  * predicted  — (max - min) / max of per-shard residue counts, straight
-//    from the partitioning (ShardSet::predicted_imbalance);
+//    from the partitioning (MemberSet::predicted_imbalance);
 //  * simulated  — the same ratio over per-shard busy seconds from the
 //    fig10 discrete-event cost model (irregularity + homolog hot-spots),
 //    i.e. what residue imbalance turns into once per-query cost is noisy;
 //  * measured   — the ratio over real per-shard worker wall seconds
-//    reported by search_sharded (stats-v1 "shards" object).
+//    reported by MemberSet::search (stats-v1 "shards" object).
 //
 // Expectation (the paper's Section IV-D story): round-robin-sorted and
 // greedy-lpt keep all three near 0; contiguous partitioning of a
@@ -20,7 +20,7 @@
 
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
-#include "cluster/orchestrator.hpp"
+#include "cluster/member_set.hpp"
 #include "index/db_index.hpp"
 
 int main(int argc, char** argv) {
@@ -72,10 +72,9 @@ int main(int argc, char** argv) {
       const double simulated = *shi == 0.0 ? 0.0 : (*shi - *slo) / *shi;
 
       // Measured: a real sharded search, thread workers.
-      const cl::ShardSet set =
-          cl::ShardSet::build_in_memory(db, n, strategy, {}, {});
-      const cl::ShardedSearchResult res = cl::search_sharded(
-          set, queries, threads, cl::ShardWorkerMode::kThread);
+      const cl::MemberSet set =
+          cl::MemberSet::partition(db, n, strategy, {}, {});
+      const cl::MemberSearchResult res = set.search(queries, threads);
 
       std::printf("%-20s %3d  %10.3f %10.3f %10.3f\n",
                   cl::strategy_name(strategy), n, parts.imbalance(),

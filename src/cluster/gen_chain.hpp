@@ -1,138 +1,5 @@
-// Generation-chain search: composes the base + delta members of a MUGEN01
-// generation (index/generation.hpp) back into single-database search
-// results, transparently to the caller.
-//
-// Why chain output is bit-identical to a from-scratch rebuild: a chain is
-// a disjoint-subject partition of the database in append order (global
-// original id = member id_offset + member-local original id), which is
-// exactly the contract sharded execution already proves merge-exact
-// (orchestrator.hpp):
-//  * every member engine prices E-values over the COMBINED residue total
-//    from the manifest (MuBlastpOptions::effective_db_residues);
-//  * finalize culling is same-subject only and subjects are disjoint
-//    across members;
-//  * stage counters are additive over disjoint subject sets and invariant
-//    to block partitioning (fragments never straddle blocks, blocks never
-//    straddle members);
-//  * the merge is merge_partition_results — concat remapped lists, re-sort
-//    with finalize's exact comparator, truncate, canonicalize.
-// tests/test_incremental.cpp proves this differentially per generation,
-// and mublastp_verify's gen-chain run re-proves it (counters included) on
-// every CI build.
-//
-// Members are searched sequentially, each with the full thread budget —
-// deltas are typically small next to the base, so per-member OpenMP
-// parallelism recovers the unsharded thread scaling without the worker
-// orchestration sharding needs.
-//
-// Degraded mode composes PR 4's per-block CRC quarantine unchanged: each
-// member loads with tolerate_block_corruption, damaged blocks are
-// quarantined (reasons prefixed with the member path) and the run is
-// marked partial. A member that cannot load at all is quarantined whole
-// (recorded as a quarantined "shard" slot = chain position). Strict mode
-// fails closed on any damage, including a manifest-vs-file CRC mismatch.
+// Kept as an include path for perfbench/layers.cpp: generation-chain search
+// is MemberSet's kChain layout now (cluster/member_set.hpp).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "core/mublastp_engine.hpp"
-#include "index/db_index.hpp"
-#include "index/generation.hpp"
-#include "stats/stats.hpp"
-#include "trace/trace.hpp"
-
-namespace mublastp::cluster {
-
-/// Configuration shared by every member engine plus the failure policy.
-struct GenChainOptions {
-  SearchParams params;
-  /// Engine options for every member. effective_db_residues is overwritten
-  /// with the chain's combined total — that field is the chain's, not the
-  /// caller's.
-  MuBlastpOptions engine;
-  /// Fail closed: any member damage (manifest CRC mismatch, load failure,
-  /// block corruption) throws instead of quarantining and continuing.
-  bool strict = false;
-};
-
-/// The members of one resolved generation, loaded and ready to search.
-class GenerationChain {
- public:
-  /// Resolves the newest generation next to `base_path` (bare base file =
-  /// generation 0) and loads every member with the copy loader. With
-  /// opts.strict any damage throws (kCorrupt); otherwise damaged blocks or
-  /// members are quarantined into `degraded` (must be non-null then) and
-  /// the rest of the chain loads normally.
-  static GenerationChain load(const std::string& base_path,
-                              const GenChainOptions& opts,
-                              stats::DegradedStats* degraded);
-
-  std::uint32_t generation() const { return generation_; }
-  std::uint32_t member_count() const {
-    return static_cast<std::uint32_t>(members_.size());
-  }
-  std::uint64_t total_sequences() const { return total_sequences_; }
-  std::uint64_t total_residues() const { return total_residues_; }
-
-  /// The whole database in global original-id order, for report rendering
-  /// (merged results carry global subject ids). Members quarantined at
-  /// load time contribute empty sequences — harmless, since they
-  /// contribute no alignments either.
-  const SequenceStore& global_db() const { return global_db_; }
-
-  /// Member k's engine, or null for a load-quarantined member.
-  const MuBlastpEngine* engine(std::uint32_t k) const {
-    return members_[k].engine.get();
-  }
-
-  /// Member k's local-original-id -> global-original-id map.
-  const std::vector<SeqId>& to_global(std::uint32_t k) const {
-    return members_[k].to_global;
-  }
-
-  /// Member k's index file path (directory-joined).
-  const std::string& member_path(std::uint32_t k) const {
-    return members_[k].path;
-  }
-
-  const GenChainOptions& options() const { return options_; }
-
- private:
-  struct Member {
-    std::string path;
-    std::vector<SeqId> to_global;
-    std::unique_ptr<DbIndex> index;          ///< null when quarantined
-    std::unique_ptr<MuBlastpEngine> engine;  ///< null when quarantined
-  };
-
-  std::vector<Member> members_;
-  SequenceStore global_db_;
-  std::uint32_t generation_ = 0;
-  std::uint64_t total_sequences_ = 0;
-  std::uint64_t total_residues_ = 0;
-  GenChainOptions options_;
-};
-
-/// What a chain search returns: merged per-query results (global subject
-/// ids, finalize ranking, counters summed over members) plus any
-/// degradation picked up while searching.
-struct ChainSearchResult {
-  std::vector<QueryResult> results;
-  stats::DegradedStats degraded;
-};
-
-/// Searches `queries` against every live member of `chain`, sequentially
-/// with the full `threads` budget each, and merges with
-/// merge_partition_results. A member that fails mid-search is quarantined
-/// into the result's DegradedStats (slot = chain position) unless
-/// chain.options().strict, which throws Error(kIo) instead. With `tracer`
-/// non-null every member's stage spans land in one merged timeline (member
-/// spans carry the chain position in the shard lane, like shard workers).
-ChainSearchResult search_chain(const GenerationChain& chain,
-                               const SequenceStore& queries, int threads,
-                               trace::Tracer* tracer = nullptr);
-
-}  // namespace mublastp::cluster
+#include "cluster/member_set.hpp"

@@ -1,187 +1,5 @@
-// Sharded execution orchestrator: fans one query batch out over the N
-// self-contained shard indexes of a MUSHARD01 manifest and merges the
-// per-shard results back into single-database output.
-//
-// Why merged output can be bit-identical to an unsharded run:
-//  * every shard engine computes E-values over the COMBINED database size
-//    (MuBlastpOptions::effective_db_residues), so scores, bit scores and
-//    E-values match the unsharded run exactly;
-//  * finalize-stage culling is same-subject only, and subjects are disjoint
-//    across shards, so no cross-shard alignment can suppress another;
-//  * each shard's kept list is a prefix (under the final ranking order) of
-//    its non-redundant alignments that contains the global top-K members
-//    living in that shard, so concatenating the remapped per-shard lists,
-//    re-sorting with finalize's exact comparator (score desc, subject asc,
-//    q_start asc, s_start asc) and truncating to max_alignments reproduces
-//    the unsharded final list;
-//  * stage counters are additive over disjoint subject sets.
-// tests/test_shards.cpp proves this differentially for every (N, strategy,
-// worker mode) cell.
-//
-// Two worker modes:
-//  * kThread  — one std::thread per shard, each running the engine's
-//    OpenMP batch search with its share of the thread budget;
-//  * kProcess — one fork(2)ed child per shard, results serialized back
-//    over a pipe with a length + CRC frame. A child that dies (crash,
-//    injected fault, torn frame) is quarantined: the surviving shards'
-//    results are still merged, the victim lands in
-//    DegradedStats::quarantined_shards, and the run is marked partial
-//    (exit code 3 in the tools). Strict mode fails closed instead with
-//    Error(kIo) — exit code 4.
+// Kept as an include path for perfbench/layers.cpp: sharded search is
+// MemberSet's kShards layout now (cluster/member_set.hpp).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "cluster/shard_manifest.hpp"
-#include "core/mublastp_engine.hpp"
-#include "index/db_index.hpp"
-#include "stats/stats.hpp"
-
-namespace mublastp::cluster {
-
-/// How shard workers execute.
-enum class ShardWorkerMode {
-  kThread,   ///< one thread per shard, in-process
-  kProcess,  ///< one fork(2)ed child per shard, results over a pipe
-};
-
-/// finalize_stage's exact ranking order (core/results.cpp): score desc,
-/// then subject asc, q_start asc, s_start asc. Any disjoint-subject
-/// partition of the database (shards, generation chains) merges back to
-/// the unpartitioned final list by re-sorting with this comparator.
-bool final_ranking_less(const GappedAlignment& a, const GappedAlignment& b);
-
-/// Merges per-member results of ANY disjoint-subject partition of one
-/// logical database back into single-database output: remaps each member's
-/// local subject ids through its `to_global` slice, concatenates, sums
-/// stage counters, re-sorts with final_ranking_less, truncates to
-/// `max_alignments`, and canonicalizes the ungapped lists. An empty
-/// per-member vector means that member was quarantined and contributes
-/// nothing. Shared by sharded search and generation-chain search.
-std::vector<QueryResult> merge_partition_results(
-    const std::vector<std::vector<QueryResult>>& per_member,
-    const std::vector<std::span<const SeqId>>& to_global,
-    std::size_t num_queries, std::size_t max_alignments);
-
-/// "thread" or "process".
-const char* shard_mode_name(ShardWorkerMode mode);
-
-/// Parses a CLI mode spec ("thread" / "process"). Throws
-/// mublastp::Error(kInvalid) on anything else.
-ShardWorkerMode parse_shard_mode(std::string_view spec);
-
-/// Configuration shared by every shard engine plus the failure policy.
-struct ShardSetOptions {
-  SearchParams params;
-  /// Engine options for every shard. effective_db_residues is overwritten
-  /// with the manifest's combined total — that field is the orchestrator's,
-  /// not the caller's.
-  MuBlastpOptions engine;
-  /// Fail closed: any shard failure (load, worker crash, torn result
-  /// frame) throws (kCorrupt for load-time damage, kIo for worker death)
-  /// instead of quarantining the shard and continuing.
-  bool strict = false;
-};
-
-/// N shard engines sharing one logical database. Load-quarantined shards
-/// keep their slot with a null engine so shard numbering matches the
-/// manifest throughout.
-class ShardSet {
- public:
-  /// Opens every shard index named by the MUSHARD01 manifest at `path`.
-  /// Each shard file is checksummed whole against the manifest's recorded
-  /// CRC and structurally cross-checked (sequence/residue counts) before
-  /// use. With opts.strict, any damage throws; otherwise the damaged shard
-  /// is quarantined into `degraded` (which must be non-null then) and the
-  /// rest of the set loads normally.
-  static ShardSet load(const std::string& path, const ShardSetOptions& opts,
-                       stats::DegradedStats* degraded);
-
-  /// Builds a shard set directly from an in-memory database — the test and
-  /// verification path (no files involved). Partitions `db` with
-  /// make_partitioning, builds one index per non-empty shard.
-  static ShardSet build_in_memory(const SequenceStore& db, int shards,
-                                  PartitionStrategy strategy,
-                                  const DbIndexConfig& config,
-                                  const ShardSetOptions& opts);
-
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  std::uint64_t total_sequences() const { return total_sequences_; }
-  std::uint64_t total_residues() const { return total_residues_; }
-  PartitionStrategy strategy() const { return strategy_; }
-
-  /// (max - min) / max of per-shard residue counts.
-  double predicted_imbalance() const;
-
-  /// The whole database in global original-id order, for report rendering
-  /// (merged results carry global subject ids). Shards quarantined at load
-  /// time contribute empty sequences — harmless, since a quarantined shard
-  /// contributes no alignments to render.
-  const SequenceStore& global_db() const { return global_db_; }
-
-  /// Shard k's engine, or null for an empty or load-quarantined shard.
-  const MuBlastpEngine* engine(std::uint32_t k) const {
-    return shards_[k].engine.get();
-  }
-
-  /// Shard k's local-original-id -> global-original-id map.
-  std::span<const SeqId> to_global(std::uint32_t k) const {
-    return shards_[k].to_global;
-  }
-
-  const ShardSetOptions& options() const { return options_; }
-
- private:
-  struct Shard {
-    std::vector<SeqId> to_global;
-    std::uint64_t num_residues = 0;
-    std::unique_ptr<DbIndex> index;          ///< null for empty/quarantined
-    std::unique_ptr<MuBlastpEngine> engine;  ///< null for empty/quarantined
-  };
-
-  std::vector<Shard> shards_;
-  SequenceStore global_db_;
-  std::uint64_t total_sequences_ = 0;
-  std::uint64_t total_residues_ = 0;
-  PartitionStrategy strategy_ = PartitionStrategy::kRoundRobinSorted;
-  ShardSetOptions options_;
-};
-
-/// What a sharded search returns: merged per-query results (global subject
-/// ids, finalize ranking, counters summed over shards) plus the telemetry
-/// the tools surface in stats-v1.
-struct ShardedSearchResult {
-  std::vector<QueryResult> results;
-  stats::ShardsStats shards;
-  stats::DegradedStats degraded;
-};
-
-/// Searches `queries` against every live shard of `set` and merges.
-/// `threads` is the total budget, split across shard workers (each worker
-/// gets at least one). Injection site "shard.worker" is evaluated in the
-/// parent once per shard, in ascending shard order: a fired thread-mode
-/// worker fails before searching; a fired process-mode worker forks and
-/// dies like a real crash, exercising the pipe/waitpid recovery path. Any
-/// failed shard is quarantined (degraded.partial set) unless
-/// set.options().strict, which throws Error(kIo) instead.
-///
-/// With `tracer` non-null every shard worker records stage spans into the
-/// merged timeline. Thread-mode workers write into child tracers that share
-/// the parent tracer's clock epoch; fork-process workers ship their raw
-/// spans (plus their own epoch) back inside the CRC-framed result pipe and
-/// the parent re-bases them onto its epoch. Each worker additionally
-/// records one shard_worker span covering its whole batch, and the parent
-/// records the cross-shard merge.
-ShardedSearchResult search_sharded(const ShardSet& set,
-                                   const SequenceStore& queries,
-                                   int threads, ShardWorkerMode mode,
-                                   trace::Tracer* tracer = nullptr);
-
-}  // namespace mublastp::cluster
+#include "cluster/member_set.hpp"

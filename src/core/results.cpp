@@ -1,6 +1,7 @@
 #include "core/results.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "core/gapped.hpp"
@@ -27,6 +28,14 @@ bool contains(const GappedAlignment& outer, std::uint32_t q_start,
 }
 
 }  // namespace
+
+bool final_ranking_less(const GappedAlignment& a, const GappedAlignment& b) {
+  // Descending keys compare b's field against a's.
+  return std::tie(b.score, a.subject, a.q_start, a.s_start, b.q_end, b.s_end,
+                  b.anchor_q, b.anchor_s) <
+         std::tie(a.score, b.subject, b.q_start, b.s_start, a.q_end, a.s_end,
+                  a.anchor_q, a.anchor_s);
+}
 
 void canonicalize_ungapped(std::vector<UngappedAlignment>& segs) {
   std::sort(segs.begin(), segs.end(), ungapped_less);
@@ -86,14 +95,7 @@ std::vector<GappedAlignment> finalize_stage(std::span<const Residue> query,
                                             const SearchParams& params,
                                             const KarlinParams& karlin,
                                             std::size_t db_residues) {
-  // Rank: score desc, then subject/coordinates for determinism.
-  std::sort(gapped.begin(), gapped.end(),
-            [](const GappedAlignment& a, const GappedAlignment& b) {
-              if (a.score != b.score) return a.score > b.score;
-              if (a.subject != b.subject) return a.subject < b.subject;
-              if (a.q_start != b.q_start) return a.q_start < b.q_start;
-              return a.s_start < b.s_start;
-            });
+  std::sort(gapped.begin(), gapped.end(), final_ranking_less);
 
   // Envelope culling: drop an alignment contained in a better one on the
   // same subject (including exact duplicates from block overlap).

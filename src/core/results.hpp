@@ -37,6 +37,15 @@ std::vector<GappedAlignment> gapped_stage(
     const SearchParams& params, StageStats* stats = nullptr,
     simd::KernelPath kernel = simd::KernelPath::kScalar);
 
+/// The final ranking, a total order: score descending; then subject, q_start
+/// and s_start ascending; then q_end and s_end descending, so an alignment
+/// that contains another at equal score ranks first and culls it; then
+/// anchor_q and anchor_s descending, which picks one traceback among
+/// alignments with the same coordinates. finalize_stage ranks with it, and
+/// a partitioned search merges its members' lists with it, so the reported
+/// list never depends on input order or on how the database was split.
+bool final_ranking_less(const GappedAlignment& a, const GappedAlignment& b);
+
 /// Stage 4: merges gapped alignments (possibly from several index blocks),
 /// culls envelope-contained ones, keeps the top params.max_alignments by
 /// score, recomputes each winner with traceback, and attaches bit scores

@@ -66,21 +66,6 @@ std::string suffix_path(const std::string& base, const char* tag,
   return base + buf;
 }
 
-/// CRC32 over a whole file's bytes (chunked; members can be large).
-std::uint32_t file_crc32(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
-                      "cannot open for checksum: " + path);
-  std::uint32_t crc = 0;
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    crc = crc32(buf, static_cast<std::size_t>(in.gcount()), crc);
-  }
-  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
-                      "read failure while checksumming: " + path);
-  return crc;
-}
-
 /// Total residues of a v3 index file without loading it: the arena section
 /// stores exactly one byte per residue, so its recorded length IS the
 /// residue count.
@@ -121,6 +106,20 @@ bool gc_unlink(const std::string& path) {
 }
 
 }  // namespace
+
+std::uint32_t file_crc32(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
+                      "cannot open for checksum: " + path);
+  std::uint32_t crc = 0;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
+    crc = crc32(buf, static_cast<std::size_t>(in.gcount()), crc);
+  }
+  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
+                      "read failure while checksumming: " + path);
+  return crc;
+}
 
 std::string_view gen_section_name(GenSectionId id) {
   switch (id) {

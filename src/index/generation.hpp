@@ -122,6 +122,10 @@ struct GenerationManifest {
   }
 };
 
+/// CRC32 of a whole file, read in chunks: the checksum manifests record for
+/// each member and shard index file. Throws Error(kIo) when unreadable.
+std::uint32_t file_crc32(const std::string& path);
+
 /// `<base>.genNNNNNN` — where generation `gen`'s manifest lives.
 std::string generation_manifest_path(const std::string& base_path,
                                      std::uint32_t gen);

@@ -32,7 +32,8 @@ void PipelineSnapshot::merge(const PipelineSnapshot& o) {
   if (!index_load.recorded()) index_load = o.index_load;
   // Degraded state accumulates: the run is partial if any piece was, and a
   // block quarantined in one piece is quarantined for the whole run
-  // (deduplicated by id — every batch reports the same load-time list).
+  // (deduplicated by id and reason: the members of a partitioned database
+  // number their blocks independently, and the reason names the member).
   degraded.partial = degraded.partial || o.degraded.partial;
   degraded.load_retries += o.degraded.load_retries;
   degraded.time_budget_trips += o.degraded.time_budget_trips;
@@ -40,7 +41,7 @@ void PipelineSnapshot::merge(const PipelineSnapshot& o) {
   for (const QuarantinedBlock& q : o.degraded.quarantined) {
     bool seen = false;
     for (const QuarantinedBlock& mine : degraded.quarantined) {
-      if (mine.block == q.block) {
+      if (mine.block == q.block && mine.reason == q.reason) {
         seen = true;
         break;
       }

@@ -15,9 +15,9 @@
 // list (flush()). Overflowing a lane drops the span and bumps a counter —
 // tracing never blocks or reallocates inside a parallel region.
 //
-// Distributed timelines: thread-mode shard workers record into child
-// tracers sharing the parent's clock epoch (no re-basing); fork-process
-// workers ship their raw spans back over the orchestrator's CRC-framed
+// Distributed timelines: in-process shard and chain members record into
+// child tracers sharing the parent's clock epoch (no re-basing); fork-process
+// workers ship their raw spans back over the member set's CRC-framed
 // pipes together with their own epoch, and absorb() re-bases them onto the
 // parent's epoch — CLOCK_MONOTONIC is system-wide on Linux, so one merged
 // timeline covers the whole fan-out.

@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/gen_chain.hpp"
+#include "cluster/member_set.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/rng.hpp"
@@ -66,10 +66,9 @@ class Incremental : public ::testing::Test {
   /// Searches the published chain at base_ (strict) and renders every
   /// query's tabular report — the full user-visible output.
   std::string chain_report(const SequenceStore& queries) const {
-    const cluster::GenerationChain chain = cluster::GenerationChain::load(
+    const cluster::MemberSet chain = cluster::MemberSet::open_index(
         base_, {{}, {}, /*strict=*/true}, nullptr);
-    const cluster::ChainSearchResult res =
-        cluster::search_chain(chain, queries, 1);
+    const cluster::MemberSearchResult res = chain.search(queries, 1);
     std::ostringstream os;
     for (SeqId q = 0; q < queries.size(); ++q) {
       write_tabular(os, queries.name(q), queries.sequence(q),
@@ -171,12 +170,11 @@ TEST_F(Incremental, ChainSearchMatchesRebuildDownToEveryCounter) {
   const MuBlastpEngine engine{DbIndexView(full)};
   const std::vector<QueryResult> expect = engine.search_batch(queries, 1);
 
-  const cluster::GenerationChain chain = cluster::GenerationChain::load(
+  const cluster::MemberSet chain = cluster::MemberSet::open_index(
       base_, {{}, {}, /*strict=*/true}, nullptr);
   EXPECT_EQ(chain.member_count(), 2u);
   EXPECT_EQ(chain.total_residues(), combined.total_residues());
-  const cluster::ChainSearchResult got =
-      cluster::search_chain(chain, queries, 1);
+  const cluster::MemberSearchResult got = chain.search(queries, 1);
   ASSERT_EQ(got.results.size(), expect.size());
   for (SeqId q = 0; q < queries.size(); ++q) {
     EXPECT_EQ(got.results[q].alignments.size(),
@@ -291,7 +289,7 @@ TEST_F(Incremental, RottenChainMemberQuarantinesDegradedFailsClosedStrict) {
 
   // Strict: the whole-file CRC against the manifest names the member.
   try {
-    (void)cluster::GenerationChain::load(base_, {{}, {}, /*strict=*/true},
+    (void)cluster::MemberSet::open_index(base_, {{}, {}, /*strict=*/true},
                                          nullptr);
     ADD_FAILURE() << "rotten member was accepted strictly";
   } catch (const Error& e) {
@@ -304,14 +302,13 @@ TEST_F(Incremental, RottenChainMemberQuarantinesDegradedFailsClosedStrict) {
   // Degraded: the member (or its rotten blocks) is quarantined, the search
   // completes over the survivors and is marked partial.
   stats::DegradedStats degraded;
-  const cluster::GenerationChain chain =
-      cluster::GenerationChain::load(base_, {{}, {}, /*strict=*/false},
+  const cluster::MemberSet chain =
+      cluster::MemberSet::open_index(base_, {{}, {}, /*strict=*/false},
                                      &degraded);
   EXPECT_TRUE(degraded.partial);
   EXPECT_TRUE(!degraded.quarantined.empty() ||
               !degraded.quarantined_shards.empty());
-  const cluster::ChainSearchResult res =
-      cluster::search_chain(chain, queries, 1);
+  const cluster::MemberSearchResult res = chain.search(queries, 1);
   EXPECT_EQ(res.results.size(), queries.size());
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +31,10 @@ struct Shape {
   std::size_t long_seq_limit;
   std::size_t long_seq_overlap;
 };
+
+// gtest lists GetParam() next to each test name; its default byte dump would
+// show the label pointer, which differs from run to run under ASLR.
+void PrintTo(const Shape& s, std::ostream* os) { *os << s.label; }
 
 // ~20 shapes: tiny to mid databases, one-block and many-block layouts, and
 // aggressive fragmentation (long_seq_limit far below typical lengths).

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/alphabet.hpp"
 #include "common/rng.hpp"
 #include "core/gapped.hpp"
 #include "score/karlin.hpp"
@@ -165,6 +170,82 @@ TEST_F(StageFixture, FinalizeRespectsMaxAlignments) {
                                   limited, karlin_, 1000000);
   EXPECT_EQ(out.size(), 2u);
   EXPECT_GE(out[0].score, out[1].score);
+}
+
+// finalize_stage ranks with a total order, so its output never depends on
+// the order the gapped alignments arrive in: block order, thread
+// interleaving, or how a partitioned search split the database.
+TEST(FinalizeProperty, OutputIsInvariantUnderInputPermutation) {
+  // A hand-built tie. Subject 0 equals the query up to a tail that scores
+  // -3, -4, -4 and then +11. Extended from an anchor in the shared prefix,
+  // the alignment stops before the tail; extended from the tail's last
+  // residue, it covers the tail too. Both score the same and start at
+  // (0, 0), so only their ends tell them apart, and the longer one must
+  // always cull the one it contains.
+  const std::string prefix = "MKVLAAGIWRHEDCTPFYSNQ";
+  const std::vector<Residue> query = encode_sequence(prefix + "CGGW");
+  std::vector<std::vector<Residue>> subjects = {
+      encode_sequence(prefix + "DIIW")};
+  Rng rng(17);
+  for (int k = 0; k < 4; ++k) {
+    std::vector<Residue> s = query;
+    for (int j = 0; j < 2; ++j) {
+      s[rng.next_below(s.size())] = static_cast<Residue>(rng.next_below(20));
+    }
+    subjects.push_back(std::move(s));
+  }
+  const SubjectLookup lookup = [&subjects](SeqId id) {
+    return std::span<const Residue>(subjects[id]);
+  };
+  const SearchParams params;
+  const auto at = [&](SeqId subject, std::uint32_t anchor) {
+    GappedAlignment a = gapped_align_at_anchor(query, subjects[subject],
+                                               anchor, anchor, blosum62(),
+                                               params, false);
+    a.subject = subject;
+    return a;
+  };
+
+  const GappedAlignment inner = at(0, 10);
+  const GappedAlignment outer = at(0, 24);
+  ASSERT_EQ(inner.score, outer.score);
+  ASSERT_EQ(inner.q_start, outer.q_start);
+  ASSERT_EQ(inner.s_start, outer.s_start);
+  ASSERT_LT(inner.q_end, outer.q_end);
+  ASSERT_LT(inner.s_end, outer.s_end);
+
+  std::vector<GappedAlignment> gapped = {inner, outer};
+  for (SeqId k = 1; k < subjects.size(); ++k) {
+    for (const std::uint32_t anchor : {5u, 12u, 20u}) {
+      gapped.push_back(at(k, anchor));
+    }
+  }
+  const KarlinParams karlin = gapped_params(blosum62(), 11, 1);
+  const std::vector<GappedAlignment> want = finalize_stage(
+      query, lookup, gapped, blosum62(), params, karlin, 1000000);
+  std::size_t tie_rows = 0;
+  for (const GappedAlignment& a : want) {
+    if (a.subject != 0) continue;
+    ++tie_rows;
+    EXPECT_EQ(a.q_end, outer.q_end);
+  }
+  EXPECT_EQ(tie_rows, 1u);
+
+  for (int round = 0; round < 50; ++round) {
+    std::shuffle(gapped.begin(), gapped.end(), rng);
+    const std::vector<GappedAlignment> got = finalize_stage(
+        query, lookup, gapped, blosum62(), params, karlin, 1000000);
+    ASSERT_EQ(got.size(), want.size()) << "round " << round;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].subject, want[i].subject) << round << ":" << i;
+      EXPECT_EQ(got[i].q_start, want[i].q_start) << round << ":" << i;
+      EXPECT_EQ(got[i].q_end, want[i].q_end) << round << ":" << i;
+      EXPECT_EQ(got[i].s_start, want[i].s_start) << round << ":" << i;
+      EXPECT_EQ(got[i].s_end, want[i].s_end) << round << ":" << i;
+      EXPECT_EQ(got[i].score, want[i].score) << round << ":" << i;
+      EXPECT_EQ(got[i].ops, want[i].ops) << round << ":" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -6,9 +6,10 @@
 // the failure half: manifest corruption is rejected naming the damaged
 // section, a killed shard worker quarantines only that shard, and strict
 // mode fails closed with the documented error kinds.
-#include "cluster/orchestrator.hpp"
+#include "cluster/member_set.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -115,21 +116,29 @@ std::vector<QueryResult>* ShardCampaign::reference_ = nullptr;
 // The equivalence matrix: N x strategy x worker mode
 // ---------------------------------------------------------------------------
 
-using Cell = std::tuple<int, PartitionStrategy, ShardWorkerMode>;
+using Cell = std::tuple<int, PartitionStrategy, WorkerMode>;
 
 class ShardEquivalence : public ShardCampaign,
                          public ::testing::WithParamInterface<Cell> {};
 
 TEST_P(ShardEquivalence, MergedOutputIsBitIdenticalToUnsharded) {
   const auto [n, strategy, mode] = GetParam();
-  const ShardSet set = ShardSet::build_in_memory(
+  const MemberSet set = MemberSet::partition(
       *db_, n, strategy, test_config(), {test_params(), {}, false});
-  EXPECT_EQ(set.shard_count(), static_cast<std::uint32_t>(n));
+  EXPECT_EQ(set.member_count(), static_cast<std::uint32_t>(n));
   EXPECT_EQ(set.total_residues(), db_->total_residues());
 
-  const ShardedSearchResult res = search_sharded(set, *queries_, 2, mode);
+  const MemberSearchResult res = set.search(*queries_, 2, mode);
   EXPECT_FALSE(res.degraded.any());
   expect_same_results(res.results, *reference_);
+
+  // A batch with fewer queries than threads runs in-process members at
+  // once instead of in turn; it must merge to the same answer.
+  SequenceStore one;
+  one.add(queries_->sequence(0), queries_->name(0));
+  const MemberSearchResult single = set.search(one, 2, mode);
+  EXPECT_FALSE(single.degraded.any());
+  expect_same_results(single.results, {(*reference_)[0]});
 
   // Telemetry sanity: one entry per shard, counters additive.
   ASSERT_EQ(res.shards.per_shard.size(), static_cast<std::size_t>(n));
@@ -160,12 +169,12 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PartitionStrategy::kContiguous,
                           PartitionStrategy::kRoundRobinSorted,
                           PartitionStrategy::kGreedyLpt),
-        ::testing::Values(ShardWorkerMode::kThread,
-                          ShardWorkerMode::kProcess)),
+        ::testing::Values(WorkerMode::kThread,
+                          WorkerMode::kProcess)),
     [](const auto& info) {
       std::string n = "N" + std::to_string(std::get<0>(info.param));
       n += std::string("_") + strategy_name(std::get<1>(info.param));
-      n += std::string("_") + shard_mode_name(std::get<2>(info.param));
+      n += std::string("_") + worker_mode_name(std::get<2>(info.param));
       for (auto& c : n) {
         if (c == '-') c = '_';
       }
@@ -193,16 +202,16 @@ TEST_F(ShardCampaign, EmptyShardsAreHarmless) {
     want.push_back(engine.search(queries.sequence(q)));
   }
 
-  const ShardSet set = ShardSet::build_in_memory(
+  const MemberSet set = MemberSet::partition(
       tiny, 7, PartitionStrategy::kRoundRobinSorted, test_config(),
       {test_params(), {}, false});
   std::uint32_t live = 0;
-  for (std::uint32_t k = 0; k < set.shard_count(); ++k) {
+  for (std::uint32_t k = 0; k < set.member_count(); ++k) {
     if (set.engine(k) != nullptr) ++live;
   }
   EXPECT_EQ(live, 5u);
-  const ShardedSearchResult res =
-      search_sharded(set, queries, 2, ShardWorkerMode::kThread);
+  const MemberSearchResult res =
+      set.search(queries, 2, WorkerMode::kThread);
   EXPECT_FALSE(res.degraded.any());
   expect_same_results(res.results, want);
 }
@@ -217,7 +226,7 @@ std::string write_shard_layout(const SequenceStore& db, int n,
                                PartitionStrategy strategy,
                                const std::string& stem) {
   const std::string dir = ::testing::TempDir();
-  const ShardSet set = ShardSet::build_in_memory(db, n, strategy,
+  const MemberSet set = MemberSet::partition(db, n, strategy,
                                                  test_config(),
                                                  {test_params(), {}, false});
   ShardManifest m;
@@ -225,7 +234,7 @@ std::string write_shard_layout(const SequenceStore& db, int n,
   m.total_sequences = db.size();
   m.total_residues = db.total_residues();
   m.shards.resize(static_cast<std::size_t>(n));
-  for (std::uint32_t k = 0; k < set.shard_count(); ++k) {
+  for (std::uint32_t k = 0; k < set.member_count(); ++k) {
     ShardManifest::Shard& shard = m.shards[k];
     shard.to_global.assign(set.to_global(k).begin(), set.to_global(k).end());
     shard.num_sequences = shard.to_global.size();
@@ -235,9 +244,9 @@ std::string write_shard_layout(const SequenceStore& db, int n,
     if (set.engine(k) == nullptr) continue;
     const std::string path =
         stem + ".shard" + std::to_string(k) + ".mbi";
-    // Rebuild the shard index from the shard's slice (build_in_memory does
-    // not expose its DbIndex; the build is deterministic, so this is the
-    // same index).
+    // Rebuild the shard index from the shard's slice (partition does not
+    // expose its DbIndex; the build is deterministic, so this is the same
+    // index).
     SequenceStore shard_db;
     for (const SeqId g : shard.to_global) {
       shard_db.add(db.sequence(g), db.name(g));
@@ -259,15 +268,15 @@ TEST_F(ShardCampaign, FileRoundTripMatchesUnsharded) {
   const std::string manifest = write_shard_layout(
       *db_, 3, PartitionStrategy::kRoundRobinSorted, "roundtrip");
   stats::DegradedStats deg;
-  const ShardSet set =
-      ShardSet::load(manifest, {test_params(), {}, false}, &deg);
+  const MemberSet set =
+      MemberSet::open_shards(manifest, {test_params(), {}, false}, &deg);
   EXPECT_FALSE(deg.any());
-  EXPECT_EQ(set.shard_count(), 3u);
+  EXPECT_EQ(set.member_count(), 3u);
   EXPECT_EQ(set.total_sequences(), db_->size());
   EXPECT_EQ(set.strategy(), PartitionStrategy::kRoundRobinSorted);
 
-  const ShardedSearchResult res =
-      search_sharded(set, *queries_, 2, ShardWorkerMode::kThread);
+  const MemberSearchResult res =
+      set.search(*queries_, 2, WorkerMode::kThread);
   EXPECT_FALSE(res.degraded.any());
   expect_same_results(res.results, *reference_);
 
@@ -298,8 +307,8 @@ TEST_F(ShardCampaign, RottedShardIndexIsQuarantinedOrFailsClosed) {
   }
 
   stats::DegradedStats deg;
-  const ShardSet set =
-      ShardSet::load(manifest, {test_params(), {}, false}, &deg);
+  const MemberSet set =
+      MemberSet::open_shards(manifest, {test_params(), {}, false}, &deg);
   ASSERT_EQ(deg.quarantined_shards.size(), 1u);
   EXPECT_EQ(deg.quarantined_shards[0].shard, 1u);
   EXPECT_NE(deg.quarantined_shards[0].reason.find("checksum"),
@@ -308,8 +317,8 @@ TEST_F(ShardCampaign, RottedShardIndexIsQuarantinedOrFailsClosed) {
   EXPECT_EQ(set.engine(1), nullptr);
 
   // Surviving shards still produce their subjects' exact results.
-  const ShardedSearchResult res =
-      search_sharded(set, *queries_, 2, ShardWorkerMode::kThread);
+  const MemberSearchResult res =
+      set.search(*queries_, 2, WorkerMode::kThread);
   for (std::size_t q = 0; q < res.results.size(); ++q) {
     for (const GappedAlignment& a : res.results[q].alignments) {
       bool in_shard1 = false;
@@ -322,7 +331,7 @@ TEST_F(ShardCampaign, RottedShardIndexIsQuarantinedOrFailsClosed) {
 
   // Strict mode fails closed with the corrupt kind.
   try {
-    ShardSet::load(manifest, {test_params(), {}, true}, nullptr);
+    MemberSet::open_shards(manifest, {test_params(), {}, true}, nullptr);
     FAIL() << "strict load of a rotted shard did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kCorrupt);
@@ -334,16 +343,16 @@ TEST_F(ShardCampaign, RottedShardIndexIsQuarantinedOrFailsClosed) {
 // ---------------------------------------------------------------------------
 
 class ShardFailure : public ShardCampaign,
-                     public ::testing::WithParamInterface<ShardWorkerMode> {};
+                     public ::testing::WithParamInterface<WorkerMode> {};
 
 TEST_P(ShardFailure, KilledWorkerIsQuarantinedAndRestComplete) {
-  const ShardWorkerMode mode = GetParam();
-  const ShardSet set = ShardSet::build_in_memory(
+  const WorkerMode mode = GetParam();
+  const MemberSet set = MemberSet::partition(
       *db_, 3, PartitionStrategy::kRoundRobinSorted, test_config(),
       {test_params(), {}, false});
 
   fi::arm("shard.worker", 2);  // shard index 1 (parent evaluates in order)
-  const ShardedSearchResult res = search_sharded(set, *queries_, 2, mode);
+  const MemberSearchResult res = set.search(*queries_, 2, mode);
   ASSERT_EQ(res.degraded.quarantined_shards.size(), 1u);
   EXPECT_EQ(res.degraded.quarantined_shards[0].shard, 1u);
   EXPECT_TRUE(res.degraded.partial);
@@ -380,13 +389,13 @@ TEST_P(ShardFailure, KilledWorkerIsQuarantinedAndRestComplete) {
 }
 
 TEST_P(ShardFailure, StrictModeFailsClosedWithIoKind) {
-  const ShardWorkerMode mode = GetParam();
-  const ShardSet set = ShardSet::build_in_memory(
+  const WorkerMode mode = GetParam();
+  const MemberSet set = MemberSet::partition(
       *db_, 3, PartitionStrategy::kRoundRobinSorted, test_config(),
       {test_params(), {}, true});
   fi::arm("shard.worker", 1);
   try {
-    search_sharded(set, *queries_, 2, mode);
+    set.search(*queries_, 2, mode);
     FAIL() << "strict sharded search with a dead worker did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kIo);
@@ -395,10 +404,10 @@ TEST_P(ShardFailure, StrictModeFailsClosedWithIoKind) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ShardFailure,
-                         ::testing::Values(ShardWorkerMode::kThread,
-                                           ShardWorkerMode::kProcess),
+                         ::testing::Values(WorkerMode::kThread,
+                                           WorkerMode::kProcess),
                          [](const auto& info) {
-                           return std::string(shard_mode_name(info.param));
+                           return std::string(worker_mode_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -424,12 +433,17 @@ class ManifestCorruption : public ::testing::Test {
     m.shards[1].path = "a.shard1";
     m.shards[1].index_crc32 = 0x22222222;
     // shard 2 deliberately empty: no path, no sequences.
-    path_ = ::testing::TempDir() + "/corrupt.manifest";
+    // One file per test: ctest runs this fixture's tests as concurrent
+    // processes, and each SetUp rewrites its manifest.
+    path_ = ::testing::TempDir() + "/corrupt_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".manifest";
     save_shard_manifest(path_, m);
     std::ifstream in(path_, std::ios::binary);
     image_.assign((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
   }
+  void TearDown() override { std::remove(path_.c_str()); }
 
   static std::string parse_error(const std::string& bytes) {
     try {

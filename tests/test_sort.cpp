@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -50,6 +51,10 @@ struct Case {
   const char* name;
   SortFn fn;
 };
+
+// gtest lists GetParam() next to each test name; its default byte dump would
+// show the pointers, which differ from run to run under ASLR.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class StableSorts : public ::testing::TestWithParam<Case> {};
 

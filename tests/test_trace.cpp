@@ -11,7 +11,7 @@
 #include <tuple>
 #include <vector>
 
-#include "cluster/orchestrator.hpp"
+#include "cluster/member_set.hpp"
 #include "common/faultinject.hpp"
 #include "core/mublastp_engine.hpp"
 #include "common/rng.hpp"
@@ -214,16 +214,16 @@ TEST(TracerAbsorb, ShardedTimelinesAreMonotoneInBothWorkerModes) {
   SequenceStore db = synth::generate_database(synth::sprot_like(60000), 903);
   Rng rng(904);
   SequenceStore queries = synth::sample_queries(db, 3, 96, rng);
-  cluster::ShardSetOptions opts;
-  const cluster::ShardSet set = cluster::ShardSet::build_in_memory(
+  cluster::MemberSetOptions opts;
+  const cluster::MemberSet set = cluster::MemberSet::partition(
       db, 3, cluster::PartitionStrategy::kRoundRobinSorted, DbIndexConfig{},
       opts);
 
-  for (const auto mode : {cluster::ShardWorkerMode::kThread,
-                          cluster::ShardWorkerMode::kProcess}) {
+  for (const auto mode : {cluster::WorkerMode::kThread,
+                          cluster::WorkerMode::kProcess}) {
     trace::Tracer tracer;
-    const cluster::ShardedSearchResult res =
-        cluster::search_sharded(set, queries, 4, mode, &tracer);
+    const cluster::MemberSearchResult res =
+        set.search(queries, 4, mode, &tracer);
     EXPECT_TRUE(res.degraded.quarantined_shards.empty());
     tracer.flush();
     const std::uint64_t wall_end = tracer.now_ns();

@@ -51,14 +51,11 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include "cluster/partition.hpp"
 #include "cluster/shard_manifest.hpp"
-#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/timer.hpp"
@@ -99,15 +96,6 @@ bool arg_flag(int argc, char** argv, const std::string& key) {
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-std::uint32_t file_crc32(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  MUBLASTP_CHECK_KIND(in.good(), mublastp::ErrorKind::kIo,
-                      "cannot reopen shard index for checksum: " + path);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  return mublastp::crc32(bytes.data(), bytes.size());
 }
 
 /// Informational output: stdout normally, stderr when --stats=json owns

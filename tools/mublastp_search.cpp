@@ -2,7 +2,9 @@
 // "blastp" step of the database-indexed workflow.
 //
 // Usage:
-//   mublastp_search --index=db.mbi --query=q.fasta [--threads=N]
+//   mublastp_search (--index=db.mbi | --shards-manifest=db.shardset
+//                    [--shard-mode=thread|process])
+//                   --query=q.fasta [--threads=N]
 //                   [--outfmt=pairwise|tabular|none] [--max-alignments=K]
 //                   [--stats[=json]] [--mmap|--no-mmap]
 //                   [--kernel=auto|scalar|sse42|avx2[+ungapped]]
@@ -10,38 +12,38 @@
 //                   [--time-budget=SEC] [--mem-budget-mb=N]
 //                   [--out=FILE] [--checkpoint=FILE] [--batch-size=16]
 //                   [--trace=FILE] [--trace-counters] [--progress[=force]]
-//   mublastp_search --shards-manifest=db.mbi --query=q.fasta
-//                   [--shard-mode=thread|process] [...common flags...]
+//
+// Database layouts. --index opens the newest generation published next to
+// the path (docs/INCREMENTAL.md): the bare index file when `mublastp_makedb
+// --append` never ran, else the MUGEN01 base + delta chain. A corrupt
+// newest manifest fails closed (exit 5). --shards-manifest opens the shards
+// of a MUSHARD01 manifest written by `mublastp_makedb --shards=N`
+// (docs/SHARDING.md). Every layout is one cluster::MemberSet: each member
+// prices E-values over the COMBINED database, and the merged report is
+// byte-identical to a search of one index over the same sequences. Every
+// flag applies to every layout.
+//
+// --shard-mode=thread (the default) searches the shards in this process:
+// when the batch has at least as many queries as --threads, one after
+// another with every thread, else at once, splitting the threads.
+// --shard-mode=process fork(2)s one single-threaded child per shard and
+// reads results back over CRC-framed pipes. Chain members always run in
+// this process.
 //
 // --trace=FILE records a span timeline of the whole run (index load, every
-// stage of every (block, query) round, shard workers, the cross-shard
-// merge) and writes it as Chrome trace-event JSON (schema
-// "mublastp-trace-v1", loadable in Perfetto / chrome://tracing; see
-// docs/OBSERVABILITY.md). --trace-counters additionally samples hardware
-// counters (cycles, instructions, LLC misses, branch mispredicts) per
-// stage span via perf_event_open(2) — silently degrading to plain
-// timestamps where the kernel forbids it — and folds per-stage totals into
-// the stats-v1 "perf_counters" object.
+// stage of every (block, query) round, member workers, the merge) and
+// writes it as Chrome trace-event JSON (schema "mublastp-trace-v1",
+// loadable in Perfetto / chrome://tracing; see docs/OBSERVABILITY.md).
+// --trace-counters additionally samples hardware counters (cycles,
+// instructions, LLC misses, branch mispredicts) per stage span via
+// perf_event_open(2) — silently degrading to plain timestamps where the
+// kernel forbids it — and folds per-stage totals into the stats-v1
+// "perf_counters" object.
 //
 // --progress prints a one-line heartbeat to stderr at each block's serial
 // point (blocks done, quarantines, ETA). It is suppressed when stdout or
 // stderr is not a TTY so piped output stays clean; --progress=force prints
 // regardless.
-//
-// Sharded mode (--shards-manifest, exclusive with --index): loads the
-// MUSHARD01 manifest written by `mublastp_makedb --shards=N`, fans the
-// query batch out to one worker per shard (--shard-mode=thread runs them
-// in-process, each with its share of --threads; --shard-mode=process
-// fork(2)s one child per shard and reads results back over CRC-framed
-// pipes), rescales every E-value over the COMBINED database size, and
-// merges per-shard hits into the same globally-ordered top-k an unsharded
-// search of the whole database produces — bit-identical output (see
-// docs/SHARDING.md). A shard that fails (index rot, worker crash, injected
-// fault) is quarantined: surviving shards complete, the victim is named in
-// the stats-v1 "degraded" object ("quarantined_shards") and the run exits
-// 3 (partial). --strict fails closed instead: exit 5 for load-time
-// corruption, 4 for a dead worker. The "shards" stats object records
-// per-shard timings/hits and predicted-vs-measured imbalance.
 //
 // --threads defaults to the OpenMP thread pool size (omp_get_max_threads);
 // non-positive values are rejected. --kernel selects the alignment-DP
@@ -55,25 +57,20 @@
 // are copy-loaded. --mmap forces the mapped path (errors on v2 files);
 // --no-mmap forces the copy loader for either version.
 //
-// Incremental databases (docs/INCREMENTAL.md): when `mublastp_makedb
-// --append` has published a MUGEN01 generation next to --index, the tool
-// transparently resolves the newest generation and searches the whole
-// base+delta chain — E-values priced over the combined database, output
-// bit-identical to a from-scratch rebuild. A corrupt newest manifest fails
-// closed (exit 5). In degraded mode a rotted chain member is quarantined
-// (exit 3, named in the stats-v1 "degraded" object) and the surviving
-// members complete.
-//
 // Degraded mode (the default; see docs/ROBUSTNESS.md): an index block whose
 // checksum fails is quarantined and the search continues over the surviving
 // blocks; a failed mmap load is retried once after a short backoff and then
 // falls back to the copy loader; worker failures inside one block quarantine
-// that block. Any degradation marks the run partial (exit code 3) and is
-// reported in the stats-v1 "degraded" object. --strict turns all of this
-// off: the first failure aborts the run with a typed exit code.
+// that block. A shard or chain member that cannot be used at all (index
+// rot, a dead worker, an injected fault) is quarantined whole and named in
+// the "quarantined_shards" list. Any degradation marks the run partial
+// (exit code 3) and is reported in the stats-v1 "degraded" object.
+// --strict turns all of this off: the first failure aborts the run with a
+// typed exit code.
 //
 // --time-budget cuts off any query whose stage-1/2 time exceeds SEC seconds;
 // --mem-budget-mb bounds the total retained workspace bytes across threads.
+// Fork-mode shard children run the plain per-query search, without either.
 //
 // --checkpoint journals completed query batches (of --batch-size queries)
 // into FILE so a killed run resumes without re-searching; it requires --out
@@ -82,10 +79,12 @@
 //
 // --stats prints a human-readable pipeline-telemetry table to stderr;
 // --stats=json emits the machine-readable snapshot (schema
-// "mublastp-stats-v1", see docs/ALGORITHMS.md) to stdout, including an
-// "index" object recording the load mode/time/residency and, on degraded
-// runs, the "degraded" object. Combine --stats=json with --outfmt=none (or
-// --out) for a stdout that is pure JSON.
+// "mublastp-stats-v1", see docs/ALGORITHMS.md) to stdout. A single index
+// reports its full pipeline telemetry and an "index" object recording the
+// load mode/time/residency; shards and chains report the merged counters
+// (shards also a "shards" object with per-shard timings and imbalance).
+// Degraded runs add the "degraded" object. Combine --stats=json with
+// --outfmt=none (or --out) for a stdout that is pure JSON.
 //
 // Exit codes: 0 complete, 1 generic failure, 2 usage error, 3 partial
 // results (degraded), 4 I/O error, 5 corrupt input, 6 resource exhaustion,
@@ -96,26 +95,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 
-#include "cluster/gen_chain.hpp"
-#include "cluster/orchestrator.hpp"
+#include "cluster/member_set.hpp"
 #include "common/checkpoint.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/timer.hpp"
-#include "core/mublastp_engine.hpp"
 #include "fasta/fasta.hpp"
-#include "index/db_index_io.hpp"
-#include "index/generation.hpp"
-#include "index/mapped_db_index.hpp"
 #include "report/report.hpp"
 #include "simd/dispatch.hpp"
 #include "stats/stats.hpp"
@@ -124,6 +116,7 @@
 namespace {
 
 using namespace mublastp;
+using cluster::MemberSet;
 
 std::string arg_str(int argc, char** argv, const std::string& key,
                     const std::string& fallback) {
@@ -150,117 +143,37 @@ bool arg_flag(int argc, char** argv, const std::string& key) {
   return false;
 }
 
-/// Everything the tool knows about how this run deviated; folded into the
-/// stats snapshot and the exit code at the end.
-struct RunDegradation {
-  stats::DegradedStats stats;
-
-  void absorb_quarantines(const std::vector<BlockQuarantine>& qs) {
-    for (const BlockQuarantine& q : qs) {
-      stats.quarantined.push_back({q.block, q.reason});
-      stats.partial = true;
-    }
-  }
-};
-
-/// Either loader's result behind one view; keeps the storage alive.
-struct LoadedIndex {
-  std::optional<MappedDbIndex> mapped;
-  std::optional<DbIndex> owned;
-  std::string mode;  // "mmap" or "copy"
-
-  DbIndexView view() const {
-    return mapped ? DbIndexView(*mapped) : DbIndexView(*owned);
-  }
-};
-
-void sleep_ms(long ms) {
-  timespec ts{ms / 1000, (ms % 1000) * 1000000L};
-  nanosleep(&ts, nullptr);
-}
-
-/// Loads the index with the degradation policy: mmap loads retry once after
-/// a short backoff, then fall back to the copy loader; block corruption is
-/// tolerated (quarantined) unless `strict`.
-LoadedIndex load_index(const std::string& path, bool use_mmap, bool strict,
-                       RunDegradation& deg) {
-  LoadedIndex out;
-  std::vector<BlockQuarantine> quarantined;
-  const auto load_mapped = [&] {
-    MappedDbIndexOptions opts;
-    opts.tolerate_block_corruption = !strict;
-    // Prefault under the SIGBUS guard so truncated-after-mmap files become
-    // a catchable Error(kIo) feeding the retry/fallback below, instead of
-    // killing the process mid-verification.
-    opts.prefault = !strict;
-    out.mapped.emplace(path, opts);
-    quarantined = out.mapped->quarantined();
-    out.mode = "mmap";
-  };
-  const auto load_copy = [&] {
-    IndexLoadOptions opts;
-    opts.tolerate_block_corruption = !strict;
-    opts.quarantined = &quarantined;
-    out.owned.emplace(load_db_index_file(path, opts));
-    out.mode = "copy";
-  };
-
-  if (!use_mmap) {
-    load_copy();
-  } else if (strict) {
-    load_mapped();
-  } else {
-    try {
-      load_mapped();
-    } catch (const Error& first) {
-      // Transient mmap failures (ENOMEM under pressure, a racing writer)
-      // deserve one more try; persistent ones get the copy loader, which
-      // has no address-space or SIGBUS exposure.
-      std::fprintf(stderr, "warning: mmap load failed (%s); retrying\n",
-                   first.what());
-      ++deg.stats.load_retries;
-      sleep_ms(50);
-      try {
-        load_mapped();
-      } catch (const Error& second) {
-        std::fprintf(stderr,
-                     "warning: mmap load failed again (%s);"
-                     " falling back to copy load\n",
-                     second.what());
-        ++deg.stats.load_retries;
-        load_copy();
-      }
-    }
-  }
-  deg.absorb_quarantines(quarantined);
-  return out;
-}
-
-/// Renders one query's report in the chosen format.
+/// Renders one query's report in the chosen format against `db`: an index
+/// view or a sequence store, both addressed by original database id.
+template <typename Db>
 void render(std::ostream& os, const std::string& outfmt,
-            const SequenceStore& queries, SeqId q, const DbIndexView& view,
+            const SequenceStore& queries, SeqId q, const Db& db,
             const QueryResult& result) {
-  if (outfmt == "tabular") {
-    write_tabular(os, queries.name(q), queries.sequence(q), view, result,
-                  blosum62());
-  } else if (outfmt == "pairwise") {
-    write_pairwise(os, queries.name(q), queries.sequence(q), view, result,
-                   blosum62());
-  }  // outfmt == "none": suppress the report (e.g. for --stats=json)
-}
-
-/// Sharded-mode render: merged results carry GLOBAL original ids, resolved
-/// against the ShardSet's reconstructed global-order SequenceStore — the
-/// same lines the unsharded view-based render produces.
-void render_store(std::ostream& os, const std::string& outfmt,
-                  const SequenceStore& queries, SeqId q,
-                  const SequenceStore& db, const QueryResult& result) {
   if (outfmt == "tabular") {
     write_tabular(os, queries.name(q), queries.sequence(q), db, result,
                   blosum62());
   } else if (outfmt == "pairwise") {
     write_pairwise(os, queries.name(q), queries.sequence(q), db, result,
                    blosum62());
+  }
+}
+
+/// Renders the reports of queries [begin, begin + results.size()). A
+/// 1-member set renders straight from its member's index view; merged
+/// results carry global ids, resolved against the set's global store.
+void render_batch(std::ostream& os, const std::string& outfmt,
+                  const SequenceStore& queries, SeqId begin,
+                  const MemberSet& set,
+                  const std::vector<QueryResult>& results) {
+  if (outfmt == "none") return;  // e.g. for --stats=json
+  const MuBlastpEngine* only = set.member_count() == 1 ? set.engine(0)
+                                                       : nullptr;
+  for (SeqId i = 0; i < results.size(); ++i) {
+    if (only != nullptr) {
+      render(os, outfmt, queries, begin + i, only->view(), results[i]);
+    } else {
+      render(os, outfmt, queries, begin + i, set.global_db(), results[i]);
+    }
   }
 }
 
@@ -282,50 +195,48 @@ bool parse_threads(int argc, char** argv, int* out) {
   return true;
 }
 
-/// Folds one sharded search's degraded report into the run's, deduplicating
-/// quarantined shards by id (a load-quarantined shard would otherwise be
-/// re-reported by every checkpoint batch).
-void absorb_shard_degradation(stats::DegradedStats& into,
-                              const stats::DegradedStats& from) {
-  for (const stats::QuarantinedShard& q : from.quarantined_shards) {
-    bool seen = false;
-    for (const stats::QuarantinedShard& have : into.quarantined_shards) {
-      if (have.shard == q.shard) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) into.quarantined_shards.push_back(q);
+/// The engine name stats-v1 and trace-v1 report for a layout.
+const char* engine_name(MemberSet::Layout layout) {
+  switch (layout) {
+    case MemberSet::Layout::kSingle: return "mublastp";
+    case MemberSet::Layout::kChain: return "mublastp-chain";
+    case MemberSet::Layout::kShards: return "mublastp-sharded";
   }
-  into.partial = into.partial || from.partial;
+  return "mublastp";
 }
 
-/// Builds the stats-v1 snapshot of one sharded search call. Per-stage
-/// seconds/blocks are per-shard-internal and not meaningful globally, so
-/// only the deterministic counters, the wall time and the "shards" object
-/// are recorded.
-stats::PipelineSnapshot sharded_snapshot(
-    const cluster::ShardedSearchResult& res, int threads, double seconds,
-    const MuBlastpOptions& options) {
+/// The stats-v1 snapshot of one search call. A single index reports its
+/// engine's pipeline telemetry (`ps`). A merged search reports only the
+/// deterministic counters, the wall time and, for shards, the "shards"
+/// object: per-stage seconds and blocks are member-internal.
+stats::PipelineSnapshot batch_snapshot(const MemberSet& set,
+                                       const cluster::MemberSearchResult& res,
+                                       const stats::PipelineStats* ps,
+                                       int threads, double seconds) {
   stats::PipelineSnapshot snap;
-  snap.engine = "mublastp-sharded";
-  snap.kernel = simd::kernel_name(options.kernel);
-  snap.threads = threads;
-  snap.queries = res.results.size();
-  snap.total_seconds = seconds;
-  for (const QueryResult& r : res.results) {
-    snap.totals += stats::counters_of(r.stats);
-    snap.gapped_kernel.int8_runs += r.stats.gapped_int8_runs;
-    snap.gapped_kernel.int16_reruns += r.stats.gapped_int16_reruns;
-    snap.gapped_kernel.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
+  if (ps != nullptr) {
+    snap = ps->snapshot();
+  } else {
+    snap.engine = engine_name(set.layout());
+    snap.kernel = simd::kernel_name(set.options().engine.kernel);
+    snap.threads = threads;
+    snap.queries = res.results.size();
+    snap.total_seconds = seconds;
+    for (const QueryResult& r : res.results) {
+      snap.totals += stats::counters_of(r.stats);
+      snap.gapped_kernel.int8_runs += r.stats.gapped_int8_runs;
+      snap.gapped_kernel.int16_reruns += r.stats.gapped_int16_reruns;
+      snap.gapped_kernel.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
+    }
+    if (set.layout() == MemberSet::Layout::kShards) snap.shards = res.shards;
   }
-  snap.shards = res.shards;
+  snap.degraded = res.degraded;
   return snap;
 }
 
 /// Builds the run's tracer from --trace= / --trace-counters, or a null
 /// pointer when tracing is off. (--trace-counters without --trace is
-/// rejected in main before either run path starts.)
+/// rejected in main before the run starts.)
 std::unique_ptr<trace::Tracer> make_tracer(int argc, char** argv) {
   const std::string path = arg_str(argc, argv, "trace", "");
   if (path.empty()) return nullptr;
@@ -404,475 +315,6 @@ struct OutFile {
   }
 };
 
-/// The whole sharded-mode run: load the manifest's shard set, fan out,
-/// merge, render, report. Same output plumbing (plain + checkpointed) and
-/// the same exit-code contract as the unsharded path.
-int run_sharded(int argc, char** argv, const std::string& manifest_path,
-                const std::string& query_path, const std::string& outfmt,
-                const std::string& stats_mode, const std::string& out_path,
-                const std::string& checkpoint_path, bool strict,
-                std::size_t batch_size) {
-  RunDegradation deg;
-  try {
-    const cluster::ShardWorkerMode mode = cluster::parse_shard_mode(
-        arg_str(argc, argv, "shard-mode", "thread"));
-
-    cluster::ShardSetOptions sopts;
-    sopts.params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
-    const simd::KernelSpec kspec =
-        simd::parse_kernel_spec(arg_str(argc, argv, "kernel", "auto"));
-    sopts.engine.kernel = kspec.path;
-    sopts.engine.vector_ungapped = kspec.vector_ungapped;
-    sopts.strict = strict;
-    if (!simd::kernel_supported(sopts.engine.kernel)) {
-      std::fprintf(stderr, "error: kernel '%s' is not supported on this"
-                   " CPU\n", simd::kernel_name(sopts.engine.kernel));
-      return 2;
-    }
-    int threads = 0;
-    if (!parse_threads(argc, argv, &threads)) return 2;
-
-    const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
-    const bool progress = progress_enabled(argc, argv);
-
-    Timer t;
-    const std::uint64_t load_begin =
-        tracer != nullptr ? tracer->now_ns() : 0;
-    const cluster::ShardSet set =
-        cluster::ShardSet::load(manifest_path, sopts, &deg.stats);
-    if (tracer != nullptr) {
-      tracer->record(trace::SpanKind::kIndexLoad, load_begin,
-                     tracer->now_ns());
-    }
-    std::fprintf(stderr,
-                 "loaded shard manifest (%u shards, %s, %s workers):"
-                 " %llu sequences, %llu residues (%.2fs)\n",
-                 set.shard_count(), strategy_name(set.strategy()),
-                 cluster::shard_mode_name(mode),
-                 static_cast<unsigned long long>(set.total_sequences()),
-                 static_cast<unsigned long long>(set.total_residues()),
-                 t.seconds());
-    for (const stats::QuarantinedShard& q : deg.stats.quarantined_shards) {
-      std::fprintf(stderr, "warning: quarantined shard %u: %s\n", q.shard,
-                   q.reason.c_str());
-    }
-
-    SequenceStore queries;
-    read_fasta_file(query_path, queries);
-    std::fprintf(stderr, "read %zu queries\n", queries.size());
-
-    const bool want_stats = !stats_mode.empty();
-    t.reset();
-    stats::PipelineSnapshot merged_snap;
-    if (checkpoint_path.empty()) {
-      cluster::ShardedSearchResult res =
-          cluster::search_sharded(set, queries, threads, mode, tracer.get());
-      absorb_shard_degradation(deg.stats, res.degraded);
-      std::fprintf(stderr, "searched in %.2fs (%d thread(s), %u shards)\n",
-                   t.seconds(), threads, set.shard_count());
-
-      std::ofstream out_file;
-      if (!out_path.empty()) {
-        out_file.open(out_path, std::ios::binary | std::ios::trunc);
-        MUBLASTP_CHECK_KIND(out_file.good(), ErrorKind::kIo,
-                            "cannot open output file: " + out_path);
-      }
-      std::ostream& os = out_path.empty() ? std::cout : out_file;
-      for (SeqId q = 0; q < queries.size(); ++q) {
-        render_store(os, outfmt, queries, q, set.global_db(), res.results[q]);
-      }
-      os.flush();
-      MUBLASTP_CHECK_KIND(!os.bad(), ErrorKind::kIo,
-                          "write failure on search output");
-      if (want_stats) {
-        merged_snap =
-            sharded_snapshot(res, threads, t.seconds(), sopts.engine);
-      }
-    } else {
-      // Checkpointed sharded run: same durable-output-then-journal protocol
-      // as the unsharded path, at shard-batch granularity — every journaled
-      // batch's merged output survived any crash.
-      const std::uint64_t nq = queries.size();
-      const std::uint64_t nbatches = (nq + batch_size - 1) / batch_size;
-      std::uint64_t manifest_bytes = 0;
-      {
-        std::ifstream in(manifest_path,
-                         std::ios::binary | std::ios::ate);
-        manifest_bytes = static_cast<std::uint64_t>(in.tellg());
-      }
-      std::uint32_t fp = crc32(&batch_size, sizeof(batch_size));
-      fp = crc32(&nq, sizeof(nq), fp);
-      fp = crc32(&manifest_bytes, sizeof(manifest_bytes), fp);
-      CheckpointJournal journal(checkpoint_path, fp);
-
-      OutFile out;
-      out.fd = ::open(out_path.c_str(), O_RDWR | O_CREAT, 0644);
-      MUBLASTP_CHECK_KIND(out.fd >= 0, ErrorKind::kIo,
-                          "cannot open output file: " + out_path);
-      std::uint64_t offset = journal.resume_offset();
-      MUBLASTP_CHECK_KIND(
-          ::ftruncate(out.fd, static_cast<off_t>(offset)) == 0,
-          ErrorKind::kIo, "cannot truncate output file: " + out_path);
-      MUBLASTP_CHECK_KIND(
-          ::lseek(out.fd, static_cast<off_t>(offset), SEEK_SET) >= 0,
-          ErrorKind::kIo, "cannot seek output file: " + out_path);
-      if (journal.num_completed() != 0) {
-        std::fprintf(stderr,
-                     "resuming: %zu of %llu batches already complete"
-                     " (output offset %llu)\n",
-                     journal.num_completed(),
-                     static_cast<unsigned long long>(nbatches),
-                     static_cast<unsigned long long>(offset));
-      }
-
-      for (std::uint64_t b = 0; b < nbatches; ++b) {
-        if (journal.completed(b)) continue;
-        const SeqId begin = static_cast<SeqId>(b * batch_size);
-        const SeqId end =
-            static_cast<SeqId>(std::min<std::uint64_t>(nq,
-                                                       (b + 1) * batch_size));
-        SequenceStore batch;
-        for (SeqId q = begin; q < end; ++q) {
-          batch.add(queries.sequence(q), queries.name(q));
-        }
-        Timer bt;
-        if (tracer != nullptr) {
-          tracer->set_batch(static_cast<std::uint32_t>(b));
-        }
-        cluster::ShardedSearchResult res =
-            cluster::search_sharded(set, batch, threads, mode, tracer.get());
-        absorb_shard_degradation(deg.stats, res.degraded);
-
-        std::ostringstream os;
-        for (SeqId q = begin; q < end; ++q) {
-          render_store(os, outfmt, queries, q, set.global_db(),
-                       res.results[q - begin]);
-        }
-        const std::string bytes = os.str();
-        std::size_t written = 0;
-        while (written < bytes.size()) {
-          const ssize_t n = ::write(out.fd, bytes.data() + written,
-                                    bytes.size() - written);
-          MUBLASTP_CHECK_KIND(n >= 0, ErrorKind::kIo,
-                              "write failure on output file: " + out_path);
-          written += static_cast<std::size_t>(n);
-        }
-        MUBLASTP_CHECK_KIND(::fsync(out.fd) == 0, ErrorKind::kIo,
-                            "fsync failure on output file: " + out_path);
-        offset += bytes.size();
-        journal.append(b, offset);
-        if (want_stats) {
-          merged_snap.merge(
-              sharded_snapshot(res, threads, bt.seconds(), sopts.engine));
-        }
-        if (progress) {
-          // Sharded runs have no global block loop; the heartbeat ticks at
-          // checkpoint-batch granularity instead.
-          std::fprintf(stderr,
-                       "\rprogress: %llu/%llu batches, %zu shard(s)"
-                       " quarantined, %.1fs elapsed ",
-                       static_cast<unsigned long long>(b + 1),
-                       static_cast<unsigned long long>(nbatches),
-                       deg.stats.quarantined_shards.size(), t.seconds());
-          if (b + 1 == nbatches) std::fputc('\n', stderr);
-          std::fflush(stderr);
-        }
-      }
-      std::fprintf(stderr, "searched in %.2fs (%d thread(s), %u shards)\n",
-                   t.seconds(), threads, set.shard_count());
-    }
-
-    if (tracer != nullptr && want_stats) {
-      tracer->flush();
-      merged_snap.perf_counters = tracer->perf_totals();
-    }
-    if (tracer != nullptr) {
-      trace::TraceMeta meta;
-      meta.engine = "mublastp-sharded";
-      meta.kernel = simd::kernel_name(sopts.engine.kernel);
-      meta.threads = threads;
-      meta.shards = set.shard_count();
-      const int rc = write_trace_file(
-          *tracer, arg_str(argc, argv, "trace", ""), meta);
-      if (rc != 0) return rc;
-    }
-
-    if (want_stats) {
-      merged_snap.degraded = deg.stats;
-      if (stats_mode == "json") {
-        const std::string json = stats::to_json(merged_snap);
-        std::fwrite(json.data(), 1, json.size(), stdout);
-        std::fputc('\n', stdout);
-      } else {
-        stats::print_table(stderr, merged_snap);
-      }
-    }
-    if (deg.stats.partial) {
-      std::fprintf(stderr,
-                   "warning: results are PARTIAL (%zu shard(s)"
-                   " quarantined)\n",
-                   deg.stats.quarantined_shards.size());
-      return 3;
-    }
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code_for(e.kind());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// Builds the stats-v1 snapshot of one generation-chain search call. Like
-/// sharded_snapshot: per-stage seconds/blocks are member-internal, so only
-/// the deterministic counters (bit-identical to a from-scratch rebuild)
-/// and the wall time are recorded.
-stats::PipelineSnapshot chain_snapshot(const cluster::ChainSearchResult& res,
-                                       int threads, double seconds,
-                                       const MuBlastpOptions& options) {
-  stats::PipelineSnapshot snap;
-  snap.engine = "mublastp-chain";
-  snap.kernel = simd::kernel_name(options.kernel);
-  snap.threads = threads;
-  snap.queries = res.results.size();
-  snap.total_seconds = seconds;
-  for (const QueryResult& r : res.results) {
-    snap.totals += stats::counters_of(r.stats);
-    snap.gapped_kernel.int8_runs += r.stats.gapped_int8_runs;
-    snap.gapped_kernel.int16_reruns += r.stats.gapped_int16_reruns;
-    snap.gapped_kernel.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
-  }
-  return snap;
-}
-
-/// Folds one chain search's degraded report into the run's (same dedup
-/// logic as shards; quarantined "shards" here are chain member slots).
-void absorb_chain_degradation(stats::DegradedStats& into,
-                              const stats::DegradedStats& from) {
-  absorb_shard_degradation(into, from);
-  for (const stats::QuarantinedBlock& q : from.quarantined) {
-    bool seen = false;
-    for (const stats::QuarantinedBlock& have : into.quarantined) {
-      if (have.block == q.block && have.reason == q.reason) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) into.quarantined.push_back(q);
-  }
-  into.load_retries += from.load_retries;
-  into.time_budget_trips += from.time_budget_trips;
-  into.mem_budget_trips += from.mem_budget_trips;
-}
-
-/// The whole generation-chain run (--index resolving to a multi-member
-/// MUGEN01 generation): load every member, search them sequentially with
-/// the full thread budget, merge, render, report. Output is bit-identical
-/// to searching a from-scratch rebuild of the same database (the same
-/// disjoint-partition argument as sharding; see docs/INCREMENTAL.md).
-int run_chain(int argc, char** argv, const std::string& base_path,
-              const std::string& query_path, const std::string& outfmt,
-              const std::string& stats_mode, const std::string& out_path,
-              const std::string& checkpoint_path, bool strict,
-              std::size_t batch_size) {
-  RunDegradation deg;
-  try {
-    cluster::GenChainOptions copts;
-    copts.params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
-    const simd::KernelSpec kspec =
-        simd::parse_kernel_spec(arg_str(argc, argv, "kernel", "auto"));
-    copts.engine.kernel = kspec.path;
-    copts.engine.vector_ungapped = kspec.vector_ungapped;
-    copts.strict = strict;
-    if (!simd::kernel_supported(copts.engine.kernel)) {
-      std::fprintf(stderr, "error: kernel '%s' is not supported on this"
-                   " CPU\n", simd::kernel_name(copts.engine.kernel));
-      return 2;
-    }
-    int threads = 0;
-    if (!parse_threads(argc, argv, &threads)) return 2;
-    const bool want_stats = !stats_mode.empty();
-
-    const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
-
-    Timer t;
-    const std::uint64_t load_begin =
-        tracer != nullptr ? tracer->now_ns() : 0;
-    const cluster::GenerationChain chain =
-        cluster::GenerationChain::load(base_path, copts, &deg.stats);
-    if (tracer != nullptr) {
-      tracer->record(trace::SpanKind::kIndexLoad, load_begin,
-                     tracer->now_ns());
-    }
-    std::fprintf(stderr,
-                 "loaded generation %u chain (%u member(s)):"
-                 " %llu sequences, %llu residues (%.2fs)\n",
-                 chain.generation(), chain.member_count(),
-                 static_cast<unsigned long long>(chain.total_sequences()),
-                 static_cast<unsigned long long>(chain.total_residues()),
-                 t.seconds());
-    for (const stats::QuarantinedShard& q : deg.stats.quarantined_shards) {
-      std::fprintf(stderr, "warning: quarantined chain member %u: %s\n",
-                   q.shard, q.reason.c_str());
-    }
-    for (const stats::QuarantinedBlock& q : deg.stats.quarantined) {
-      std::fprintf(stderr, "warning: quarantined block %u: %s\n", q.block,
-                   q.reason.c_str());
-    }
-
-    SequenceStore queries;
-    read_fasta_file(query_path, queries);
-    std::fprintf(stderr, "read %zu queries\n", queries.size());
-    t.reset();
-
-    stats::PipelineSnapshot merged_snap;
-    if (checkpoint_path.empty()) {
-      cluster::ChainSearchResult res =
-          cluster::search_chain(chain, queries, threads, tracer.get());
-      absorb_chain_degradation(deg.stats, res.degraded);
-      std::fprintf(stderr,
-                   "searched in %.2fs (%d thread(s), %u chain member(s))\n",
-                   t.seconds(), threads, chain.member_count());
-
-      std::ofstream out_file;
-      if (!out_path.empty()) {
-        out_file.open(out_path, std::ios::binary | std::ios::trunc);
-        MUBLASTP_CHECK_KIND(out_file.good(), ErrorKind::kIo,
-                            "cannot open output file: " + out_path);
-      }
-      std::ostream& os = out_path.empty() ? std::cout : out_file;
-      for (SeqId q = 0; q < queries.size(); ++q) {
-        render_store(os, outfmt, queries, q, chain.global_db(),
-                     res.results[q]);
-      }
-      os.flush();
-      MUBLASTP_CHECK_KIND(!os.bad(), ErrorKind::kIo,
-                          "write failure on search output");
-      if (want_stats) {
-        merged_snap = chain_snapshot(res, threads, t.seconds(),
-                                     chain.options().engine);
-      }
-    } else {
-      // Checkpointed chain run: the same durable-output-then-journal
-      // protocol as the other two paths, at batch granularity.
-      const std::uint64_t nq = queries.size();
-      const std::uint64_t nbatches = (nq + batch_size - 1) / batch_size;
-      const std::uint32_t generation = chain.generation();
-      std::uint32_t fp = crc32(&batch_size, sizeof(batch_size));
-      fp = crc32(&nq, sizeof(nq), fp);
-      fp = crc32(&generation, sizeof(generation), fp);
-      CheckpointJournal journal(checkpoint_path, fp);
-
-      OutFile out;
-      out.fd = ::open(out_path.c_str(), O_RDWR | O_CREAT, 0644);
-      MUBLASTP_CHECK_KIND(out.fd >= 0, ErrorKind::kIo,
-                          "cannot open output file: " + out_path);
-      std::uint64_t offset = journal.resume_offset();
-      MUBLASTP_CHECK_KIND(
-          ::ftruncate(out.fd, static_cast<off_t>(offset)) == 0,
-          ErrorKind::kIo, "cannot truncate output file: " + out_path);
-      MUBLASTP_CHECK_KIND(
-          ::lseek(out.fd, static_cast<off_t>(offset), SEEK_SET) >= 0,
-          ErrorKind::kIo, "cannot seek output file: " + out_path);
-      if (journal.num_completed() != 0) {
-        std::fprintf(stderr,
-                     "resuming: %zu of %llu batches already complete"
-                     " (output offset %llu)\n",
-                     journal.num_completed(),
-                     static_cast<unsigned long long>(nbatches),
-                     static_cast<unsigned long long>(offset));
-      }
-
-      for (std::uint64_t b = 0; b < nbatches; ++b) {
-        if (journal.completed(b)) continue;
-        const SeqId begin = static_cast<SeqId>(b * batch_size);
-        const SeqId end =
-            static_cast<SeqId>(std::min<std::uint64_t>(nq,
-                                                       (b + 1) * batch_size));
-        SequenceStore batch;
-        for (SeqId q = begin; q < end; ++q) {
-          batch.add(queries.sequence(q), queries.name(q));
-        }
-        Timer bt;
-        if (tracer != nullptr) {
-          tracer->set_batch(static_cast<std::uint32_t>(b));
-        }
-        cluster::ChainSearchResult res =
-            cluster::search_chain(chain, batch, threads, tracer.get());
-        absorb_chain_degradation(deg.stats, res.degraded);
-
-        std::ostringstream os;
-        for (SeqId q = begin; q < end; ++q) {
-          render_store(os, outfmt, queries, q, chain.global_db(),
-                       res.results[q - begin]);
-        }
-        const std::string bytes = os.str();
-        std::size_t written = 0;
-        while (written < bytes.size()) {
-          const ssize_t n = ::write(out.fd, bytes.data() + written,
-                                    bytes.size() - written);
-          MUBLASTP_CHECK_KIND(n >= 0, ErrorKind::kIo,
-                              "write failure on output file: " + out_path);
-          written += static_cast<std::size_t>(n);
-        }
-        MUBLASTP_CHECK_KIND(::fsync(out.fd) == 0, ErrorKind::kIo,
-                            "fsync failure on output file: " + out_path);
-        offset += bytes.size();
-        journal.append(b, offset);
-        if (want_stats) {
-          merged_snap.merge(chain_snapshot(res, threads, bt.seconds(),
-                                           chain.options().engine));
-        }
-      }
-      std::fprintf(stderr,
-                   "searched in %.2fs (%d thread(s), %u chain member(s))\n",
-                   t.seconds(), threads, chain.member_count());
-    }
-
-    if (tracer != nullptr && want_stats) {
-      tracer->flush();
-      merged_snap.perf_counters = tracer->perf_totals();
-    }
-    if (tracer != nullptr) {
-      trace::TraceMeta meta;
-      meta.engine = "mublastp-chain";
-      meta.kernel = simd::kernel_name(chain.options().engine.kernel);
-      meta.threads = threads;
-      meta.shards = chain.member_count();
-      const int rc = write_trace_file(
-          *tracer, arg_str(argc, argv, "trace", ""), meta);
-      if (rc != 0) return rc;
-    }
-
-    if (want_stats) {
-      merged_snap.degraded = deg.stats;
-      if (stats_mode == "json") {
-        const std::string json = stats::to_json(merged_snap);
-        std::fwrite(json.data(), 1, json.size(), stdout);
-        std::fputc('\n', stdout);
-      } else {
-        stats::print_table(stderr, merged_snap);
-      }
-    }
-    if (deg.stats.partial) {
-      std::fprintf(stderr,
-                   "warning: results are PARTIAL (%zu member(s), %zu"
-                   " block(s) quarantined)\n",
-                   deg.stats.quarantined_shards.size(),
-                   deg.stats.quarantined.size());
-      return 3;
-    }
-    return 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code_for(e.kind());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -946,6 +388,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --batch-size must be positive\n");
     return 2;
   }
+  int threads = 0;
+  if (!parse_threads(argc, argv, &threads)) return 2;
   if (!inject.empty()) {
     try {
       fi::arm_from_spec(inject);
@@ -957,154 +401,97 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const double time_budget =
-      std::strtod(arg_str(argc, argv, "time-budget", "0").c_str(), nullptr);
-  const std::size_t mem_budget_mb = arg_num(argc, argv, "mem-budget-mb", 0);
 
-  if (!manifest_path.empty()) {
-    return run_sharded(argc, argv, manifest_path, query_path, outfmt,
-                       stats_mode, out_path, checkpoint_path, strict,
-                       batch_size);
-  }
-
-  // Generation resolution: --index transparently follows the newest
-  // published MUGEN01 generation (mublastp_makedb --append / --compact;
-  // see docs/INCREMENTAL.md). No manifest → the classic single-file path
-  // below, untouched. A single-member generation (e.g. right after
-  // --compact) routes its member file through the full single-index
-  // machinery (mmap, degraded mode, checkpointing). A multi-member chain
-  // gets the chain runner. A corrupt newest manifest fails closed (exit 5)
-  // — silently searching a stale generation would be worse than failing.
-  std::string effective_index = index_path;
+  // The whole run's snapshot: every search call's stats and degradation
+  // fold into it, after what the open itself reported.
+  stats::PipelineSnapshot run;
   try {
-    const ResolvedGeneration resolved = resolve_generations(index_path);
-    if (resolved.manifest.has_value()) {
-      if (!resolved.orphan_temps.empty()) {
-        std::fprintf(stderr,
-                     "warning: %zu orphaned temp file(s) from a crashed"
-                     " build next to '%s' (the next mublastp_makedb"
-                     " --append or --compact removes them)\n",
-                     resolved.orphan_temps.size(), index_path.c_str());
-      }
-      if (resolved.member_paths.size() > 1) {
-        return run_chain(argc, argv, index_path, query_path, outfmt,
-                         stats_mode, out_path, checkpoint_path, strict,
-                         batch_size);
-      }
-      effective_index = resolved.member_paths[0];
-      std::fprintf(stderr, "resolved generation %u: %s\n",
-                   resolved.generation, effective_index.c_str());
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return exit_code_for(e.kind());
-  }
-  const std::string& index_file = effective_index;
-
-  // Fail fast with a precise message on an unreadable index path; the binary
-  // loader's own errors are kept for files that exist but are corrupt.
-  if (!std::ifstream(index_file, std::ios::binary).good()) {
-    std::fprintf(stderr, "error: cannot read index file '%s'"
-                 " (missing file or insufficient permissions)\n",
-                 index_file.c_str());
-    return 2;
-  }
-
-  RunDegradation deg;
-  try {
-    const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
-
-    // Pick the load path: v3 files are mapped unless --no-mmap; v2 files
-    // only have the copy loader. The probe reads just header + table.
-    const DbIndexFileInfo info = describe_db_index_file(index_file);
-    const bool use_mmap =
-        force_mmap || (!force_copy && info.version >= kDbIndexFormatVersion);
-    if (force_mmap && info.version < kDbIndexFormatVersion) {
-      std::fprintf(stderr,
-                   "error: --mmap requires a format v%u index; '%s' is v%u"
-                   " (rebuild it with mublastp_makedb)\n",
-                   kDbIndexFormatVersion, index_file.c_str(), info.version);
+    cluster::MemberSetOptions opts;
+    opts.params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
+    const simd::KernelSpec kspec =
+        simd::parse_kernel_spec(arg_str(argc, argv, "kernel", "auto"));
+    opts.engine.kernel = kspec.path;
+    opts.engine.vector_ungapped = kspec.vector_ungapped;
+    opts.engine.time_budget_seconds =
+        std::strtod(arg_str(argc, argv, "time-budget", "0").c_str(), nullptr);
+    opts.engine.mem_budget_bytes =
+        static_cast<std::uint64_t>(arg_num(argc, argv, "mem-budget-mb", 0))
+        << 20;
+    if (progress_enabled(argc, argv)) opts.engine.progress = ProgressPrinter{};
+    opts.strict = strict;
+    if (!simd::kernel_supported(opts.engine.kernel)) {
+      std::fprintf(stderr, "error: kernel '%s' is not supported on this"
+                   " CPU\n", simd::kernel_name(opts.engine.kernel));
       return 2;
     }
+    const cluster::LoadMode load_mode =
+        force_mmap ? cluster::LoadMode::kMmap
+                   : force_copy ? cluster::LoadMode::kCopy
+                                : cluster::LoadMode::kAuto;
+    const cluster::WorkerMode mode =
+        manifest_path.empty()
+            ? cluster::WorkerMode::kThread
+            : cluster::parse_worker_mode(
+                  arg_str(argc, argv, "shard-mode", "thread"));
+    const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
 
     Timer t;
     const std::uint64_t load_begin =
         tracer != nullptr ? tracer->now_ns() : 0;
-    const LoadedIndex loaded =
-        load_index(index_file, use_mmap, strict, deg);
+    stats::DegradedStats* open_sink = strict ? nullptr : &run.degraded;
+    const MemberSet set =
+        manifest_path.empty()
+            ? MemberSet::open_index(index_path, opts, open_sink, load_mode)
+            : MemberSet::open_shards(manifest_path, opts, open_sink,
+                                     load_mode);
     if (tracer != nullptr) {
       tracer->record(trace::SpanKind::kIndexLoad, load_begin,
                      tracer->now_ns());
     }
-    const DbIndexView view = loaded.view();
-    stats::IndexLoadStats load_stats;
-    load_stats.mode = loaded.mode;
-    load_stats.load_seconds = t.seconds();
-    load_stats.file_bytes = info.file_bytes;
-    load_stats.resident_bytes =
-        loaded.mapped ? loaded.mapped->resident_bytes() : 0;
+    const bool single = set.layout() == MemberSet::Layout::kSingle;
     std::fprintf(stderr,
-                 "loaded index (%s, v%u): %zu sequences, %zu blocks"
-                 " (%.2fs)\n",
-                 load_stats.mode.c_str(), info.version, view.num_sequences(),
-                 view.blocks().size(), load_stats.load_seconds);
-    for (const stats::QuarantinedBlock& q : deg.stats.quarantined) {
+                 "loaded %s: generation %u, %u member(s), %llu sequences,"
+                 " %llu residues (%.2fs)\n",
+                 manifest_path.empty() ? index_path.c_str()
+                                       : manifest_path.c_str(),
+                 set.generation(), set.member_count(),
+                 static_cast<unsigned long long>(set.total_sequences()),
+                 static_cast<unsigned long long>(set.total_residues()),
+                 t.seconds());
+    for (const stats::QuarantinedShard& q : run.degraded.quarantined_shards) {
+      std::fprintf(stderr, "warning: quarantined member %u: %s\n", q.shard,
+                   q.reason.c_str());
+    }
+    for (const stats::QuarantinedBlock& q : run.degraded.quarantined) {
       std::fprintf(stderr, "warning: quarantined block %u: %s\n", q.block,
                    q.reason.c_str());
     }
+    std::fprintf(stderr, "kernel: %s%s\n",
+                 simd::kernel_name(opts.engine.kernel),
+                 opts.engine.vector_ungapped ? "+ungapped" : "");
 
     SequenceStore queries;
     read_fasta_file(query_path, queries);
     std::fprintf(stderr, "read %zu queries\n", queries.size());
 
-    SearchParams params;
-    params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
-    MuBlastpOptions options;
-    const simd::KernelSpec kspec =
-        simd::parse_kernel_spec(arg_str(argc, argv, "kernel", "auto"));
-    options.kernel = kspec.path;
-    options.vector_ungapped = kspec.vector_ungapped;
-    options.time_budget_seconds = time_budget;
-    options.mem_budget_bytes =
-        static_cast<std::uint64_t>(mem_budget_mb) << 20;
-    if (progress_enabled(argc, argv)) options.progress = ProgressPrinter{};
-    if (!simd::kernel_supported(options.kernel)) {
-      std::fprintf(stderr, "error: kernel '%s' is not supported on this"
-                   " CPU\n", simd::kernel_name(options.kernel));
-      return 2;
-    }
-    const MuBlastpEngine engine(view, params, options);
-    std::fprintf(stderr, "kernel: %s%s\n", simd::kernel_name(options.kernel),
-                 options.vector_ungapped ? "+ungapped" : "");
-
-    // Default to the OpenMP pool size; reject nonsense explicitly rather
-    // than letting a "-1" silently become a huge unsigned value.
-    const std::string threads_arg = arg_str(argc, argv, "threads", "");
-    long threads_val = omp_get_max_threads();
-    if (!threads_arg.empty()) {
-      char* endp = nullptr;
-      threads_val = std::strtol(threads_arg.c_str(), &endp, 10);
-      if (endp == threads_arg.c_str() || *endp != '\0' || threads_val <= 0) {
-        std::fprintf(stderr, "error: --threads must be a positive integer"
-                     " (got '%s')\n", threads_arg.c_str());
-        return 2;
-      }
-    }
-    const int threads = static_cast<int>(threads_val);
     const bool want_stats = !stats_mode.empty();
-    stats::DegradedStats* deg_sink = strict ? nullptr : &deg.stats;
+    // One search call: its results, with its stats folded into `run`.
+    const auto search = [&](const SequenceStore& batch) {
+      stats::PipelineStats ps;
+      stats::PipelineStats* telemetry = want_stats && single ? &ps : nullptr;
+      const Timer bt;
+      cluster::MemberSearchResult res =
+          set.search(batch, threads, mode, tracer.get(), telemetry);
+      run.merge(batch_snapshot(set, res, telemetry, threads, bt.seconds()));
+      return std::move(res.results);
+    };
 
     t.reset();
-    stats::PipelineSnapshot merged_snap;
     if (checkpoint_path.empty()) {
       // Plain path: one batch over all queries, reports to --out or stdout.
-      stats::PipelineStats pipeline_stats;
-      const std::vector<QueryResult> results = engine.search_batch(
-          queries, threads, want_stats ? &pipeline_stats : nullptr, deg_sink,
-          tracer.get());
+      const std::vector<QueryResult> results = search(queries);
       std::fprintf(stderr, "searched in %.2fs (%d thread(s))\n", t.seconds(),
                    threads);
-
       std::ofstream out_file;
       if (!out_path.empty()) {
         out_file.open(out_path, std::ios::binary | std::ios::trunc);
@@ -1112,16 +499,10 @@ int main(int argc, char** argv) {
                             "cannot open output file: " + out_path);
       }
       std::ostream& os = out_path.empty() ? std::cout : out_file;
-      // Results carry ORIGINAL database ids; the view overloads of the
-      // report writers resolve residues/names through the index's id maps,
-      // so both the owned and the mapped form report identically.
-      for (SeqId q = 0; q < queries.size(); ++q) {
-        render(os, outfmt, queries, q, view, results[q]);
-      }
+      render_batch(os, outfmt, queries, 0, set, results);
       os.flush();
       MUBLASTP_CHECK_KIND(!os.bad(), ErrorKind::kIo,
                           "write failure on search output");
-      if (want_stats) merged_snap = pipeline_stats.snapshot();
     } else {
       // Checkpointed batch runner: queries are processed in fixed batches;
       // each batch's report bytes are made durable (write + fsync) BEFORE
@@ -1129,11 +510,13 @@ int main(int argc, char** argv) {
       // survived any crash and resuming is bit-identical to a clean run.
       const std::uint64_t nq = queries.size();
       const std::uint64_t nbatches = (nq + batch_size - 1) / batch_size;
-      // Fingerprint ties the journal to this (index, query-set, batching)
-      // configuration; resuming under any other combination is an error.
+      // Fingerprint ties the journal to this (database, query-set,
+      // batching) configuration; resuming under any other combination is
+      // an error.
+      const std::uint64_t residues = set.total_residues();
       std::uint32_t fp = crc32(&batch_size, sizeof(batch_size));
       fp = crc32(&nq, sizeof(nq), fp);
-      fp = crc32(&info.file_bytes, sizeof(info.file_bytes), fp);
+      fp = crc32(&residues, sizeof(residues), fp);
       CheckpointJournal journal(checkpoint_path, fp);
 
       OutFile out;
@@ -1168,18 +551,13 @@ int main(int argc, char** argv) {
         for (SeqId q = begin; q < end; ++q) {
           batch.add(queries.sequence(q), queries.name(q));
         }
-        stats::PipelineStats pipeline_stats;
         if (tracer != nullptr) {
           tracer->set_batch(static_cast<std::uint32_t>(b));
         }
-        const std::vector<QueryResult> results = engine.search_batch(
-            batch, threads, want_stats ? &pipeline_stats : nullptr, deg_sink,
-            tracer.get());
+        const std::vector<QueryResult> results = search(batch);
 
         std::ostringstream os;
-        for (SeqId q = begin; q < end; ++q) {
-          render(os, outfmt, queries, q, view, results[q - begin]);
-        }
+        render_batch(os, outfmt, queries, begin, set, results);
         const std::string bytes = os.str();
         std::size_t written = 0;
         while (written < bytes.size()) {
@@ -1193,7 +571,6 @@ int main(int argc, char** argv) {
                             "fsync failure on output file: " + out_path);
         offset += bytes.size();
         journal.append(b, offset);
-        if (want_stats) merged_snap.merge(pipeline_stats.snapshot());
       }
       std::fprintf(stderr, "searched in %.2fs (%d thread(s))\n", t.seconds(),
                    threads);
@@ -1201,36 +578,37 @@ int main(int argc, char** argv) {
 
     if (tracer != nullptr && want_stats) {
       tracer->flush();
-      merged_snap.perf_counters = tracer->perf_totals();
+      run.perf_counters = tracer->perf_totals();
     }
     if (tracer != nullptr) {
       trace::TraceMeta meta;
-      meta.engine = "mublastp";
-      meta.kernel = simd::kernel_name(options.kernel);
+      meta.engine = engine_name(set.layout());
+      meta.kernel = simd::kernel_name(opts.engine.kernel);
       meta.threads = threads;
+      meta.shards = single ? 0 : set.member_count();
       const int rc = write_trace_file(
           *tracer, arg_str(argc, argv, "trace", ""), meta);
       if (rc != 0) return rc;
     }
 
     if (want_stats) {
-      merged_snap.index_load = load_stats;
-      merged_snap.degraded = deg.stats;
+      if (single) run.index_load = set.load_stats(0);
       if (stats_mode == "json") {
-        const std::string json = stats::to_json(merged_snap);
+        const std::string json = stats::to_json(run);
         std::fwrite(json.data(), 1, json.size(), stdout);
         std::fputc('\n', stdout);
       } else {
-        stats::print_table(stderr, merged_snap);
+        stats::print_table(stderr, run);
       }
     }
-    if (deg.stats.partial) {
+    if (run.degraded.partial) {
       std::fprintf(stderr,
-                   "warning: results are PARTIAL (%zu block(s) quarantined,"
-                   " %llu time-budget trip(s))\n",
-                   deg.stats.quarantined.size(),
+                   "warning: results are PARTIAL (%zu block(s), %zu"
+                   " member(s) quarantined, %llu time-budget trip(s))\n",
+                   run.degraded.quarantined.size(),
+                   run.degraded.quarantined_shards.size(),
                    static_cast<unsigned long long>(
-                       deg.stats.time_budget_trips));
+                       run.degraded.time_budget_trips));
       return 3;
     }
     return 0;

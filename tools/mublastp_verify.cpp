@@ -10,15 +10,15 @@
 // collect path) — asserting the vector kernels are bit-identical down to
 // every counter.
 // A ninth run searches a 3-shard round-robin partitioning of the same
-// database through the sharded orchestrator (docs/SHARDING.md): merged
+// database as a cluster::MemberSet (docs/SHARDING.md): merged
 // results must match every other engine, per-query stage stats must equal
 // the single-index run exactly, and the per-shard hit counters must sum to
 // the single-index total.
 // An eleventh run proves the incremental-build contract
 // (docs/INCREMENTAL.md): the database is split, the prefix saved as a base
 // index, the remainder published as a delta generation with
-// append_generation, and the base+delta chain searched through
-// GenerationChain — merged results AND per-query stage stats must equal
+// append_generation, and the base+delta chain opened and searched as a
+// cluster::MemberSet — merged results AND per-query stage stats must equal
 // the from-scratch single-index run exactly, field for field.
 //
 // Usage:
@@ -48,8 +48,7 @@
 
 #include "baseline/interleaved_engine.hpp"
 #include "baseline/query_engine.hpp"
-#include "cluster/gen_chain.hpp"
-#include "cluster/orchestrator.hpp"
+#include "cluster/member_set.hpp"
 #include "common/rng.hpp"
 #include "core/mublastp_engine.hpp"
 #include "fasta/fasta.hpp"
@@ -199,21 +198,21 @@ int main(int argc, char** argv) {
     std::filesystem::remove(tmp_index);
     const MuBlastpEngine mu_mmap(mapped, {}, scalar_opts);
 
-    // The sharded run: same database split 3 ways round-robin, searched
-    // through the orchestrator (in memory — no files), merged back. One
-    // batch search up front; the per-query loop below diffs its slices.
+    // The sharded run: same database split 3 ways round-robin (in memory —
+    // no files), searched and merged back. One batch search up front; the
+    // per-query loop below diffs its slices.
     namespace cl = cluster;
-    const cl::ShardSet shard_set = cl::ShardSet::build_in_memory(
+    const cl::MemberSet shard_set = cl::MemberSet::partition(
         db, 3, cl::PartitionStrategy::kRoundRobinSorted, {},
         {{}, scalar_opts, false});
-    const cl::ShardedSearchResult sharded = cl::search_sharded(
-        shard_set, queries, 1, cl::ShardWorkerMode::kThread);
+    const cl::MemberSearchResult sharded = shard_set.search(queries, 1);
 
     // The incremental-build run: prefix of the database published as a base
     // index, the remainder appended as a delta generation through the real
     // on-disk protocol (durable publish, MUGEN01 manifest), the chain
-    // loaded strictly and searched. Files are removed right after the load
-    // — the chain owns in-memory copies.
+    // opened strictly and searched. Files are unlinked right after the
+    // open: the members stay mapped (POSIX keeps an unlinked file's pages
+    // alive while a mapping holds them).
     const std::size_t base_count =
         db.size() > 1 ? std::max<std::size_t>(1, db.size() * 2 / 3)
                       : db.size();
@@ -233,12 +232,12 @@ int main(int argc, char** argv) {
       gen_files.emplace_back(appended.delta_path);
       gen_files.emplace_back(appended.manifest_path);
     }
-    const cl::GenerationChain chain = cl::GenerationChain::load(
+    const cl::MemberSet chain = cl::MemberSet::open_index(
         gen_base.string(), {{}, scalar_opts, /*strict=*/true}, nullptr);
     for (const std::filesystem::path& f : gen_files) {
       std::filesystem::remove(f);
     }
-    const cl::ChainSearchResult chained = cl::search_chain(chain, queries, 1);
+    const cl::MemberSearchResult chained = chain.search(queries, 1);
 
     struct Named {
       const char* name;
@@ -411,7 +410,7 @@ int main(int argc, char** argv) {
                   runs[0].result.alignments.size());
       all_ok = all_ok && ok;
     }
-    // Counter-sum tally: the per-shard hit counters the orchestrator books
+    // Counter-sum tally: the per-shard hit counters the member set books
     // (telemetry, not merged results) must sum to the single-index engine's
     // aggregate — no hit double-counted, none dropped, across the batch.
     std::uint64_t shard_hits = 0;
