@@ -1,8 +1,7 @@
 // perf_regress: the SIMD-kernel perf-regression harness.
 //
 // Runs the same synthetic workload through the muBLASTP pipeline once per
-// kernel configuration the CPU supports (scalar always; SSE4.2/AVX2 when
-// available, each with and without the opt-in "+ungapped" vector kernel)
+// kernel the CPU supports (scalar always; SSE4.2/AVX2 when available)
 // and reports per-stage timings, throughput, and each configuration's
 // speedup over scalar — the banded gapped DP and (since the flattened
 // hit-scan kernels) stage-1 hit detection are the stages the SIMD paths
@@ -66,8 +65,7 @@ std::string arg_str(int argc, char** argv, const std::string& key,
 
 struct KernelRun {
   simd::KernelPath path;
-  bool vector_ungapped;          ///< "+ungapped" variant
-  std::string name;              ///< "scalar", "avx2", "avx2+ungapped", ...
+  std::string name;              ///< "scalar", "sse42", "avx2"
   stats::PipelineSnapshot best;  ///< rep with the fastest total
 };
 
@@ -174,24 +172,10 @@ int main(int argc, char** argv) {
     paths.push_back(simd::KernelPath::kAvx2);
   }
 
-  // One configuration per supported path, plus the opt-in "+ungapped"
-  // variant for the vector paths (measured so its regression stays
-  // visible even though production runs default it off).
-  struct Config {
-    simd::KernelPath path;
-    bool vector_ungapped;
-  };
-  std::vector<Config> configs;
-  for (const simd::KernelPath path : paths) configs.push_back({path, false});
-  for (const simd::KernelPath path : paths) {
-    if (path != simd::KernelPath::kScalar) configs.push_back({path, true});
-  }
-
   std::vector<KernelRun> runs;
-  for (const Config& cfg : configs) {
+  for (const simd::KernelPath path : paths) {
     MuBlastpOptions options;
-    options.kernel = cfg.path;
-    options.vector_ungapped = cfg.vector_ungapped;
+    options.kernel = path;
     const MuBlastpEngine engine(index, {}, options);
     std::optional<stats::PipelineSnapshot> best;
     for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -202,9 +186,7 @@ int main(int argc, char** argv) {
         best = std::move(snap);
       }
     }
-    std::string name = simd::kernel_name(cfg.path);
-    if (cfg.vector_ungapped) name += "+ungapped";
-    runs.push_back({cfg.path, cfg.vector_ungapped, name, std::move(*best)});
+    runs.push_back({path, simd::kernel_name(path), std::move(*best)});
     std::printf("[run] %-14s ungapped %.4fs gapped %.4fs total %.4fs\n",
                 runs.back().name.c_str(),
                 stage_sec(runs.back().best, stats::Stage::kUngapped),
@@ -482,9 +464,9 @@ int main(int argc, char** argv) {
     out += buf;
     out += "  \"analysis\": \"docs/ALGORITHMS.md section 'SIMD kernels and"
            " dispatch' discusses these numbers: the banded tiered int8/int16"
-           " gapped DP is the production vector path; the batched vector"
-           " ungapped kernel is the opt-in '+ungapped' variant (slower than"
-           " scalar); striped SW is where the int16 lanes pay\",\n";
+           " gapped DP is the production vector path; ungapped extension"
+           " is scalar on every kernel; striped SW is where the int16 lanes"
+           " pay\",\n";
     std::snprintf(buf, sizeof(buf), "  \"counters_identical\": %s\n}\n",
                   counters_ok ? "true" : "false");
     out += buf;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/timer.hpp"
+#include "core/diag_keys.hpp"
 #include "core/fragment_assembly.hpp"
 #include "core/hit_logic.hpp"
 #include "trace/trace.hpp"
@@ -25,12 +26,10 @@ const SearchParams& checked_params(const SearchParams& p) {
 
 InterleavedDbEngine::InterleavedDbEngine(DbIndexView index,
                                          SearchParams params,
-                                         simd::KernelPath kernel,
-                                         bool vector_ungapped)
+                                         simd::KernelPath kernel)
     : view_(std::move(index)),
       params_(checked_params(params)),
       kernel_(kernel),
-      vector_ungapped_(vector_ungapped),
       karlin_(gapped_params(*params.matrix, params.gap_open,
                             params.gap_extend)) {
   MUBLASTP_CHECK(params_.matrix == view_.config().matrix,
@@ -45,9 +44,7 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                        std::vector<UngappedAlignment>& out,
                                        DiagState& state,
                                        const FlatNeighborhood* flat, Mem mem,
-                                       Rec rec,
-                                       const SimdExtendContext* simd_ctx)
-    const {
+                                       Rec rec) const {
   const ScoreMatrix& matrix = *params_.matrix;
   const DbIndexView& db = view_;
   const NeighborTable& neighbors = view_.neighbors();
@@ -60,11 +57,8 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
   // hit arrays, one for each subject sequence" of Section II-B. Fragment f
   // owns the dense key range [bases[f], bases[f+1]).
   const std::uint32_t qlen = static_cast<std::uint32_t>(query.size());
-  std::vector<std::uint32_t> bases(block.fragments().size() + 1, 0);
-  for (std::size_t f = 0; f < block.fragments().size(); ++f) {
-    bases[f + 1] = bases[f] + block.fragments()[f].len + qlen + 1;
-  }
-  state.resize(bases.back());
+  std::vector<std::uint32_t> bases;
+  state.resize(diagonal_key_bases(block.fragments(), qlen, bases));
   state.new_round(static_cast<std::int32_t>(qlen) + 1);
 
   std::vector<UngappedSeg> segs;
@@ -86,7 +80,7 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                    qlen);
       segs.clear();
       process_hit(state, key, query, subject, qoff, soff, matrix, params_,
-                  stats, segs, mem, simd_ctx);
+                  stats, segs, mem);
       for (const UngappedSeg& seg : segs) {
         out.push_back(resolve_fragment_segment(query, db, frag, seg, qoff,
                                                soff, matrix, params_));
@@ -151,21 +145,11 @@ QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
   QueryResult result;
   std::vector<UngappedAlignment> ungapped;
   DiagState state;
-  // One profile per query, shared by every block's extensions. The vector
-  // ungapped kernel is opt-in (slower than scalar; see dispatch.hpp).
-  // Traced runs must replay the scalar access stream, so they never batch.
-  simd::QueryProfile profile;
-  SimdExtendContext ctx{kernel_, &profile};
-  const SimdExtendContext* simd_ctx = nullptr;
   // Query-setup: flatten the neighbor lookup once per query with a vector
   // kernel selected; traced runs keep the classic scan's access stream.
   FlatNeighborhood flat;
   const FlatNeighborhood* flatp = nullptr;
   if constexpr (!Mem::kEnabled) {
-    if (vector_ungapped_ && kernel_ != simd::KernelPath::kScalar) {
-      profile.build(query, *params_.matrix);
-      simd_ctx = &ctx;
-    }
     if (kernel_ != simd::KernelPath::kScalar) {
       stats::LapTimer<Rec::kEnabled> flat_lap;
       rec.mark();
@@ -179,7 +163,7 @@ QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
   std::uint32_t block_id = 0;
   for (const DbBlockView& block : view_.blocks()) {
     search_block(query, block, block_id++, result.stats, ungapped, state,
-                 flatp, mem, rec, simd_ctx);
+                 flatp, mem, rec);
   }
 
   // Remap sorted-store ids to the caller's original database ids.
@@ -225,9 +209,7 @@ QueryResult InterleavedDbEngine::search(std::span<const Residue> query,
   Timer total;
   QueryResult result =
       search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
-  ps.set_gapped_kernel({result.stats.gapped_int8_runs,
-                        result.stats.gapped_int16_reruns,
-                        result.stats.gapped_scalar_fallbacks});
+  ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
 }
@@ -277,11 +259,7 @@ std::vector<QueryResult> InterleavedDbEngine::batch_impl(
   if constexpr (Traced) tracer->flush();
   if constexpr (PS::kEnabled) {
     stats::GappedKernelStats gk;
-    for (const QueryResult& r : results) {
-      gk.int8_runs += r.stats.gapped_int8_runs;
-      gk.int16_reruns += r.stats.gapped_int16_reruns;
-      gk.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
-    }
+    for (const QueryResult& r : results) gk += stats::gapped_kernel_of(r.stats);
     ps->set_gapped_kernel(gk);
     ps->finish_run(run_timer.seconds());
   }

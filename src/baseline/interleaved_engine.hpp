@@ -31,14 +31,12 @@ class InterleavedDbEngine {
  public:
   /// The index behind `index` (owned DbIndex or MappedDbIndex — both
   /// convert implicitly) must outlive the engine. `kernel` selects the
-  /// alignment-DP kernel (banded gapped extension; plus the batched
-  /// ungapped kernel when `vector_ungapped` opts in — see
-  /// simd::KernelSpec). Results are bit-identical for every path, and
-  /// traced runs always use the scalar kernel.
+  /// hit-lookup and banded gapped-extension kernels. Results are
+  /// bit-identical for every path, and traced runs always use the scalar
+  /// kernel.
   explicit InterleavedDbEngine(DbIndexView index, SearchParams params = {},
                                simd::KernelPath kernel
-                               = simd::default_kernel(),
-                               bool vector_ungapped = false);
+                               = simd::default_kernel());
 
   /// Searches one query (all blocks, all four stages).
   QueryResult search(std::span<const Residue> query) const;
@@ -79,8 +77,8 @@ class InterleavedDbEngine {
   void search_block(std::span<const Residue> query, const DbBlockView& block,
                     std::uint32_t block_id, StageStats& stats,
                     std::vector<UngappedAlignment>& out, DiagState& state,
-                    const FlatNeighborhood* flat, Mem mem, Rec rec,
-                    const struct SimdExtendContext* simd_ctx) const;
+                    const FlatNeighborhood* flat, Mem mem,
+                    Rec rec) const;
 
   template <typename Mem, typename Rec>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
@@ -94,7 +92,6 @@ class InterleavedDbEngine {
   DbIndexView view_;
   SearchParams params_;
   simd::KernelPath kernel_;
-  bool vector_ungapped_;
   KarlinParams karlin_;
 };
 

@@ -28,16 +28,14 @@ QueryIndexedEngine::QueryIndexedEngine(const SequenceStore& db,
                                        SearchParams params,
                                        Score neighbor_threshold,
                                        Detector detector,
-                                       simd::KernelPath kernel,
-                                       bool vector_ungapped)
+                                       simd::KernelPath kernel)
     : db_(&db),
       params_(checked_params(params)),
       neighbors_(*params.matrix, neighbor_threshold),
       karlin_(gapped_params(*params.matrix, params.gap_open,
                             params.gap_extend)),
       detector_(detector),
-      kernel_(kernel),
-      vector_ungapped_(vector_ungapped) {
+      kernel_(kernel) {
   MUBLASTP_CHECK(!db.empty(), "database is empty");
   for (SeqId id = 0; id < db.size(); ++id) {
     max_subject_len_ = std::max(max_subject_len_, db.length(id));
@@ -78,19 +76,6 @@ QueryResult QueryIndexedEngine::search_impl(std::span<const Residue> query,
   const std::size_t diag_range = query.size() + max_subject_len_;
   state.resize(diag_range);
 
-  // One profile per query, shared across all subjects. The vector ungapped
-  // kernel is opt-in (slower than scalar; see dispatch.hpp). Traced runs
-  // must replay the scalar kernel's access stream, so they stay scalar.
-  simd::QueryProfile profile;
-  SimdExtendContext ctx{kernel_, &profile};
-  const SimdExtendContext* simd_ctx = nullptr;
-  if constexpr (!Mem::kEnabled) {
-    if (vector_ungapped_ && kernel_ != simd::KernelPath::kScalar) {
-      profile.build(query, matrix);
-      simd_ctx = &ctx;
-    }
-  }
-
   std::vector<UngappedSeg> segs;
   std::vector<UngappedAlignment> ungapped;
 
@@ -110,7 +95,7 @@ QueryResult QueryIndexedEngine::search_impl(std::span<const Residue> query,
           static_cast<std::size_t>(static_cast<std::int64_t>(soff) - qoff +
                                    static_cast<std::int64_t>(query.size()));
       process_hit(state, key, query, subject, qoff, soff, matrix, params_,
-                  result.stats, segs, mem, simd_ctx);
+                  result.stats, segs, mem);
     };
     if (use_dfa) {
       dfa->scan(subject, on_hit);
@@ -180,9 +165,7 @@ QueryResult QueryIndexedEngine::search(std::span<const Residue> query,
   Timer total;
   QueryResult result =
       search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
-  ps.set_gapped_kernel({result.stats.gapped_int8_runs,
-                        result.stats.gapped_int16_reruns,
-                        result.stats.gapped_scalar_fallbacks});
+  ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
 }
@@ -229,11 +212,7 @@ std::vector<QueryResult> QueryIndexedEngine::batch_impl(
   if constexpr (Traced) tracer->flush();
   if constexpr (PS::kEnabled) {
     stats::GappedKernelStats gk;
-    for (const QueryResult& r : results) {
-      gk.int8_runs += r.stats.gapped_int8_runs;
-      gk.int16_reruns += r.stats.gapped_int16_reruns;
-      gk.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
-    }
+    for (const QueryResult& r : results) gk += stats::gapped_kernel_of(r.stats);
     ps->set_gapped_kernel(gk);
     ps->finish_run(run_timer.seconds());
   }

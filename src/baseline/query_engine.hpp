@@ -37,15 +37,13 @@ class QueryIndexedEngine {
   };
 
   /// `db` must outlive the engine. `neighbor_threshold` is the word pair
-  /// threshold T. `kernel` selects the alignment-DP kernel (banded gapped
-  /// extension; plus the batched ungapped kernel when `vector_ungapped`
-  /// opts in — see simd::KernelSpec). Results are bit-identical for every
-  /// path, and traced runs always use scalar.
+  /// threshold T. `kernel` selects the banded gapped-extension kernel.
+  /// Results are bit-identical for every path, and traced runs always use
+  /// scalar.
   QueryIndexedEngine(const SequenceStore& db, SearchParams params = {},
                      Score neighbor_threshold = kDefaultNeighborThreshold,
                      Detector detector = Detector::kLookupTable,
-                     simd::KernelPath kernel = simd::default_kernel(),
-                     bool vector_ungapped = false);
+                     simd::KernelPath kernel = simd::default_kernel());
 
   /// Searches one query through all four stages.
   QueryResult search(std::span<const Residue> query) const;
@@ -91,7 +89,6 @@ class QueryIndexedEngine {
   KarlinParams karlin_;
   Detector detector_;
   simd::KernelPath kernel_;
-  bool vector_ungapped_;
   std::size_t max_subject_len_ = 0;
 };
 

@@ -25,19 +25,8 @@
 #include "core/two_hit.hpp"
 #include "core/ungapped.hpp"
 #include "memsim/memsim.hpp"
-#include "simd/kernels.hpp"
 
 namespace mublastp {
-
-/// Optional SIMD context for process_hit: when non-null the extension runs
-/// through the selected kernel against the pre-built query profile instead
-/// of the scalar template. Results are bit-identical either way. Ignored on
-/// traced (memsim) instantiations — their access streams must come from the
-/// scalar kernel.
-struct SimdExtendContext {
-  simd::KernelPath kernel = simd::KernelPath::kScalar;
-  const simd::QueryProfile* profile = nullptr;
-};
 
 /// Processes one word hit interleaved-style. `out` receives surviving
 /// ungapped segments in subject-local coordinates.
@@ -47,8 +36,7 @@ inline void process_hit(DiagState& state, std::size_t key,
                         std::span<const Residue> subject, std::uint32_t qoff,
                         std::uint32_t soff, const ScoreMatrix& matrix,
                         const SearchParams& params, StageStats& stats,
-                        std::vector<UngappedSeg>& out, Mem mem = {},
-                        const SimdExtendContext* simd_ctx = nullptr) {
+                        std::vector<UngappedSeg>& out, Mem mem = {}) {
   ++stats.hits;
   const std::int32_t q = static_cast<std::int32_t>(qoff);
   const std::int32_t last = state.last_hit(key, mem);
@@ -65,21 +53,8 @@ inline void process_hit(DiagState& state, std::size_t key,
   if (reached != DiagState::kNone && reached > q) return;  // covered
 
   ++stats.extensions;
-  UngappedSeg seg;
-  bool extended = false;
-  if constexpr (!Mem::kEnabled) {
-    if (simd_ctx != nullptr &&
-        simd_ctx->kernel != simd::KernelPath::kScalar) {
-      seg = simd::ungapped_extend_one(simd_ctx->kernel, query, subject, qoff,
-                                      soff, *simd_ctx->profile, matrix,
-                                      params.ungapped_xdrop);
-      extended = true;
-    }
-  }
-  if (!extended) {
-    seg = ungapped_extend(query, subject, qoff, soff, matrix,
-                          params.ungapped_xdrop, mem);
-  }
+  const UngappedSeg seg = ungapped_extend(query, subject, qoff, soff, matrix,
+                                          params.ungapped_xdrop, mem);
   if (seg.score >= params.ungapped_cutoff) {
     ++stats.ungapped_alignments;
     out.push_back(seg);

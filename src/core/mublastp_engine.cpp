@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/timer.hpp"
+#include "core/diag_keys.hpp"
 #include "core/fragment_assembly.hpp"
 #include "core/ungapped.hpp"
 #include "sort/radix.hpp"
@@ -32,11 +33,7 @@ std::uint64_t MuBlastpEngine::Workspace::footprint_bytes() const {
          records.capacity() * sizeof(HitRecord) +
          rec_scratch.capacity() * sizeof(HitRecord) +
          scan_entries.capacity() * sizeof(std::uint32_t) +
-         bases.capacity() * sizeof(std::uint32_t) +
-         profile.footprint_bytes() +
-         pending.capacity() * sizeof(PendingExt) +
-         batch.capacity() * sizeof(simd::BatchHit) +
-         batch_out.capacity() * sizeof(UngappedSeg);
+         bases.capacity() * sizeof(std::uint32_t);
 }
 
 bool MuBlastpEngine::Workspace::enforce_budget() {
@@ -51,10 +48,6 @@ bool MuBlastpEngine::Workspace::enforce_budget() {
   scan_entries = {};
   bases = {};
   records_hwm = 0;
-  profile = simd::QueryProfile{};
-  pending = {};
-  batch = {};
-  batch_out = {};
   return true;
 }
 
@@ -102,26 +95,19 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   const DbIndexView& db = view_;
   const NeighborTable& neighbors = view_.neighbors();
 
-  // Dense per-block diagonal keys: fragment f owns [bases[f], bases[f+1]),
-  // with bases[f+1] - bases[f] = len_f + qlen + 1 diagonals. The key is
-  // simultaneously (a) the index into the last-hit array and (b) the radix
-  // sort key — compact keys mean fewer radix passes and a last-hit array of
-  // ~2x the block's position bytes, the footprint Section V-B budgets for.
+  // Dense per-block diagonal keys (core/diag_keys.hpp): compact keys mean
+  // fewer radix passes and a last-hit array of ~2x the block's position
+  // bytes, the footprint Section V-B budgets for.
   const std::uint32_t qlen = static_cast<std::uint32_t>(query.size());
   MUBLASTP_CHECK_KIND(!MUBLASTP_FI_FAIL("alloc.workspace"),
                       ErrorKind::kResource,
                       "injected workspace allocation failure"
                       " (alloc.workspace)");
-  ws.bases.assign(block.fragments().size() + 1, 0);
-  for (std::size_t f = 0; f < block.fragments().size(); ++f) {
-    ws.bases[f + 1] = ws.bases[f] + block.fragments()[f].len + qlen + 1;
-  }
-  MUBLASTP_CHECK(ws.bases.back() < (std::uint32_t{1} << 31),
-                 "block too large: diagonal key exceeds 31 bits");
-  const int key_bits =
-      std::max(1, static_cast<int>(std::bit_width(ws.bases.back() - 1)));
+  const std::uint32_t keys =
+      diagonal_key_bases(block.fragments(), qlen, ws.bases);
+  const int key_bits = std::max(1, static_cast<int>(std::bit_width(keys - 1)));
 
-  ws.state.resize(ws.bases.back());
+  ws.state.resize(keys);
   ws.state.new_round(static_cast<std::int32_t>(qlen) + 1);
   ws.records.clear();
   if (ws.records.capacity() < ws.records_hwm) {
@@ -280,44 +266,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   std::uint32_t ext_key = ~std::uint32_t{0};
   std::int32_t ext_reached = DiagState::kNone;
 
-  // With a SIMD kernel selected, eligible extensions are deferred into a
-  // small batch and flushed together. Keys are ascending, so a dependency
-  // (a later record needing the coverage state a pending extension will
-  // write) can only arise on an equal key — the flush below handles it.
-  // Traced runs never batch: the scalar kernel's access stream is the one
-  // the memory model must see.
-  bool use_simd = false;
-  if constexpr (!Mem::kEnabled) {
-    use_simd = options_.vector_ungapped &&
-               options_.kernel != simd::KernelPath::kScalar;
-    if (use_simd) ws.profile.build(query, matrix);
-  }
-  constexpr std::size_t kExtBatch = 16;
-  const auto flush_batch = [&]() {
-    ws.batch_out.resize(ws.batch.size());
-    simd::ungapped_extend_batch(options_.kernel, query, ws.profile, matrix,
-                                params_.ungapped_xdrop, ws.batch,
-                                ws.batch_out.data());
-    // Apply in record order: output order, counters, and the coverage state
-    // end up exactly as the scalar loop leaves them.
-    for (std::size_t i = 0; i < ws.pending.size(); ++i) {
-      const PendingExt& p = ws.pending[i];
-      const UngappedSeg& seg = ws.batch_out[i];
-      ext_key = p.key;
-      if (seg.score >= params_.ungapped_cutoff) {
-        ++stats.ungapped_alignments;
-        const FragmentRef& frag = block.fragments()[p.frag];
-        out.push_back(resolve_fragment_segment(query, db, frag, seg, p.qoff,
-                                               p.soff, matrix, params_));
-        ext_reached = static_cast<std::int32_t>(seg.q_end);
-      } else {
-        ext_reached = static_cast<std::int32_t>(p.qoff);
-      }
-    }
-    ws.pending.clear();
-    ws.batch.clear();
-  };
-
   for (const HitRecord& rec : ws.records) {
     if constexpr (Mem::kEnabled) {
       mem.touch(&rec, sizeof(HitRecord));
@@ -338,13 +286,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       ++stats.hit_pairs;
     }
 
-    // A record on a pending extension's diagonal must observe that
-    // extension's coverage state before its own check runs.
-    if (use_simd && !ws.pending.empty() &&
-        rec.key == ws.pending.back().key) {
-      flush_batch();
-    }
-
     // Coverage check (Algorithm 1 lines 16-17).
     if (rec.key != ext_key) {
       ext_key = rec.key;
@@ -363,14 +304,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
     const FragmentRef& frag = block.fragments()[frag_cursor];
     const std::span<const Residue> subject =
         db.sequence(frag.seq).subspan(frag.start, frag.len);
-    if (use_simd) {
-      ws.pending.push_back({rec.key, rec.qoff, soff, frag_cursor});
-      ws.batch.push_back({subject.data(),
-                          static_cast<std::uint32_t>(subject.size()),
-                          rec.qoff, soff});
-      if (ws.pending.size() >= kExtBatch) flush_batch();
-      continue;
-    }
     const UngappedSeg seg = ungapped_extend(query, subject, rec.qoff, soff,
                                             matrix, params_.ungapped_xdrop,
                                             mem);
@@ -383,7 +316,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       ext_reached = static_cast<std::int32_t>(rec.qoff);
     }
   }
-  if (use_simd && !ws.pending.empty()) flush_batch();
   if constexpr (Rec::kEnabled) {
     prec.workspace(ws.footprint_bytes());
     prec.block_round(block_id, stats::counters_between(stats, before),
@@ -463,9 +395,7 @@ QueryResult MuBlastpEngine::search(std::span<const Residue> query,
   Timer total;
   QueryResult result =
       search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
-  ps.set_gapped_kernel({result.stats.gapped_int8_runs,
-                        result.stats.gapped_int16_reruns,
-                        result.stats.gapped_scalar_fallbacks});
+  ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
 }
@@ -699,11 +629,7 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
   if constexpr (Traced) tracer->flush();
   if constexpr (PS::kEnabled) {
     stats::GappedKernelStats gk;
-    for (const QueryResult& r : results) {
-      gk.int8_runs += r.stats.gapped_int8_runs;
-      gk.int16_reruns += r.stats.gapped_int16_reruns;
-      gk.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
-    }
+    for (const QueryResult& r : results) gk += stats::gapped_kernel_of(r.stats);
     ps->set_gapped_kernel(gk);
     ps->finish_run(run_timer.seconds());
   }

@@ -34,7 +34,6 @@
 #include "score/karlin.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
-#include "simd/score_profile.hpp"
 #include "stats/stats.hpp"
 
 namespace mublastp {
@@ -56,19 +55,12 @@ struct MuBlastpOptions {
 
   /// Which kernel the hot stages run on: the query-specialized hit
   /// detection path (flattened neighbor lookup + prefetched posting scan +
-  /// vector two-hit prefilter), the banded gapped extension in stage 3,
-  /// plus the batched ungapped kernel when vector_ungapped opts in.
-  /// Results are bit-identical for every path; kScalar executes the
-  /// pre-SIMD code unchanged. Traced (memsim) runs always use the scalar
-  /// kernels so access streams stay exact.
+  /// vector two-hit prefilter) and the banded gapped extension in stage 3.
+  /// Ungapped extension is scalar on every path. Results are bit-identical
+  /// for every path; kScalar executes the pre-SIMD code unchanged. Traced
+  /// (memsim) runs always use the scalar kernels so access streams stay
+  /// exact.
   simd::KernelPath kernel = simd::default_kernel();
-
-  /// Opt-in for the batched vector ungapped-extension kernel (the
-  /// "+ungapped" suffix of --kernel=). Off by default: that kernel is
-  /// bit-identical but measured slower than scalar (docs/ALGORITHMS.md),
-  /// so production runs keep ungapped extension scalar and spend the
-  /// vector path on the gapped DP.
-  bool vector_ungapped = false;
 
   /// Per-query wall-clock budget for batch searches (seconds; 0 = none).
   /// A query whose accumulated stage-1/2 time exceeds it is cut off: it
@@ -163,15 +155,6 @@ class MuBlastpEngine {
   const MuBlastpOptions& options() const { return options_; }
 
  private:
-  /// An extension deferred into the current SIMD batch: enough to rebuild
-  /// the subject span and replay the coverage bookkeeping at flush time.
-  struct PendingExt {
-    std::uint32_t key = 0;
-    std::uint32_t qoff = 0;
-    std::uint32_t soff = 0;
-    std::uint32_t frag = 0;  ///< fragment cursor value at enqueue
-  };
-
   /// Per-thread scratch reused across (block, query) rounds. Vector
   /// capacities (and the DiagState backing array) are deliberately carried
   /// across blocks; records_hwm keeps the hit buffer reservation at its
@@ -183,10 +166,6 @@ class MuBlastpEngine {
     std::vector<std::uint32_t> scan_entries;  ///< fused per-qoff posting scan
     std::vector<std::uint32_t> bases;  ///< per-fragment diagonal key bases
     std::size_t records_hwm = 0;       ///< max records.size() seen so far
-    simd::QueryProfile profile;        ///< per-query score profile (SIMD)
-    std::vector<PendingExt> pending;   ///< extensions awaiting a batch flush
-    std::vector<simd::BatchHit> batch;
-    std::vector<UngappedSeg> batch_out;
     std::uint64_t mem_budget = 0;  ///< retained-bytes cap (0 = none)
     std::uint64_t mem_trips = 0;   ///< times enforce_budget() released
 

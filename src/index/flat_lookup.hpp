@@ -18,8 +18,9 @@
 // with the whole per-query table contiguous (a few KB, L1/L2-resident
 // across every block of the batch).
 //
-// Built lazily with the same identity-check idiom as simd::QueryProfile so
-// per-thread workspaces can reuse the buffer across queries.
+// built_for() tells a caller whether the table already describes a
+// (query, table) pair, and per-thread workspaces can reuse the buffer
+// across queries.
 #pragma once
 
 #include <cstdint>

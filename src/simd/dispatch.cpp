@@ -75,21 +75,4 @@ KernelPath parse_kernel(const std::string& name) {
               "' (expected scalar, sse42, avx2 or auto)");
 }
 
-KernelSpec parse_kernel_spec(const std::string& spec) {
-  KernelSpec out;
-  std::string path = spec;
-  const std::string::size_type plus = spec.find('+');
-  if (plus != std::string::npos) {
-    const std::string suffix = spec.substr(plus + 1);
-    if (suffix != "ungapped") {
-      throw Error("unknown kernel suffix '+" + suffix +
-                  "' (only '+ungapped' is recognized)");
-    }
-    out.vector_ungapped = true;
-    path = spec.substr(0, plus);
-  }
-  out.path = parse_kernel(path);
-  return out;
-}
-
 }  // namespace mublastp::simd

@@ -1,11 +1,12 @@
 // Runtime kernel dispatch for the SIMD scoring kernels.
 //
-// The scoring kernels (ungapped x-drop extension, striped Smith-Waterman)
-// come in scalar, SSE4.2 and AVX2 variants that are bit-identical by
-// construction; which one runs is a pure execution-strategy choice. The
-// path is picked once at startup from CPUID (detect_kernel), can be pinned
-// with --kernel= (set_default_kernel), and is recorded in the stats-v1
-// JSON so every benchmark result names the code path that produced it.
+// The kernels (hit-scan prefilter, banded gapped x-drop extension, striped
+// Smith-Waterman) come in scalar, SSE4.2 and AVX2 variants that are
+// bit-identical by construction; which one runs is a pure
+// execution-strategy choice. The path is picked once at startup from CPUID
+// (detect_kernel), can be pinned with --kernel= (set_default_kernel), and
+// is recorded in the stats-v1 JSON so every benchmark result names the
+// code path that produced it.
 //
 // The ISA-specific translation units are compiled with per-file -msse4.2 /
 // -mavx2 flags (see src/simd/CMakeLists.txt) and are only ever entered
@@ -46,21 +47,5 @@ const char* kernel_name(KernelPath path);
 /// Parses a --kernel= value: "scalar", "sse42", "avx2" or "auto"
 /// (detect_kernel()). Throws mublastp::Error on anything else.
 KernelPath parse_kernel(const std::string& name);
-
-/// A fully parsed --kernel= specification. `path` selects the kernel for
-/// the alignment DP (banded gapped extension, striped Smith-Waterman);
-/// `vector_ungapped` additionally opts the ungapped extension stage into
-/// its batched vector kernel. That kernel is bit-identical but measured
-/// slower than scalar (0.85x/0.75x, docs/ALGORITHMS.md), so ungapped
-/// extension defaults to scalar on every path and the vector variant stays
-/// reachable for benchmarking via the "+ungapped" suffix.
-struct KernelSpec {
-  KernelPath path = KernelPath::kScalar;
-  bool vector_ungapped = false;
-};
-
-/// Parses "--kernel=<path>[+ungapped]", e.g. "avx2", "auto+ungapped".
-/// The path component accepts exactly what parse_kernel accepts.
-KernelSpec parse_kernel_spec(const std::string& spec);
 
 }  // namespace mublastp::simd

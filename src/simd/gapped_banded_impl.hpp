@@ -46,10 +46,14 @@
 #include "common/alphabet.hpp"
 #include "score/matrix.hpp"
 #include "simd/kernels.hpp"
-#include "simd/score_profile.hpp"
 #include "simd/simd_internal.hpp"
 
 namespace mublastp::simd::detail {
+
+/// Row stride of the lane-width matrix copy: 32 >= kAlphabetSize slots per
+/// row, so a row base is a shift of the residue, not a multiply.
+inline constexpr int kResidueShift = 5;
+inline constexpr std::uint32_t kProfileStride = 1u << kResidueShift;
 
 /// A tier is eligible when its arithmetic provably reproduces the scalar
 /// DP: every matrix entry is representable, gap costs fit a lane, and the

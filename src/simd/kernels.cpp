@@ -4,86 +4,6 @@
 #include "simd/simd_internal.hpp"
 
 namespace mublastp::simd {
-namespace {
-
-// Profile rows are indexed (qi << 5) | residue with a 32-bit gather index
-// on the AVX2 path; bound qi << 5 well inside int32 (queries this long do
-// not exist, but the guard keeps the kernel total).
-constexpr std::size_t kMaxSimdQueryLen = std::size_t{1} << 25;
-
-bool simd_eligible(KernelPath path, const QueryProfile& profile) {
-#ifdef MUBLASTP_SIMD_X86
-  return path != KernelPath::kScalar &&
-         profile.query_length() <= kMaxSimdQueryLen;
-#else
-  (void)path;
-  (void)profile;
-  return false;
-#endif
-}
-
-}  // namespace
-
-UngappedSeg ungapped_extend_one(KernelPath path,
-                                std::span<const Residue> query,
-                                std::span<const Residue> subject,
-                                std::uint32_t qoff, std::uint32_t soff,
-                                const QueryProfile& profile,
-                                const ScoreMatrix& matrix, Score xdrop) {
-  if (!simd_eligible(path, profile)) {
-    return ungapped_extend(query, subject, qoff, soff, matrix, xdrop);
-  }
-#ifdef MUBLASTP_SIMD_X86
-  if (path == KernelPath::kAvx2) {
-    return detail::ungapped_extend_avx2(subject, qoff, soff, profile, xdrop);
-  }
-  return detail::ungapped_extend_sse42(subject, qoff, soff, profile, xdrop);
-#else
-  return ungapped_extend(query, subject, qoff, soff, matrix, xdrop);
-#endif
-}
-
-namespace {
-
-// Length-class split for the batched ungapped kernel (ROADMAP item 2's
-// open revisit): a hit whose sweeps can cover at most a few vectors of
-// positions pays the SIMD path's setup without amortizing it, and the
-// x-drop early exit usually fires inside the scalar lead anyway. Route
-// those to the scalar kernel and keep the vector path for hits with real
-// extension headroom. Every per-hit kernel is exact, so the split cannot
-// change results — only which exact kernel computes each out[i].
-constexpr std::int64_t kShortExtensionHeadroom = 24;
-
-bool short_extension(std::span<const Residue> query, const BatchHit& h) {
-  const detail::ExtentGeometry g =
-      detail::extent_geometry(query.size(), h.subject_len, h.qoff, h.soff);
-  return g.llen < kShortExtensionHeadroom && g.rlen < kShortExtensionHeadroom;
-}
-
-}  // namespace
-
-void ungapped_extend_batch(KernelPath path, std::span<const Residue> query,
-                           const QueryProfile& profile,
-                           const ScoreMatrix& matrix, Score xdrop,
-                           std::span<const BatchHit> hits, UngappedSeg* out) {
-  if (!simd_eligible(path, profile)) {
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      const BatchHit& h = hits[i];
-      out[i] = ungapped_extend_one(
-          path, query, std::span<const Residue>(h.subject, h.subject_len),
-          h.qoff, h.soff, profile, matrix, xdrop);
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    const BatchHit& h = hits[i];
-    const KernelPath hit_path =
-        short_extension(query, h) ? KernelPath::kScalar : path;
-    out[i] = ungapped_extend_one(
-        hit_path, query, std::span<const Residue>(h.subject, h.subject_len),
-        h.qoff, h.soff, profile, matrix, xdrop);
-  }
-}
 
 std::size_t hit_scan_prefilter(KernelPath path, const HitScan& scan,
                                const HitScanFilter& filter, HitRecord* out,

@@ -1,5 +1,6 @@
-// Public SIMD kernel API: dispatched ungapped extension (single hit and
-// batched over the sorted hit buffer) and the striped Smith-Waterman score.
+// Public SIMD kernel API: dispatched hit detection (the two-hit prefilter
+// and the Algorithm 1 collect scan), the banded gapped x-drop extension and
+// the striped Smith-Waterman score.
 //
 // Every entry point takes an explicit KernelPath so engines resolve the
 // path once at construction; passing KernelPath::kScalar routes to the
@@ -13,39 +14,10 @@
 
 #include "common/alphabet.hpp"
 #include "core/hit_record.hpp"
-#include "core/ungapped.hpp"
 #include "score/matrix.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/score_profile.hpp"
 
 namespace mublastp::simd {
-
-/// One hit of a batch: the subject span it lives in plus the hit word's
-/// offsets. Hits in a batch are independent (distinct diagonals), which is
-/// what lets them extend back-to-back without interleaving state updates.
-struct BatchHit {
-  const Residue* subject = nullptr;
-  std::uint32_t subject_len = 0;
-  std::uint32_t qoff = 0;
-  std::uint32_t soff = 0;
-};
-
-/// Extends one hit with the selected kernel. `profile` must be built for
-/// the query and matrix the hit refers to; the scalar path ignores it and
-/// runs the core template against `matrix` directly.
-UngappedSeg ungapped_extend_one(KernelPath path,
-                                std::span<const Residue> query,
-                                std::span<const Residue> subject,
-                                std::uint32_t qoff, std::uint32_t soff,
-                                const QueryProfile& profile,
-                                const ScoreMatrix& matrix, Score xdrop);
-
-/// Extends `hits.size()` independent hits, writing out[i] for hits[i] in
-/// order. Per-hit results are identical to ungapped_extend_one.
-void ungapped_extend_batch(KernelPath path, std::span<const Residue> query,
-                           const QueryProfile& profile,
-                           const ScoreMatrix& matrix, Score xdrop,
-                           std::span<const BatchHit> hits, UngappedSeg* out);
 
 /// Result of one banded gapped x-drop extension half: the best score and
 /// how many residues of each sequence the best path consumed — the

@@ -1,22 +1,8 @@
 // AVX2 kernels. Compiled with -mavx2 (per-file, see CMakeLists.txt);
 // entered only after __builtin_cpu_supports("avx2").
 //
-// Ungapped x-drop sweep, 8 positions per iteration:
-//   - one contiguous 8-byte subject load covers lanes 0..7 (bounded by the
-//     sweep length, which is the min remaining run of both sequences, so no
-//     over-read — safe even against the last byte of an mmap'd index);
-//   - query residues are never loaded: the score-profile row offsets for 8
-//     consecutive positions are a computable ramp, so a single 32-bit
-//     gather pulls all 8 substitution scores;
-//   - cumulative score = prefix sum, running max = prefix max, x-drop test
-//     = one compare + movemask. A set mask bit replays the spilled
-//     cumulative scores through the scalar recurrence (replay_chunk), which
-//     keeps stop position and best-position bookkeeping bit-identical to
-//     the scalar kernel;
-//   - each sweep opens with a short scalar lead (sweep_scalar over the
-//     first 2 chunks' worth of positions): the x-drop condition terminates
-//     the median sweep within a few residues, and vector chunks only pay
-//     off once a sweep has proven it will run long.
+// The striped Smith-Waterman runs 16 int16 lanes, the banded gapped tiers
+// 32 int8 / 16 int16 lanes, and the hit-scan filter 8 key lanes.
 #include "simd/simd_internal.hpp"
 
 #ifdef MUBLASTP_SIMD_X86
@@ -25,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -33,117 +18,6 @@
 #include "simd/hit_prefilter_impl.hpp"
 
 namespace mublastp::simd::detail {
-namespace {
-
-constexpr int kLanes = 8;
-
-/// lane i <- (i >= K) ? v[i - K] : fill[i]; a true 256-bit lane shift
-/// (permutevar crosses the 128-bit boundary, unlike _mm256_slli_si256).
-template <int K>
-inline __m256i shiftl_epi32(__m256i v, __m256i fill) {
-  const __m256i idx = _mm256_setr_epi32(
-      (0 - K) & 7, (1 - K) & 7, (2 - K) & 7, (3 - K) & 7, (4 - K) & 7,
-      (5 - K) & 7, (6 - K) & 7, (7 - K) & 7);
-  const __m256i p = _mm256_permutevar8x32_epi32(v, idx);
-  return _mm256_blend_epi32(p, fill, (1 << K) - 1);
-}
-
-inline __m256i prefix_sum_epi32(__m256i v) {
-  const __m256i zero = _mm256_setzero_si256();
-  v = _mm256_add_epi32(v, shiftl_epi32<1>(v, zero));
-  v = _mm256_add_epi32(v, shiftl_epi32<2>(v, zero));
-  v = _mm256_add_epi32(v, shiftl_epi32<4>(v, zero));
-  return v;
-}
-
-inline __m256i prefix_max_epi32(__m256i v) {
-  const __m256i ninf = _mm256_set1_epi32(std::numeric_limits<Score>::min());
-  v = _mm256_max_epi32(v, shiftl_epi32<1>(v, ninf));
-  v = _mm256_max_epi32(v, shiftl_epi32<2>(v, ninf));
-  v = _mm256_max_epi32(v, shiftl_epi32<4>(v, ninf));
-  return v;
-}
-
-void sweep_avx2(const Score* prof, const Residue* sub, std::int64_t q0,
-                std::int64_t s0, std::int64_t dir, std::int64_t len,
-                Score xdrop, Sweep& sw) {
-  // x-drop kills the median sweep within a handful of residues (the p50
-  // ungapped segment is ~4 residues on BLOSUM62 word hits), where a vector
-  // chunk's gather + prefix networks can never amortize — worse, a stop
-  // inside the chunk also pays the scalar replay. Run the exact scalar
-  // recurrence over a short lead and enter vector chunks only for the
-  // minority of sweeps that survive it.
-  constexpr std::int64_t kLead = 2 * kLanes;
-  const std::int64_t lead = std::min(len, kLead);
-  if (sweep_scalar(prof, sub, q0, s0, dir, lead, xdrop, 0, sw)) return;
-  const __m256i rev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-  const std::int32_t d32 =
-      static_cast<std::int32_t>(dir) << kResidueShift;  // per-lane row step
-  const __m256i qstep = _mm256_setr_epi32(0, d32, 2 * d32, 3 * d32, 4 * d32,
-                                          5 * d32, 6 * d32, 7 * d32);
-  const __m256i vxdrop = _mm256_set1_epi32(xdrop);
-  const __m256i lane7 = _mm256_set1_epi32(7);
-  // The running score and maximum are carried as splat vectors: the
-  // loop-carried chain is then one permutevar + one add (the scalar
-  // extract/broadcast round trip would put ~8 cycles on the chain per
-  // chunk, slower than the scalar recurrence's one add per position).
-  __m256i vrun = _mm256_set1_epi32(sw.run);
-  __m256i vbest = _mm256_set1_epi32(sw.best);
-  std::int64_t t = lead;
-  for (; t + kLanes <= len; t += kLanes) {
-    const std::int64_t base_s = dir > 0 ? s0 + t : s0 - t - (kLanes - 1);
-    __m256i sres = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(sub + base_s)));
-    if (dir < 0) sres = _mm256_permutevar8x32_epi32(sres, rev);
-    const std::int32_t qbase =
-        static_cast<std::int32_t>((q0 + dir * t) << kResidueShift);
-    const __m256i idx = _mm256_or_si256(
-        _mm256_add_epi32(_mm256_set1_epi32(qbase), qstep), sres);
-    const __m256i raw = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(prof), idx, sizeof(Score));
-    const __m256i vals = _mm256_add_epi32(prefix_sum_epi32(raw), vrun);
-    const __m256i pm = prefix_max_epi32(vals);
-    const __m256i bestv = _mm256_max_epi32(pm, vbest);
-    const __m256i stop =
-        _mm256_cmpgt_epi32(_mm256_sub_epi32(bestv, vals), vxdrop);
-    if (_mm256_movemask_ps(_mm256_castsi256_ps(stop)) != 0) {
-      alignas(32) Score spill[kLanes];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(spill), vals);
-      replay_chunk(spill, kLanes, t, xdrop, sw);
-      return;
-    }
-    const __m256i vmax = _mm256_permutevar8x32_epi32(pm, lane7);
-    if (_mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_cmpgt_epi32(vmax, vbest))) != 0) {
-      // First lane reaching the chunk maximum == the position the scalar
-      // loop last improved at (later equal lanes compare run > best false).
-      const int eq = _mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(vals, vmax)));
-      sw.best = _mm256_cvtsi256_si32(vmax);
-      sw.best_t = t + __builtin_ctz(static_cast<unsigned>(eq));
-      vbest = vmax;
-    }
-    vrun = _mm256_permutevar8x32_epi32(vals, lane7);
-  }
-  sw.run = _mm256_cvtsi256_si32(vrun);
-  sweep_scalar(prof, sub, q0, s0, dir, len, xdrop, t, sw);
-}
-
-}  // namespace
-
-UngappedSeg ungapped_extend_avx2(std::span<const Residue> subject,
-                                 std::uint32_t qoff, std::uint32_t soff,
-                                 const QueryProfile& profile, Score xdrop) {
-  const ExtentGeometry g = extent_geometry(profile.query_length(),
-                                           subject.size(), qoff, soff);
-  Sweep left;
-  Sweep right;
-  sweep_avx2(profile.data(), subject.data(), g.lq0, g.ls0, -1, g.llen, xdrop,
-             left);
-  sweep_avx2(profile.data(), subject.data(), g.rq0, g.rs0, +1, g.rlen, xdrop,
-             right);
-  return assemble(qoff, soff, left, right);
-}
 
 // ---------------------------------------------------------------------------
 // Striped Smith-Waterman (Farrar), 16 signed int16 lanes.
@@ -331,6 +205,12 @@ BandedOutcome xdrop_banded_avx2(std::span<const Residue> a,
 // flight. Keys within one posting scan are strictly ascending and
 // distinct (HitScan precondition), so the gather/scatter tiles are
 // conflict-free and the scatter is 8 independent scalar stores.
+
+namespace {
+
+constexpr int kLanes = 8;  ///< 32-bit keys per filter tile
+
+}  // namespace
 
 std::size_t hit_prefilter_avx2(const HitScan& scan, const HitScanFilter& f,
                                HitRecord* out, HitScanTallies* tallies) {

@@ -1,12 +1,10 @@
 // SSE4.2 kernels. Compiled with -msse4.2 (per-file, see CMakeLists.txt);
 // entered only after __builtin_cpu_supports("sse4.2").
 //
-// Same structure as the AVX2 kernels at half the width: the ungapped sweep
-// processes 4 positions per iteration (profile scores are gathered with
-// scalar loads — SSE has no gather — but the prefix-sum / prefix-max /
-// stop-mask evaluation is vectorized), and the striped Smith-Waterman runs
-// 8 int16 lanes. See kernels_avx2.cpp for the exactness argument; the
-// recurrences are identical.
+// Same structure as the AVX2 kernels at half the width: the striped
+// Smith-Waterman runs 8 int16 lanes and the hit-scan filter 4 key lanes.
+// See kernels_avx2.cpp for how each kernel is laid out; the recurrences
+// are identical.
 #include "simd/simd_internal.hpp"
 
 #ifdef MUBLASTP_SIMD_X86
@@ -23,96 +21,6 @@
 #include "simd/hit_prefilter_impl.hpp"
 
 namespace mublastp::simd::detail {
-namespace {
-
-constexpr int kLanes = 4;
-
-inline __m128i prefix_sum_epi32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_slli_si128(v, 4));
-  v = _mm_add_epi32(v, _mm_slli_si128(v, 8));
-  return v;
-}
-
-/// _mm_slli_si128 zero-fills the vacated lanes; prefix max needs them at
-/// INT32_MIN, so blend the identity back in (blend_ps is a pure bitwise
-/// lane select, no float arithmetic happens).
-inline __m128i prefix_max_epi32(__m128i v) {
-  const __m128i ninf = _mm_set1_epi32(std::numeric_limits<Score>::min());
-  __m128i s = _mm_castps_si128(
-      _mm_blend_ps(_mm_castsi128_ps(_mm_slli_si128(v, 4)),
-                   _mm_castsi128_ps(ninf), 0x1));
-  v = _mm_max_epi32(v, s);
-  s = _mm_castps_si128(
-      _mm_blend_ps(_mm_castsi128_ps(_mm_slli_si128(v, 8)),
-                   _mm_castsi128_ps(ninf), 0x3));
-  return _mm_max_epi32(v, s);
-}
-
-void sweep_sse42(const Score* prof, const Residue* sub, std::int64_t q0,
-                 std::int64_t s0, std::int64_t dir, std::int64_t len,
-                 Score xdrop, Sweep& sw) {
-  // Scalar lead before vector chunks, for the same reason as the AVX2
-  // sweep: the median sweep x-drop-stops within a few residues, where the
-  // chunk setup + replay can never amortize.
-  constexpr std::int64_t kLead = 4 * kLanes;
-  const std::int64_t lead = std::min(len, kLead);
-  if (sweep_scalar(prof, sub, q0, s0, dir, lead, xdrop, 0, sw)) return;
-  const __m128i vxdrop = _mm_set1_epi32(xdrop);
-  // Splat-vector carries keep the loop-carried chain to one shuffle + one
-  // add per chunk (see the AVX2 sweep for the rationale).
-  __m128i vrun = _mm_set1_epi32(sw.run);
-  __m128i vbest = _mm_set1_epi32(sw.best);
-  std::int64_t t = lead;
-  for (; t + kLanes <= len; t += kLanes) {
-    const std::int64_t q = q0 + dir * t;
-    const std::int64_t s = s0 + dir * t;
-    const __m128i raw = _mm_setr_epi32(
-        prof[(q << kResidueShift) | sub[s]],
-        prof[((q + dir) << kResidueShift) | sub[s + dir]],
-        prof[((q + 2 * dir) << kResidueShift) | sub[s + 2 * dir]],
-        prof[((q + 3 * dir) << kResidueShift) | sub[s + 3 * dir]]);
-    const __m128i vals = _mm_add_epi32(prefix_sum_epi32(raw), vrun);
-    const __m128i pm = prefix_max_epi32(vals);
-    const __m128i bestv = _mm_max_epi32(pm, vbest);
-    const __m128i stop = _mm_cmpgt_epi32(_mm_sub_epi32(bestv, vals), vxdrop);
-    if (_mm_movemask_ps(_mm_castsi128_ps(stop)) != 0) {
-      alignas(16) Score spill[kLanes];
-      _mm_store_si128(reinterpret_cast<__m128i*>(spill), vals);
-      replay_chunk(spill, kLanes, t, xdrop, sw);
-      return;
-    }
-    const __m128i vmax = _mm_shuffle_epi32(pm, 0xFF);
-    if (_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpgt_epi32(vmax, vbest))) !=
-        0) {
-      // First lane reaching the chunk maximum == the position the scalar
-      // loop last improved at (later equal lanes compare run > best false).
-      const int eq =
-          _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(vals, vmax)));
-      sw.best = _mm_cvtsi128_si32(vmax);
-      sw.best_t = t + __builtin_ctz(static_cast<unsigned>(eq));
-      vbest = vmax;
-    }
-    vrun = _mm_shuffle_epi32(vals, 0xFF);
-  }
-  sw.run = _mm_cvtsi128_si32(vrun);
-  sweep_scalar(prof, sub, q0, s0, dir, len, xdrop, t, sw);
-}
-
-}  // namespace
-
-UngappedSeg ungapped_extend_sse42(std::span<const Residue> subject,
-                                  std::uint32_t qoff, std::uint32_t soff,
-                                  const QueryProfile& profile, Score xdrop) {
-  const ExtentGeometry g = extent_geometry(profile.query_length(),
-                                           subject.size(), qoff, soff);
-  Sweep left;
-  Sweep right;
-  sweep_sse42(profile.data(), subject.data(), g.lq0, g.ls0, -1, g.llen, xdrop,
-              left);
-  sweep_sse42(profile.data(), subject.data(), g.rq0, g.rs0, +1, g.rlen, xdrop,
-              right);
-  return assemble(qoff, soff, left, right);
-}
 
 // ---------------------------------------------------------------------------
 // Striped Smith-Waterman (Farrar), 8 signed int16 lanes.
@@ -278,6 +186,12 @@ BandedOutcome xdrop_banded_sse42(std::span<const Residue> a,
 // with the shared scalar span, and each filter tile pulls its 4 previous
 // last-hit words with independent scalar loads (the memory-level
 // parallelism is what the prefetched chunk exists to feed).
+
+namespace {
+
+constexpr int kLanes = 4;  ///< 32-bit keys per filter tile
+
+}  // namespace
 
 std::size_t hit_prefilter_sse42(const HitScan& scan, const HitScanFilter& f,
                                 HitRecord* out, HitScanTallies* tallies) {

@@ -1,21 +1,5 @@
-// Internals shared by the dispatcher and the per-ISA translation units.
-//
-// The ungapped kernel is expressed as two directional x-drop sweeps over a
-// common coordinate system: sweep position t scores query position
-// q0 + dir*t against subject position s0 + dir*t, for t in [0, len). The
-// scalar recurrence per position is exactly the one in core/ungapped.hpp:
-//
-//   run += score;  if (run > best) {best = run; best_t = t;}
-//   else if (best - run > xdrop) stop;
-//
-// The vector kernels evaluate the same recurrence a chunk of positions at a
-// time: cumulative scores are a prefix sum, the running maximum a prefix
-// max, and the stop condition a compare mask — the first set mask bit is
-// the exact position the scalar loop would have stopped at, because a
-// position that improves the running maximum has best - run == 0 and can
-// never trigger the stop. Chunks always end with a scalar tail (lane
-// divergence: fewer than one vector of positions left), which continues the
-// identical recurrence from the carried (run, best, best_t).
+// Internals shared by the dispatcher and the per-ISA translation units:
+// the banded gapped kernel's outcome type and the ISA entry points.
 #pragma once
 
 #include <cstdint>
@@ -23,110 +7,14 @@
 #include <span>
 
 #include "common/alphabet.hpp"
-#include "core/ungapped.hpp"
 #include "score/matrix.hpp"
 #include "simd/kernels.hpp"
-#include "simd/score_profile.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define MUBLASTP_SIMD_X86 1
 #endif
 
 namespace mublastp::simd::detail {
-
-/// State of one directional sweep. best_t == -1 means "no position ever
-/// improved" (the empty extension), matching the scalar kernel's
-/// best_q_start/best_q_end initializers.
-struct Sweep {
-  Score run = 0;
-  Score best = 0;
-  std::int64_t best_t = -1;
-};
-
-/// The scalar recurrence over positions [t, len); used for whole sweeps on
-/// the scalar path, for the scalar lead of the SIMD paths, and for
-/// sub-vector tails. Returns true iff the x-drop condition stopped the
-/// sweep before len.
-inline bool sweep_scalar(const Score* prof, const Residue* sub,
-                         std::int64_t q0, std::int64_t s0, std::int64_t dir,
-                         std::int64_t len, Score xdrop, std::int64_t t,
-                         Sweep& sw) {
-  for (; t < len; ++t) {
-    sw.run += prof[((q0 + dir * t) << kResidueShift) | sub[s0 + dir * t]];
-    if (sw.run > sw.best) {
-      sw.best = sw.run;
-      sw.best_t = t;
-    } else if (sw.best - sw.run > xdrop) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Replays a chunk of cumulative scores vals[0..count) (vals[i] == the
-/// scalar `run` at position t+i) through the scalar recurrence. Called on
-/// the rare paths that need exact bookkeeping: a stop inside the chunk, or
-/// a chunk that improved the running maximum.
-/// Returns true iff the sweep stopped inside the chunk.
-inline bool replay_chunk(const Score* vals, int count, std::int64_t t,
-                         Score xdrop, Sweep& sw) {
-  for (int i = 0; i < count; ++i) {
-    const Score run = vals[i];
-    if (run > sw.best) {
-      sw.best = run;
-      sw.best_t = t + i;
-    } else if (sw.best - run > xdrop) {
-      sw.run = run;
-      return true;
-    }
-  }
-  sw.run = vals[count - 1];
-  return false;
-}
-
-/// Sweep geometry for a hit word at (qoff, soff): the left sweep starts at
-/// the word's last residue (scoring the word itself), the right sweep at
-/// the first residue past the word — exactly core/ungapped.hpp.
-struct ExtentGeometry {
-  std::int64_t lq0, ls0, llen;  ///< left sweep origin + length
-  std::int64_t rq0, rs0, rlen;  ///< right sweep origin + length
-};
-
-inline ExtentGeometry extent_geometry(std::size_t qlen, std::size_t slen,
-                                      std::uint32_t qoff,
-                                      std::uint32_t soff) {
-  ExtentGeometry g;
-  g.lq0 = static_cast<std::int64_t>(qoff) + kWordLength - 1;
-  g.ls0 = static_cast<std::int64_t>(soff) + kWordLength - 1;
-  g.llen = std::min(g.lq0, g.ls0) + 1;
-  g.rq0 = static_cast<std::int64_t>(qoff) + kWordLength;
-  g.rs0 = static_cast<std::int64_t>(soff) + kWordLength;
-  g.rlen = std::min(static_cast<std::int64_t>(qlen) - g.rq0,
-                    static_cast<std::int64_t>(slen) - g.rs0);
-  if (g.rlen < 0) g.rlen = 0;
-  return g;
-}
-
-/// Builds the UngappedSeg the scalar kernel would return from the two
-/// finished sweeps.
-inline UngappedSeg assemble(std::uint32_t qoff, std::uint32_t soff,
-                            const Sweep& left, const Sweep& right) {
-  const std::int64_t qi0 = static_cast<std::int64_t>(qoff) + kWordLength - 1;
-  const std::int64_t q_start =
-      left.best_t >= 0 ? qi0 - left.best_t : qi0 + 1;
-  const std::int64_t q_end = right.best_t >= 0
-                                 ? qi0 + 1 + right.best_t + 1
-                                 : qi0 + 1;
-  UngappedSeg seg;
-  seg.score = left.best + right.best;
-  seg.q_start = static_cast<std::uint32_t>(q_start);
-  seg.q_end = static_cast<std::uint32_t>(q_end);
-  const std::int64_t diag =
-      static_cast<std::int64_t>(soff) - static_cast<std::int64_t>(qoff);
-  seg.s_start = static_cast<std::uint32_t>(q_start + diag);
-  seg.s_end = static_cast<std::uint32_t>(q_end + diag);
-  return seg;
-}
 
 /// Outcome of one tiered banded gapped extension attempt. tier 1 = the
 /// int8 pass produced the (exact) result, tier 2 = the int16 re-run did,
@@ -142,12 +30,6 @@ struct BandedOutcome {
 // ISA entry points. Each is compiled in its own translation unit with the
 // matching -m flag and must only be called after the corresponding CPUID
 // check (simd::kernel_supported).
-UngappedSeg ungapped_extend_sse42(std::span<const Residue> subject,
-                                  std::uint32_t qoff, std::uint32_t soff,
-                                  const QueryProfile& profile, Score xdrop);
-UngappedSeg ungapped_extend_avx2(std::span<const Residue> subject,
-                                 std::uint32_t qoff, std::uint32_t soff,
-                                 const QueryProfile& profile, Score xdrop);
 
 // Striped Smith-Waterman (score only), int16 lanes with saturating
 // arithmetic. Returns nullopt when the best score came within one matrix

@@ -169,6 +169,14 @@ struct GappedKernelStats {
                          const GappedKernelStats&) = default;
 };
 
+/// Copies the tier tallies out of a per-query StageStats, coupled by field
+/// name like counters_of.
+template <typename S>
+GappedKernelStats gapped_kernel_of(const S& s) {
+  return {s.gapped_int8_runs, s.gapped_int16_reruns,
+          s.gapped_scalar_fallbacks};
+}
+
 /// Telemetry of the query-specialized hit-detection path: flattened-lookup
 /// build work plus the vector-tile vs scalar-tail split of the hit-scan
 /// kernels. Execution-strategy telemetry like GappedKernelStats, NOT a

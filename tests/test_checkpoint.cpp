@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -21,11 +22,7 @@ class Checkpoint : public ::testing::Test {
  protected:
   void SetUp() override {
     fi::reset();
-    // Unique per test: ctest runs discovered tests in parallel, so a
-    // shared journal path would let concurrent tests clobber each other.
-    path_ = ::testing::TempDir() + "/mublastp_checkpoint_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".ckpt";
+    path_ = test_temp_path("journal.ckpt");
     std::remove(path_.c_str());
   }
   void TearDown() override {
@@ -153,7 +150,7 @@ TEST_F(Checkpoint, NonCheckpointFileIsCorrupt) {
 }
 
 TEST_F(Checkpoint, DirectoryPathIsIo) {
-  const std::string dir = ::testing::TempDir() + "/mublastp_ckpt_dir";
+  const std::string dir = test_temp_path("dir");
   std::filesystem::create_directory(dir);
   try {
     CheckpointJournal journal(dir, kFp);

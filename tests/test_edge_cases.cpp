@@ -2,6 +2,10 @@
 // and databases gracefully (no crashes, sensible empty results).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "baseline/interleaved_engine.hpp"
 #include "baseline/query_engine.hpp"
 #include "common/error.hpp"
@@ -164,6 +168,71 @@ TEST_F(EdgeCases, StopCodonResiduesAreSearchable) {
   const MuBlastpEngine mu(*index_);
   const QueryResult r = mu.search(query);
   EXPECT_FALSE(r.alignments.empty());
+}
+
+// ---- Diagonal-key limit ---------------------------------------------------
+// One (query, block) round needs len_f + qlen + 1 diagonal keys per
+// fragment, below 2^31 in total (core/diag_keys.hpp). Against a
+// 2^20-residue query, 2,050 eight-residue fragments need just past 2^31
+// keys, and 4,100 need a total that a 32-bit sum wraps to 4,231,204.
+// The engines run the scalar kernel: the vector paths first flatten the
+// whole query's neighbor lookup, which these tests do not need.
+
+constexpr std::size_t kLongQuery = std::size_t{1} << 20;
+
+DbIndex eight_residue_block(std::size_t fragments) {
+  SequenceStore db;
+  Rng rng(91);
+  std::vector<Residue> seq(8);
+  for (std::size_t i = 0; i < fragments; ++i) {
+    for (auto& r : seq) r = static_cast<Residue>(rng.next_below(20));
+    db.add(seq);
+  }
+  DbIndex index = DbIndex::build(db, {});
+  EXPECT_EQ(index.blocks().size(), 1u);
+  return index;
+}
+
+std::vector<Residue> long_query() {
+  std::vector<Residue> query(kLongQuery);
+  Rng rng(92);
+  for (auto& r : query) r = static_cast<Residue>(rng.next_below(20));
+  return query;
+}
+
+void expect_key_limit_error(const std::function<void()>& search,
+                            std::size_t fragments, const char* engine) {
+  try {
+    search();
+    ADD_FAILURE() << engine << ": the oversized round was searched";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kResource) << engine << ": " << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("query length " + std::to_string(kLongQuery)),
+              std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(fragments) + " fragments"),
+              std::string::npos) << what;
+  }
+}
+
+TEST(DiagKeyLimit, WrappingKeySumIsAResourceErrorInBothEngines) {
+  const DbIndex index = eight_residue_block(4100);
+  const std::vector<Residue> query = long_query();
+  MuBlastpOptions opts;
+  opts.kernel = simd::KernelPath::kScalar;
+  const MuBlastpEngine mu(index, {}, opts);
+  expect_key_limit_error([&] { (void)mu.search(query); }, 4100, "mublastp");
+  const InterleavedDbEngine idb(index, {}, simd::KernelPath::kScalar);
+  expect_key_limit_error([&] { (void)idb.search(query); }, 4100, "ncbi-db");
+}
+
+TEST(DiagKeyLimit, JustPastTwoToThe31IsAResourceError) {
+  const DbIndex index = eight_residue_block(2050);
+  MuBlastpOptions opts;
+  opts.kernel = simd::KernelPath::kScalar;
+  const MuBlastpEngine mu(index, {}, opts);
+  expect_key_limit_error([&] { (void)mu.search(long_query()); }, 2050,
+                         "mublastp");
 }
 
 }  // namespace

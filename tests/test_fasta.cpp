@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
 #include "common/rng.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -127,7 +128,7 @@ TEST(Fasta, WriteRejectsZeroWidth) {
 TEST(Fasta, FileRoundTrip) {
   SequenceStore store;
   store.add_ascii("ARNDCQ", "file test");
-  const std::string path = ::testing::TempDir() + "/mublastp_fasta_test.fa";
+  const std::string path = test_temp_path("input.fa");
   write_fasta_file(path, store);
   SequenceStore back;
   EXPECT_EQ(read_fasta_file(path, back), 1u);

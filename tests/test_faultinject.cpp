@@ -6,7 +6,6 @@
 #include "common/faultinject.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -21,6 +20,7 @@
 #include "index/mapped_db_index.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -163,11 +163,7 @@ class FaultInjectPipeline : public FaultInject {
     DbIndexConfig cfg;
     cfg.block_bytes = 8 * 1024;
     index_ = new DbIndex(DbIndex::build(db, cfg));
-    // Unique per process: ctest runs discovered tests as parallel
-    // processes, and a shared index file would be rewritten under a
-    // sibling's live mapping (SIGBUS on prefault).
-    path_ = new std::string(::testing::TempDir() + "/mublastp_fi_index_" +
-                            std::to_string(::getpid()) + ".mbi");
+    path_ = new std::string(test_temp_path("index.mbi"));
     save_db_index_file(*path_, *index_);
 
     queries_ = new SequenceStore();

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/gapped.hpp"
 #include "core/mublastp_engine.hpp"
@@ -329,24 +328,6 @@ TEST(GappedSimdCounters, EngineTalliesTwoHalvesPerExtension) {
     EXPECT_EQ(per_path[i].gapped_scalar_fallbacks,
               per_path[0].gapped_scalar_fallbacks);
   }
-}
-
-// ---- --kernel= spec parsing -----------------------------------------------
-
-TEST(KernelSpec, ParsesPathAndUngappedSuffix) {
-  EXPECT_EQ(simd::parse_kernel_spec("scalar").path, simd::KernelPath::kScalar);
-  EXPECT_FALSE(simd::parse_kernel_spec("scalar").vector_ungapped);
-  const simd::KernelSpec s = simd::parse_kernel_spec("sse42+ungapped");
-  EXPECT_EQ(s.path, simd::KernelPath::kSse42);
-  EXPECT_TRUE(s.vector_ungapped);
-  EXPECT_EQ(simd::parse_kernel_spec("auto+ungapped").path,
-            simd::detect_kernel());
-}
-
-TEST(KernelSpec, RejectsUnknownSuffixOrPath) {
-  EXPECT_THROW(simd::parse_kernel_spec("avx2+foo"), Error);
-  EXPECT_THROW(simd::parse_kernel_spec("avx2+"), Error);
-  EXPECT_THROW(simd::parse_kernel_spec("avx512"), Error);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "index/generation.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -29,6 +28,7 @@
 #include "report/report.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -41,9 +41,7 @@ class Incremental : public ::testing::Test {
     fi::reset();
     // A private directory per test: generation resolution scans the base
     // path's directory, so sibling tests must not see each other's files.
-    dir_ = ::testing::TempDir() + "/mublastp_gen_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           "_" + std::to_string(::getpid());
+    dir_ = test_temp_path("gen");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     base_ = dir_ + "/db.mbi";

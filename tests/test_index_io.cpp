@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/mublastp_engine.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -90,7 +91,7 @@ TEST(DbIndexIo, LoadedIndexSearchesIdentically) {
 
 TEST(DbIndexIo, FileRoundTrip) {
   const DbIndex original = make_index(35, 50000);
-  const std::string path = ::testing::TempDir() + "/mublastp_index_test.mbi";
+  const std::string path = test_temp_path("index.mbi");
   save_db_index_file(path, original);
   const DbIndex loaded = load_db_index_file(path);
   EXPECT_EQ(loaded.db().size(), original.db().size());

@@ -7,7 +7,6 @@
 #include "index/db_index_io.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstddef>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include "index/db_index_format.hpp"
 #include "index/mapped_db_index.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -68,10 +68,7 @@ class IndexIoCorrupt : public ::testing::Test {
   static void expect_rejected(const std::string& data,
                               const std::string& expect_substr,
                               const std::string& context) {
-    // Unique per process: ctest runs discovered tests as parallel
-    // processes, and they must not clobber each other's case files.
-    const std::string path = ::testing::TempDir() + "/mublastp_corrupt_" +
-                             std::to_string(::getpid()) + ".mbi";
+    const std::string path = test_temp_path("case.mbi");
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -214,7 +211,7 @@ TEST_F(IndexIoCorrupt, ImplausibleSectionCount) {
 }
 
 TEST_F(IndexIoCorrupt, EmptyFile) {
-  const std::string path = ::testing::TempDir() + "/mublastp_empty.mbi";
+  const std::string path = test_temp_path("empty.mbi");
   { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
   check_throws([&] { (void)load_db_index_file(path); }, "empty index file",
                "zero-byte file [copy loader]");
@@ -223,7 +220,7 @@ TEST_F(IndexIoCorrupt, EmptyFile) {
 }
 
 TEST_F(IndexIoCorrupt, DirectoryPath) {
-  const std::string dir = ::testing::TempDir() + "/mublastp_dir.mbi";
+  const std::string dir = test_temp_path("dir.mbi");
   std::filesystem::create_directory(dir);
   check_throws([&] { (void)load_db_index_file(dir); }, "directory",
                "directory path [copy loader]");
@@ -242,7 +239,7 @@ TEST_F(IndexIoCorrupt, MissingFile) {
 TEST_F(IndexIoCorrupt, MmapRejectsV2Files) {
   std::stringstream v2;
   save_db_index_v2(v2, *index_);
-  const std::string path = ::testing::TempDir() + "/mublastp_v2_reject.mbi";
+  const std::string path = test_temp_path("v2_reject.mbi");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     const std::string data = v2.str();
@@ -255,7 +252,7 @@ TEST_F(IndexIoCorrupt, MmapRejectsV2Files) {
 }
 
 TEST_F(IndexIoCorrupt, DescribeRejectsCorruptHeaders) {
-  const std::string path = ::testing::TempDir() + "/mublastp_describe.mbi";
+  const std::string path = test_temp_path("describe.mbi");
   const auto write = [&](const std::string& data) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -333,7 +330,7 @@ TEST_F(IndexIoDegraded, SingleBlockCorruptionIsQuarantined) {
   EXPECT_FALSE(degraded.blocks()[bad + 1].fragments().empty());
 
   // The mmap loader must agree byte-for-byte on the quarantine decision.
-  const std::string path = ::testing::TempDir() + "/mublastp_degraded.mbi";
+  const std::string path = test_temp_path("degraded.mbi");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));

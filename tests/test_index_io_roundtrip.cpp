@@ -19,6 +19,7 @@
 #include "index/mapped_db_index.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -67,10 +68,6 @@ DbIndex build_shape(const Shape& s, SequenceStore* db_out = nullptr) {
   cfg.long_seq_overlap = s.long_seq_overlap;
   if (db_out != nullptr) *db_out = db;
   return DbIndex::build(db, cfg);
-}
-
-std::string temp_path(const char* tag) {
-  return ::testing::TempDir() + "/mublastp_rt_" + tag + ".mbi";
 }
 
 // Result of driving one engine over a query set with telemetry on.
@@ -135,7 +132,7 @@ TEST_P(IndexIoRoundTrip, AllLoadPathsSearchIdentically) {
 
   // File round-trip (copy loader) and mmap round-trip (zero-copy loader)
   // over the same bytes.
-  const std::string path = temp_path(shape.label);
+  const std::string path = test_temp_path("index.mbi");
   save_db_index_file(path, original);
   const DbIndex file_loaded = load_db_index_file(path);
   expect_identical(ref, drive(MuBlastpEngine(file_loaded), queries),
@@ -184,7 +181,7 @@ TEST(IndexIoRoundTrip, SingleSequenceDatabase) {
   const SequenceStore queries = synth::sample_queries(db, 2, 32, rng);
   const RunOutput ref = drive(MuBlastpEngine(original), queries);
 
-  const std::string path = temp_path("single_seq");
+  const std::string path = test_temp_path("single_seq.mbi");
   save_db_index_file(path, original);
   const DbIndex loaded = load_db_index_file(path);
   EXPECT_EQ(loaded.db().name(0), "");
@@ -216,7 +213,7 @@ TEST(IndexIoRoundTrip, SingleLongFragmentedSequence) {
   Rng rng(214);
   const SequenceStore queries = synth::sample_queries(db, 2, 48, rng);
   const RunOutput ref = drive(MuBlastpEngine(original), queries);
-  const std::string path = temp_path("long_frag");
+  const std::string path = test_temp_path("long_frag.mbi");
   save_db_index_file(path, original);
   expect_identical(ref,
                    drive(MuBlastpEngine(load_db_index_file(path)), queries),
@@ -266,7 +263,7 @@ TEST(IndexIoRoundTrip, DescribeReportsSectionsForV3AndVersionForV2) {
   cfg.block_bytes = 4096;
   const DbIndex index = DbIndex::build(db, cfg);
 
-  const std::string v3_path = temp_path("describe_v3");
+  const std::string v3_path = test_temp_path("describe_v3.mbi");
   save_db_index_file(v3_path, index);
   const DbIndexFileInfo v3 = describe_db_index_file(v3_path);
   EXPECT_EQ(v3.version, kDbIndexFormatVersion);
@@ -277,7 +274,7 @@ TEST(IndexIoRoundTrip, DescribeReportsSectionsForV3AndVersionForV2) {
     EXPECT_LE(s.offset + s.length, v3.file_bytes) << s.name;
   }
 
-  const std::string v2_path = temp_path("describe_v2");
+  const std::string v2_path = test_temp_path("describe_v2.mbi");
   {
     std::ofstream out(v2_path, std::ios::binary);
     save_db_index_v2(out, index);

@@ -9,10 +9,10 @@
 #include "cluster/member_set.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -32,6 +32,7 @@
 #include "report/report.hpp"
 #include "score/matrix.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp::cluster {
 namespace {
@@ -225,7 +226,9 @@ TEST_F(ShardCampaign, EmptyShardsAreHarmless) {
 std::string write_shard_layout(const SequenceStore& db, int n,
                                PartitionStrategy strategy,
                                const std::string& stem) {
-  const std::string dir = ::testing::TempDir();
+  const std::filesystem::path base = test_temp_path(stem);
+  const std::string dir = base.parent_path().string();
+  const std::string name = base.filename().string();
   const MemberSet set = MemberSet::partition(db, n, strategy,
                                                  test_config(),
                                                  {test_params(), {}, false});
@@ -243,7 +246,7 @@ std::string write_shard_layout(const SequenceStore& db, int n,
     }
     if (set.engine(k) == nullptr) continue;
     const std::string path =
-        stem + ".shard" + std::to_string(k) + ".mbi";
+        name + ".shard" + std::to_string(k) + ".mbi";
     // Rebuild the shard index from the shard's slice (partition does not
     // expose its DbIndex; the build is deterministic, so this is the same
     // index).
@@ -259,7 +262,7 @@ std::string write_shard_layout(const SequenceStore& db, int n,
     shard.path = path;
     shard.index_crc32 = crc32(bytes.data(), bytes.size());
   }
-  const std::string manifest_path = dir + "/" + stem + ".manifest";
+  const std::string manifest_path = dir + "/" + name + ".manifest";
   save_shard_manifest(manifest_path, m);
   return manifest_path;
 }
@@ -433,11 +436,8 @@ class ManifestCorruption : public ::testing::Test {
     m.shards[1].path = "a.shard1";
     m.shards[1].index_crc32 = 0x22222222;
     // shard 2 deliberately empty: no path, no sequences.
-    // One file per test: ctest runs this fixture's tests as concurrent
-    // processes, and each SetUp rewrites its manifest.
-    path_ = ::testing::TempDir() + "/corrupt_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            "_" + std::to_string(::getpid()) + ".manifest";
+    // One file per test: each SetUp rewrites its manifest.
+    path_ = test_temp_path("corrupt.manifest");
     save_shard_manifest(path_, m);
     std::ifstream in(path_, std::ios::binary);
     image_.assign((std::istreambuf_iterator<char>(in)),

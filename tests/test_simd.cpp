@@ -1,6 +1,6 @@
-// SIMD subsystem tests: dispatch plumbing, the query score profile, and
-// bit-exactness of every vector kernel against the scalar reference on
-// randomized and adversarial inputs. Vector paths only run where the host
+// SIMD subsystem tests: dispatch plumbing and bit-exactness of the striped
+// Smith-Waterman kernel against the scalar reference on randomized and
+// adversarial inputs. Vector paths only run where the host
 // CPU supports them (supported_paths), so the suite passes — with reduced
 // coverage — on any machine.
 #include "simd/kernels.hpp"
@@ -12,9 +12,7 @@
 #include "baseline/smith_waterman.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/ungapped.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/score_profile.hpp"
 
 namespace mublastp {
 namespace {
@@ -34,15 +32,6 @@ std::vector<simd::KernelPath> supported_paths() {
   return paths;
 }
 
-void expect_same_seg(const UngappedSeg& got, const UngappedSeg& want,
-                     const char* kernel) {
-  EXPECT_EQ(got.score, want.score) << kernel;
-  EXPECT_EQ(got.q_start, want.q_start) << kernel;
-  EXPECT_EQ(got.q_end, want.q_end) << kernel;
-  EXPECT_EQ(got.s_start, want.s_start) << kernel;
-  EXPECT_EQ(got.s_end, want.s_end) << kernel;
-}
-
 // ---- Dispatch -------------------------------------------------------------
 
 TEST(SimdDispatch, NameParseRoundTrip) {
@@ -59,6 +48,7 @@ TEST(SimdDispatch, AutoResolvesToDetectedKernel) {
 
 TEST(SimdDispatch, RejectsUnknownName) {
   EXPECT_THROW(simd::parse_kernel("avx512"), Error);
+  EXPECT_THROW(simd::parse_kernel("avx2+ungapped"), Error);
   EXPECT_THROW(simd::parse_kernel(""), Error);
 }
 
@@ -73,139 +63,6 @@ TEST(SimdDispatch, DefaultKernelIsPinnable) {
   EXPECT_EQ(simd::default_kernel(), simd::KernelPath::kScalar);
   simd::set_default_kernel(before);
   EXPECT_EQ(simd::default_kernel(), before);
-}
-
-// ---- Query profile --------------------------------------------------------
-
-TEST(SimdProfile, MatchesMatrixForEveryPositionAndResidue) {
-  Rng rng(23);
-  const auto q = rand_seq(73, rng);
-  simd::QueryProfile profile;
-  profile.build(q, blosum62());
-  ASSERT_EQ(profile.query_length(), q.size());
-  for (std::size_t qi = 0; qi < q.size(); ++qi) {
-    for (int r = 0; r < kAlphabetSize; ++r) {
-      EXPECT_EQ(profile.data()[(qi << simd::kResidueShift) | r],
-                blosum62()(q[qi], static_cast<Residue>(r)));
-    }
-  }
-}
-
-TEST(SimdProfile, RebuildTracksNewQuery) {
-  Rng rng(29);
-  const auto q1 = rand_seq(40, rng);
-  const auto q2 = rand_seq(64, rng);
-  simd::QueryProfile profile;
-  profile.build(q1, blosum62());
-  profile.build(q2, blosum62());
-  ASSERT_EQ(profile.query_length(), q2.size());
-  EXPECT_EQ(profile.data()[(5 << simd::kResidueShift) | q2[5]],
-            blosum62()(q2[5], q2[5]));
-  EXPECT_GT(profile.footprint_bytes(), 0u);
-}
-
-// ---- Ungapped extension kernels -------------------------------------------
-
-TEST(SimdUngapped, FuzzMatchesScalarOnRandomHits) {
-  Rng rng(31);
-  for (const simd::KernelPath path : supported_paths()) {
-    for (int trial = 0; trial < 300; ++trial) {
-      const auto q = rand_seq(30 + rng.next_below(220), rng);
-      const auto s = rand_seq(30 + rng.next_below(220), rng);
-      const std::uint32_t qoff =
-          static_cast<std::uint32_t>(rng.next_below(q.size() - kWordLength));
-      const std::uint32_t soff =
-          static_cast<std::uint32_t>(rng.next_below(s.size() - kWordLength));
-      simd::QueryProfile profile;
-      profile.build(q, blosum62());
-      for (const Score xdrop : {Score{0}, Score{4}, Score{16}, Score{1000}}) {
-        const auto want = ungapped_extend(q, s, qoff, soff, blosum62(), xdrop);
-        const auto got = simd::ungapped_extend_one(path, q, s, qoff, soff,
-                                                   profile, blosum62(), xdrop);
-        expect_same_seg(got, want, simd::kernel_name(path));
-      }
-    }
-  }
-}
-
-TEST(SimdUngapped, LongHomologousRunsExerciseVectorChunks) {
-  // Identical sequences: the score never drops, so both sweeps run to the
-  // sequence ends — well past the scalar lead, through many vector chunks.
-  Rng rng(37);
-  for (const simd::KernelPath path : supported_paths()) {
-    for (const std::size_t len : {64u, 127u, 256u, 1000u}) {
-      const auto q = rand_seq(len, rng);
-      simd::QueryProfile profile;
-      profile.build(q, blosum62());
-      for (const std::uint32_t off :
-           {0u, 1u, 7u, static_cast<std::uint32_t>(len / 2),
-            static_cast<std::uint32_t>(len - kWordLength)}) {
-        const auto want = ungapped_extend(q, q, off, off, blosum62(), 16);
-        const auto got = simd::ungapped_extend_one(path, q, q, off, off,
-                                                   profile, blosum62(), 16);
-        expect_same_seg(got, want, simd::kernel_name(path));
-        EXPECT_EQ(got.q_start, 0u);
-        EXPECT_EQ(got.q_end, q.size());
-      }
-    }
-  }
-}
-
-TEST(SimdUngapped, PlantedDropsStopInsideVectorChunks) {
-  // A long identical run with strong-negative residues planted at varying
-  // distances puts the x-drop stop at every possible lane of a chunk.
-  Rng rng(41);
-  for (const simd::KernelPath path : supported_paths()) {
-    const auto base = rand_seq(400, rng);
-    simd::QueryProfile profile;
-    profile.build(base, blosum62());
-    for (std::uint32_t stop_at = 180; stop_at < 240; ++stop_at) {
-      auto s = base;
-      // Residue 'W' vs 'C' scores -2; a run of them forces the drop.
-      for (std::uint32_t i = stop_at; i < std::min<std::size_t>(s.size(),
-                                                               stop_at + 30);
-           ++i) {
-        s[i] = s[i] == encode_sequence("W")[0] ? encode_sequence("C")[0]
-                                               : encode_sequence("W")[0];
-      }
-      const auto want = ungapped_extend(base, s, 100, 100, blosum62(), 8);
-      const auto got = simd::ungapped_extend_one(path, base, s, 100, 100,
-                                                 profile, blosum62(), 8);
-      expect_same_seg(got, want, simd::kernel_name(path));
-    }
-  }
-}
-
-TEST(SimdUngapped, BatchMatchesPerHitResults) {
-  Rng rng(43);
-  for (const simd::KernelPath path : supported_paths()) {
-    const auto q = rand_seq(300, rng);
-    simd::QueryProfile profile;
-    profile.build(q, blosum62());
-    std::vector<std::vector<Residue>> subjects;
-    std::vector<simd::BatchHit> hits;
-    for (int i = 0; i < 37; ++i) {
-      subjects.push_back(rand_seq(60 + rng.next_below(300), rng));
-    }
-    for (int i = 0; i < 37; ++i) {
-      const auto& s = subjects[i];
-      hits.push_back({s.data(), static_cast<std::uint32_t>(s.size()),
-                      static_cast<std::uint32_t>(
-                          rng.next_below(q.size() - kWordLength)),
-                      static_cast<std::uint32_t>(
-                          rng.next_below(s.size() - kWordLength))});
-    }
-    std::vector<UngappedSeg> out(hits.size());
-    simd::ungapped_extend_batch(path, q, profile, blosum62(), 16, hits,
-                                out.data());
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      const auto want = simd::ungapped_extend_one(
-          path, q,
-          std::span<const Residue>(hits[i].subject, hits[i].subject_len),
-          hits[i].qoff, hits[i].soff, profile, blosum62(), 16);
-      expect_same_seg(out[i], want, simd::kernel_name(path));
-    }
-  }
 }
 
 // ---- Striped Smith-Waterman -----------------------------------------------

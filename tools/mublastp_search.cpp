@@ -7,7 +7,7 @@
 //                   --query=q.fasta [--threads=N]
 //                   [--outfmt=pairwise|tabular|none] [--max-alignments=K]
 //                   [--stats[=json]] [--mmap|--no-mmap]
-//                   [--kernel=auto|scalar|sse42|avx2[+ungapped]]
+//                   [--kernel=auto|scalar|sse42|avx2]
 //                   [--strict] [--inject=site:Nth[:errno]]
 //                   [--time-budget=SEC] [--mem-budget-mb=N]
 //                   [--out=FILE] [--checkpoint=FILE] [--batch-size=16]
@@ -46,11 +46,10 @@
 // regardless.
 //
 // --threads defaults to the OpenMP thread pool size (omp_get_max_threads);
-// non-positive values are rejected. --kernel selects the alignment-DP
-// kernel ("auto" = best the CPU supports, the default) used by the banded
-// gapped extension; the "+ungapped" suffix additionally opts the ungapped
-// stage into its batched vector kernel (off by default — slower than
-// scalar). Results are bit-identical for every kernel.
+// non-positive values are rejected. --kernel selects the kernel ("auto" =
+// best the CPU supports, the default) used by hit detection and the banded
+// gapped extension; ungapped extension is scalar on every kernel. Results
+// are bit-identical for every kernel.
 //
 // Index loading: v3 index files are memory-mapped by default (zero-copy;
 // pages shared with other processes serving the same database), v2 files
@@ -224,9 +223,7 @@ stats::PipelineSnapshot batch_snapshot(const MemberSet& set,
     snap.total_seconds = seconds;
     for (const QueryResult& r : res.results) {
       snap.totals += stats::counters_of(r.stats);
-      snap.gapped_kernel.int8_runs += r.stats.gapped_int8_runs;
-      snap.gapped_kernel.int16_reruns += r.stats.gapped_int16_reruns;
-      snap.gapped_kernel.scalar_fallbacks += r.stats.gapped_scalar_fallbacks;
+      snap.gapped_kernel += stats::gapped_kernel_of(r.stats);
     }
     if (set.layout() == MemberSet::Layout::kShards) snap.shards = res.shards;
   }
@@ -341,7 +338,7 @@ int main(int argc, char** argv) {
                  " [--threads=N] [--outfmt=pairwise|tabular|none]"
                  " [--max-alignments=25] [--stats[=json]]"
                  " [--mmap|--no-mmap]"
-                 " [--kernel=auto|scalar|sse42|avx2[+ungapped]]"
+                 " [--kernel=auto|scalar|sse42|avx2]"
                  " [--strict] [--inject=site:Nth]"
                  " [--time-budget=SEC] [--mem-budget-mb=N]"
                  " [--out=FILE] [--checkpoint=FILE] [--batch-size=16]"
@@ -408,10 +405,8 @@ int main(int argc, char** argv) {
   try {
     cluster::MemberSetOptions opts;
     opts.params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
-    const simd::KernelSpec kspec =
-        simd::parse_kernel_spec(arg_str(argc, argv, "kernel", "auto"));
-    opts.engine.kernel = kspec.path;
-    opts.engine.vector_ungapped = kspec.vector_ungapped;
+    opts.engine.kernel =
+        simd::parse_kernel(arg_str(argc, argv, "kernel", "auto"));
     opts.engine.time_budget_seconds =
         std::strtod(arg_str(argc, argv, "time-budget", "0").c_str(), nullptr);
     opts.engine.mem_budget_bytes =
@@ -466,9 +461,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "warning: quarantined block %u: %s\n", q.block,
                    q.reason.c_str());
     }
-    std::fprintf(stderr, "kernel: %s%s\n",
-                 simd::kernel_name(opts.engine.kernel),
-                 opts.engine.vector_ungapped ? "+ungapped" : "");
+    std::fprintf(stderr, "kernel: %s\n",
+                 simd::kernel_name(opts.engine.kernel));
 
     SequenceStore queries;
     read_fasta_file(query_path, queries);

@@ -2,19 +2,18 @@
 // query-indexed engine (NCBI), the interleaved database-indexed engine
 // (NCBI-db) and muBLASTP (with and without pre-filtering, plus a run over a
 // memory-mapped copy of the index) on the same workload and diff their
-// outputs stage by stage. Four additional runs drive muBLASTP and NCBI-db
-// through the SIMD kernel (--kernel, default the best the CPU supports)
-// against the forced-scalar baselines — one with the banded gapped kernel
-// only, one additionally opting into the batched vector ungapped kernel,
-// and one with pre-filtering off (Algorithm 1 through the vector hit-scan
-// collect path) — asserting the vector kernels are bit-identical down to
-// every counter.
-// A ninth run searches a 3-shard round-robin partitioning of the same
+// outputs stage by stage. Three additional runs drive muBLASTP and NCBI-db
+// through the SIMD kernels (--kernel, default the best the CPU supports)
+// against the forced-scalar baselines — muBLASTP and NCBI-db with vector
+// hit detection and the banded gapped kernel, and muBLASTP with
+// pre-filtering off (Algorithm 1 through the vector hit-scan collect path)
+// — asserting the vector kernels are bit-identical down to every counter.
+// An eighth run searches a 3-shard round-robin partitioning of the same
 // database as a cluster::MemberSet (docs/SHARDING.md): merged
 // results must match every other engine, per-query stage stats must equal
 // the single-index run exactly, and the per-shard hit counters must sum to
 // the single-index total.
-// An eleventh run proves the incremental-build contract
+// A tenth run proves the incremental-build contract
 // (docs/INCREMENTAL.md): the database is split, the prefix saved as a base
 // index, the remainder published as a delta generation with
 // append_generation, and the base+delta chain opened and searched as a
@@ -175,11 +174,6 @@ int main(int argc, char** argv) {
     simd_opts.kernel = kernel;
     const MuBlastpEngine mu_simd(index, {}, simd_opts);
     const InterleavedDbEngine ncbi_db_simd(index, {}, kernel);
-    // The opt-in batched vector ungapped kernel on top of the banded
-    // gapped kernel ("--kernel=<path>+ungapped" in the tools).
-    MuBlastpOptions simd_ug_opts = simd_opts;
-    simd_ug_opts.vector_ungapped = true;
-    const MuBlastpEngine mu_simd_ug(index, {}, simd_ug_opts);
     // Algorithm 1 through the dispatched kernel: with pre-filtering off the
     // hit-scan *collect* kernel feeds the sort; must twin mublastp-alg1.
     MuBlastpOptions nopf_simd = simd_opts;
@@ -245,7 +239,7 @@ int main(int argc, char** argv) {
       stats::PipelineSnapshot snap;
     };
 
-    constexpr int kRuns = 11;
+    constexpr int kRuns = 10;
     stats::PipelineSnapshot agg[kRuns];
     bool all_ok = true;
     for (SeqId q = 0; q < queries.size(); ++q) {
@@ -283,7 +277,6 @@ int main(int argc, char** argv) {
           run("mublastp-mmap", mu_mmap),
           run("mublastp-simd", mu_simd),
           run("ncbi-db-simd", ncbi_db_simd),
-          run("mublastp-simd+ungapped", mu_simd_ug),
           sharded_run(),
           run("mublastp-alg1-simd", mu_alg1_simd),
           chain_run(),
@@ -352,21 +345,16 @@ int main(int argc, char** argv) {
                     runs[1].name, runs[6].name);
         ok = false;
       }
-      if (runs[2].snap.totals != runs[7].snap.totals) {
+      if (runs[3].snap.totals != runs[8].snap.totals) {
         std::printf("query %u: SCALAR/SIMD COUNTER MISMATCH %s vs %s\n", q,
-                    runs[2].name, runs[7].name);
-        ok = false;
-      }
-      if (runs[3].snap.totals != runs[9].snap.totals) {
-        std::printf("query %u: SCALAR/SIMD COUNTER MISMATCH %s vs %s\n", q,
-                    runs[3].name, runs[9].name);
+                    runs[3].name, runs[8].name);
         ok = false;
       }
       // Every gapped extension is one left half + one right half, and each
       // half is settled by exactly one tier of the banded kernel — so on a
       // dispatched run the tier tallies must sum to 2x gapped_extensions
       // (and stay zero on forced-scalar runs, checked via .any()).
-      for (const int i : {5, 6, 7, 9}) {
+      for (const int i : {5, 6, 8}) {
         const stats::GappedKernelStats& gk = runs[i].snap.gapped_kernel;
         const std::uint64_t halves =
             gk.int8_runs + gk.int16_reruns + gk.scalar_fallbacks;
@@ -390,17 +378,17 @@ int main(int argc, char** argv) {
       // The sharded merge sums per-shard stage stats over disjoint subject
       // sets — the result must equal the single-index run's stats EXACTLY,
       // field for field, not just on the deterministic counter subset.
-      if (runs[8].result.stats != runs[2].result.stats) {
+      if (runs[7].result.stats != runs[2].result.stats) {
         std::printf("query %u: SHARDED STAGE-STATS MISMATCH %s vs %s\n", q,
-                    runs[8].name, runs[2].name);
+                    runs[7].name, runs[2].name);
         ok = false;
       }
       // Same contract for the base+delta chain: the merge sums per-member
       // stage stats over disjoint subject sets — every field must equal the
       // from-scratch single-index run, not just the deterministic subset.
-      if (runs[10].result.stats != runs[2].result.stats) {
+      if (runs[9].result.stats != runs[2].result.stats) {
         std::printf("query %u: CHAIN STAGE-STATS MISMATCH %s vs %s\n", q,
-                    runs[10].name, runs[2].name);
+                    runs[9].name, runs[2].name);
         ok = false;
       }
       for (int i = 0; i < kRuns; ++i) agg[i].merge(runs[i].snap);
