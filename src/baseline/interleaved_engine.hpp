@@ -22,10 +22,6 @@
 
 namespace mublastp {
 
-namespace trace {
-class Tracer;
-}
-
 /// Interleaved database-indexed engine ("NCBI-db").
 class InterleavedDbEngine {
  public:
@@ -51,17 +47,9 @@ class InterleavedDbEngine {
   QueryResult search_traced(std::span<const Residue> query,
                             memsim::MemoryHierarchy& mem) const;
 
-  /// OpenMP batch over queries. When `ps` is non-null, telemetry is
-  /// collected into per-thread accumulators and merged once at run end
-  /// (there is no serial block loop here); counters are deterministic for
-  /// any thread count all the same.
-  /// When `tracer` is non-null, stage spans are additionally recorded
-  /// into it (flushed once at the end of the batch).
+  /// OpenMP batch over queries; results do not depend on the thread count.
   std::vector<QueryResult> search_batch(const SequenceStore& queries,
-                                        int threads,
-                                        stats::PipelineStats* ps = nullptr,
-                                        trace::Tracer* tracer
-                                        = nullptr) const;
+                                        int threads) const;
 
   const DbIndexView& view() const { return view_; }
   const SearchParams& params() const { return params_; }
@@ -83,11 +71,6 @@ class InterleavedDbEngine {
   template <typename Mem, typename Rec>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
                           Rec rec) const;
-
-  template <typename PS, bool Traced>
-  std::vector<QueryResult> batch_impl(const SequenceStore& queries,
-                                      int threads, PS* ps,
-                                      trace::Tracer* tracer) const;
 
   DbIndexView view_;
   SearchParams params_;

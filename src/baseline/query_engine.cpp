@@ -1,7 +1,5 @@
 #include "baseline/query_engine.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <memory>
 
@@ -11,7 +9,6 @@
 #include "core/hit_logic.hpp"
 #include "index/dfa_index.hpp"
 #include "index/query_index.hpp"
-#include "trace/trace.hpp"
 
 namespace mublastp {
 namespace {
@@ -176,65 +173,15 @@ QueryResult QueryIndexedEngine::search_traced(
                      stats::NullStats::Recorder{});
 }
 
-template <typename PS, bool Traced>
-std::vector<QueryResult> QueryIndexedEngine::batch_impl(
-    const SequenceStore& queries, int threads, PS* ps,
-    trace::Tracer* tracer) const {
+std::vector<QueryResult> QueryIndexedEngine::search_batch(
+    const SequenceStore& queries, int threads) const {
   MUBLASTP_CHECK(threads > 0, "thread count must be positive");
   std::vector<QueryResult> results(queries.size());
-  [[maybe_unused]] Timer run_timer;
-  if constexpr (PS::kEnabled) {
-    ps->begin_run(std::max(threads, 1), 1, queries.size());
-    ps->set_kernel(simd::kernel_name(kernel_));
-  }
-  const auto recorder_for = [&](int tid, std::uint32_t query) {
-    (void)tid;
-    (void)query;
-    if constexpr (Traced) {
-      if constexpr (PS::kEnabled) {
-        return trace::TracingRecorder(ps->recorder(tid), tracer, query);
-      } else {
-        return trace::TracingRecorder(stats::NullStats::Recorder{}, tracer,
-                                      query);
-      }
-    } else if constexpr (PS::kEnabled) {
-      return ps->recorder(tid);
-    } else {
-      return stats::NullStats::Recorder{};
-    }
-  };
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    results[i] = search_impl(
-        queries.sequence(static_cast<SeqId>(i)), memsim::NullMemoryModel{},
-        recorder_for(omp_get_thread_num(), static_cast<std::uint32_t>(i)));
-  }
-  if constexpr (Traced) tracer->flush();
-  if constexpr (PS::kEnabled) {
-    stats::GappedKernelStats gk;
-    for (const QueryResult& r : results) gk += stats::gapped_kernel_of(r.stats);
-    ps->set_gapped_kernel(gk);
-    ps->finish_run(run_timer.seconds());
+    results[i] = search(queries.sequence(static_cast<SeqId>(i)));
   }
   return results;
-}
-
-std::vector<QueryResult> QueryIndexedEngine::search_batch(
-    const SequenceStore& queries, int threads, stats::PipelineStats* ps,
-    trace::Tracer* tracer) const {
-  stats::NullStats* off = nullptr;
-  if (tracer != nullptr) {
-    if (ps != nullptr) {
-      return batch_impl<stats::PipelineStats, true>(queries, threads, ps,
-                                                    tracer);
-    }
-    return batch_impl<stats::NullStats, true>(queries, threads, off, tracer);
-  }
-  if (ps != nullptr) {
-    return batch_impl<stats::PipelineStats, false>(queries, threads, ps,
-                                                   nullptr);
-  }
-  return batch_impl<stats::NullStats, false>(queries, threads, off, nullptr);
 }
 
 }  // namespace mublastp

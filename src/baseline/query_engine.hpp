@@ -23,10 +23,6 @@
 
 namespace mublastp {
 
-namespace trace {
-class Tracer;
-}
-
 /// Query-indexed (NCBI-BLAST style) search engine.
 class QueryIndexedEngine {
  public:
@@ -59,14 +55,8 @@ class QueryIndexedEngine {
                             memsim::MemoryHierarchy& mem) const;
 
   /// Searches a batch with OpenMP over queries ("-num_threads" behaviour).
-  /// When `ps` is non-null, telemetry is collected and merged at run end.
-  /// When `tracer` is non-null, stage spans are additionally recorded into
-  /// it (flushed once at the end of the batch).
   std::vector<QueryResult> search_batch(const SequenceStore& queries,
-                                        int threads,
-                                        stats::PipelineStats* ps = nullptr,
-                                        trace::Tracer* tracer
-                                        = nullptr) const;
+                                        int threads) const;
 
   const SequenceStore& db() const { return *db_; }
   const SearchParams& params() const { return params_; }
@@ -77,11 +67,6 @@ class QueryIndexedEngine {
   template <typename Mem, typename Rec>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
                           Rec rec) const;
-
-  template <typename PS, bool Traced>
-  std::vector<QueryResult> batch_impl(const SequenceStore& queries,
-                                      int threads, PS* ps,
-                                      trace::Tracer* tracer) const;
 
   const SequenceStore* db_;
   SearchParams params_;

@@ -973,6 +973,13 @@ DbIndexFileInfo describe_db_index_file(const std::string& path) {
           table_crc,
       ErrorKind::kCorrupt, "index header: section table checksum mismatch");
   for (const SectionRecord& r : table) {
+    // Callers seek to and allocate from these records, so one that runs
+    // past the file is corruption, caught here before any allocation.
+    if (r.offset > info.file_bytes ||
+        r.length > info.file_bytes - r.offset) {
+      fail_section(static_cast<SectionId>(r.id),
+                   "is out of bounds (truncated file?)");
+    }
     info.sections.push_back(
         {std::string(section_name(static_cast<SectionId>(r.id))), r.id,
          r.offset, r.length, static_cast<std::uint32_t>(r.crc32)});

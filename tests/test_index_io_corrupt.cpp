@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -86,11 +87,15 @@ class IndexIoCorrupt : public ::testing::Test {
 
   template <typename Fn>
   static void check_throws(Fn&& fn, const std::string& expect_substr,
-                           const std::string& context) {
+                           const std::string& context,
+                           std::optional<ErrorKind> kind = std::nullopt) {
     try {
       fn();
       ADD_FAILURE() << context << ": corrupt input was accepted";
     } catch (const Error& e) {
+      if (kind) {
+        EXPECT_EQ(e.kind(), *kind) << context;
+      }
       if (!expect_substr.empty()) {
         EXPECT_NE(std::string(e.what()).find(expect_substr),
                   std::string::npos)
@@ -267,6 +272,38 @@ TEST_F(IndexIoCorrupt, DescribeRejectsCorruptHeaders) {
   write(mutated);
   check_throws([&] { (void)describe_db_index_file(path); },
                "section table checksum mismatch", "describe: table crc");
+  std::remove(path.c_str());
+}
+
+TEST_F(IndexIoCorrupt, OutOfBoundsSectionRecordIsCorruptNotAnAllocation) {
+  // A config record that claims 2^40 bytes, behind a valid table CRC. The
+  // table readers must refuse it as corrupt before anything allocates the
+  // declared length (append reads the config section this way).
+  std::vector<SectionRecord> records = table();
+  for (SectionRecord& r : records) {
+    if (r.id == static_cast<std::uint32_t>(SectionId::kConfig)) {
+      r.length = std::uint64_t{1} << 40;
+    }
+  }
+  const std::size_t table_bytes = records.size() * sizeof(SectionRecord);
+  const std::uint32_t table_crc = crc32(records.data(), table_bytes);
+  std::string mutated = bytes();
+  std::memcpy(mutated.data() + sizeof(FileHeaderV3), records.data(),
+              table_bytes);
+  std::memcpy(mutated.data() + offsetof(FileHeaderV3, table_crc32),
+              &table_crc, sizeof(table_crc));
+  const std::string want = "index section 'config' is out of bounds";
+  expect_rejected(mutated, want, "config length 2^40");
+
+  const std::string path = test_temp_path("oob_config.mbi");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
+  }
+  check_throws([&] { (void)describe_db_index_file(path); }, want,
+               "describe", ErrorKind::kCorrupt);
+  check_throws([&] { (void)read_index_config_file(path); }, want,
+               "config reader", ErrorKind::kCorrupt);
   std::remove(path.c_str());
 }
 

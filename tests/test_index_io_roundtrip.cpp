@@ -230,23 +230,38 @@ TEST(IndexIoRoundTrip, EmptyDatabaseIsRejectedAtBuild) {
   EXPECT_THROW(DbIndex::build(empty, {}), Error);
 }
 
+std::string fixture_path(const char* name) {
+  return std::string(MUBLASTP_TEST_DATA_DIR) + "/" + name;
+}
+
+// The database inside a loaded index, back in its original order.
+SequenceStore original_order_store(const DbIndex& loaded) {
+  SequenceStore db;
+  for (SeqId orig = 0; orig < loaded.db().size(); ++orig) {
+    const SeqId sorted = loaded.sorted_id(orig);
+    db.add(loaded.db().sequence(sorted), loaded.db().name(sorted));
+  }
+  return db;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 TEST(IndexIoRoundTrip, V2FixtureStillLoads) {
   // A v2 file produced by the legacy writer is checked into tests/data/ so
   // forward compatibility is pinned by bytes on disk, not by the current
   // writer's behaviour.
-  const std::string path = std::string(MUBLASTP_TEST_DATA_DIR) +
-                           "/tiny_v2.mbi";
-  const DbIndex loaded = load_db_index_file(path);
+  const DbIndex loaded = load_db_index_file(fixture_path("tiny_v2.mbi"));
   ASSERT_EQ(loaded.db().size(), 4u);
   EXPECT_EQ(loaded.config().block_bytes, 4096u);
 
   // Reconstruct the original-order store through the id maps and rebuild;
   // the fixture index must search exactly like a fresh build of its DB.
-  SequenceStore original_db;
-  for (SeqId orig = 0; orig < loaded.db().size(); ++orig) {
-    const SeqId sorted = loaded.sorted_id(orig);
-    original_db.add(loaded.db().sequence(sorted), loaded.db().name(sorted));
-  }
+  const SequenceStore original_db = original_order_store(loaded);
   EXPECT_EQ(original_db.name(0), "fix_helix");
   const DbIndex rebuilt = DbIndex::build(original_db, loaded.config());
 
@@ -254,6 +269,38 @@ TEST(IndexIoRoundTrip, V2FixtureStillLoads) {
   const SequenceStore queries = synth::sample_queries(original_db, 2, 24, rng);
   expect_identical(drive(MuBlastpEngine(rebuilt), queries),
                    drive(MuBlastpEngine(loaded), queries), "v2 fixture");
+}
+
+TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
+  // tiny_v3.mbi is the v2 fixture's database, rebuilt with its config and
+  // saved by the v3 writer. Every section CRC, block CRC and the table
+  // CRC are in it, so a writer, layout or checksum change shows up here
+  // as a byte difference against a file on disk.
+  const std::string fixture = fixture_path("tiny_v3.mbi");
+  const DbIndex v2 = load_db_index_file(fixture_path("tiny_v2.mbi"));
+  const SequenceStore original_db = original_order_store(v2);
+  const DbIndex rebuilt = DbIndex::build(original_db, v2.config());
+
+  const std::string path = test_temp_path("tiny_v3.mbi");
+  save_db_index_file(path, rebuilt);
+  const std::string want = read_file(fixture);
+  EXPECT_EQ(want.size(), 57652u);
+  EXPECT_TRUE(read_file(path) == want)
+      << "a fresh save differs from the checked-in v3 fixture";
+  std::remove(path.c_str());
+
+  // Both loaders accept the fixture with every checksum verified, and both
+  // search exactly like the fresh build.
+  Rng rng(217);
+  const SequenceStore queries = synth::sample_queries(original_db, 2, 24, rng);
+  const RunOutput ref = drive(MuBlastpEngine(rebuilt), queries);
+  const MappedDbIndex mapped(fixture);
+  EXPECT_EQ(mapped.num_sequences(), original_db.size());
+  expect_identical(ref, drive(MuBlastpEngine(mapped), queries),
+                   "v3 fixture, mapped");
+  expect_identical(ref,
+                   drive(MuBlastpEngine(load_db_index_file(fixture)), queries),
+                   "v3 fixture, copy loader");
 }
 
 TEST(IndexIoRoundTrip, DescribeReportsSectionsForV3AndVersionForV2) {

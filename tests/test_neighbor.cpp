@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -122,6 +124,67 @@ TEST(NeighborTable, HighScoringWordHasItselfAndVariants) {
   // WWF: W/W + W/W + W/F = 11+11+1 = 23 >= 11.
   EXPECT_TRUE(std::binary_search(nbs.begin(), nbs.end(),
                                  word_from_string("WWF")));
+}
+
+// Brute force: every one of the kNumWords candidates, in key order.
+std::vector<std::uint32_t> scan_neighbors(const ScoreMatrix& m,
+                                          std::uint32_t word, Score t) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t cand = 0; cand < static_cast<std::uint32_t>(kNumWords);
+       ++cand) {
+    if (NeighborTable::word_pair_score(m, word, cand) >= t) {
+      out.push_back(cand);
+    }
+  }
+  return out;
+}
+
+TEST(NeighborTable, MatchesPinnedCountsAndBruteForceLists) {
+  // Totals pinned from the two-pass depth-first build this table replaced;
+  // each list must also equal an ascending scan of all candidates. T stays
+  // at 9 or above: a table at low T runs to hundreds of MB.
+  struct Case {
+    const ScoreMatrix* matrix;
+    Score threshold;
+    std::size_t total;
+  };
+  std::vector<Case> cases = {
+      {&blosum62(), 9, 1241653}, {&blosum62(), 11, 500402},
+      {&blosum62(), 13, 198852}, {&blosum50(), 9, 3213182},
+      {&blosum50(), 11, 1803346}, {&blosum50(), 13, 924941},
+      {&blosum80(), 9, 1296736}, {&blosum80(), 11, 563271},
+      {&blosum80(), 13, 235961}, {&pam250(), 9, 2630555},
+      {&pam250(), 11, 1574824}, {&pam250(), 13, 967349},
+  };
+  // Only (word, neighbor) pairs made of three top-scoring cells reach
+  // 3*max, so there are k^3 of them for k such cells; nothing beats it.
+  for (const ScoreMatrix* m : {&blosum62(), &blosum50(), &blosum80(),
+                               &pam250()}) {
+    std::size_t k = 0;
+    for (int a = 0; a < kAlphabetSize; ++a) {
+      for (int b = 0; b < kAlphabetSize; ++b) {
+        k += (*m)(static_cast<Residue>(a), static_cast<Residue>(b)) ==
+             m->max_score();
+      }
+    }
+    cases.push_back({m, 3 * m->max_score(), k * k * k});
+    cases.push_back({m, 3 * m->max_score() + 1, 0});
+  }
+  Rng rng(41);
+  for (const Case& c : cases) {
+    const std::string label = std::string(c.matrix->name()) + " T=" +
+                              std::to_string(c.threshold);
+    const NeighborTable table(*c.matrix, c.threshold);
+    EXPECT_EQ(table.total_neighbors(), c.total) << label;
+    for (int i = 0; i < 64; ++i) {
+      const auto w = static_cast<std::uint32_t>(rng.next_below(kNumWords));
+      const auto got = table.neighbors(w);
+      const std::vector<std::uint32_t> want =
+          scan_neighbors(*c.matrix, w, c.threshold);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << label << ", word " << word_to_string(w);
+    }
+  }
 }
 
 }  // namespace
