@@ -43,7 +43,7 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                        const FlatNeighborhood* flat, Mem mem,
                                        Rec rec) const {
   const ScoreMatrix& matrix = *params_.matrix;
-  const DbIndexView& db = view_;
+  const DbIndexView::Member& db = view_.members()[block.member()];
   const NeighborTable& neighbors = view_.neighbors();
   [[maybe_unused]] StageStats before;
   if constexpr (Rec::kEnabled) before = stats;
@@ -81,6 +81,7 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
       for (const UngappedSeg& seg : segs) {
         out.push_back(resolve_fragment_segment(query, db, frag, seg, qoff,
                                                soff, matrix, params_));
+        out.back().subject += db.first_seq;
       }
     }
   };

@@ -4,12 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -217,37 +215,6 @@ std::vector<SeqId> id_range(std::uint64_t offset, std::uint64_t n) {
 
 }  // namespace
 
-std::vector<QueryResult> merge_partition_results(
-    const std::vector<std::vector<QueryResult>>& per_member,
-    const std::vector<std::span<const SeqId>>& to_global,
-    std::size_t num_queries, std::size_t max_alignments) {
-  std::vector<QueryResult> merged(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    QueryResult& out = merged[q];
-    for (std::size_t k = 0; k < per_member.size(); ++k) {
-      if (per_member[k].empty()) continue;  // quarantined or empty member
-      const QueryResult& r = per_member[k][q];
-      const std::span<const SeqId> remap = to_global[k];
-      for (GappedAlignment a : r.alignments) {
-        a.subject = remap[a.subject];
-        out.alignments.push_back(std::move(a));
-      }
-      for (UngappedAlignment u : r.ungapped) {
-        u.subject = remap[u.subject];
-        out.ungapped.push_back(u);
-      }
-      out.stats += r.stats;
-    }
-    std::sort(out.alignments.begin(), out.alignments.end(),
-              final_ranking_less);
-    if (out.alignments.size() > max_alignments) {
-      out.alignments.resize(max_alignments);
-    }
-    canonicalize_ungapped(out.ungapped);
-  }
-  return merged;
-}
-
 const char* worker_mode_name(WorkerMode mode) {
   switch (mode) {
     case WorkerMode::kThread: return "thread";
@@ -259,7 +226,7 @@ const char* worker_mode_name(WorkerMode mode) {
 WorkerMode parse_worker_mode(std::string_view spec) {
   if (spec == "thread") return WorkerMode::kThread;
   if (spec == "process") return WorkerMode::kProcess;
-  throw Error("unknown shard worker mode '" + std::string(spec) +
+  throw Error("unknown --shard-mode '" + std::string(spec) +
               "' (expected thread or process)");
 }
 
@@ -322,7 +289,7 @@ MemberSet MemberSet::open_index(const std::string& path,
   }
   set.layout_ = plans.size() > 1 ? Layout::kChain : Layout::kSingle;
   set.open_members(plans, mode, degraded);
-  set.start_engines();
+  set.engine_ = set.make_engine({});
   return set;
 }
 
@@ -345,7 +312,7 @@ MemberSet MemberSet::open_shards(const std::string& path,
                      s.index_crc32, true, true});
   }
   set.open_members(plans, mode, degraded);
-  set.start_engines();
+  set.engine_ = set.make_engine({});
   return set;
 }
 
@@ -379,7 +346,7 @@ MemberSet MemberSet::partition(const SequenceStore& db, int shards,
     }
     m.owned = std::make_unique<DbIndex>(DbIndex::build(slice, config));
   }
-  set.start_engines();
+  set.engine_ = set.make_engine({});
   return set;
 }
 
@@ -389,6 +356,9 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
   MUBLASTP_CHECK(strict || degraded != nullptr,
                  "a degraded-mode open needs a DegradedStats sink");
   members_.resize(plans.size());
+  // Quarantined block ids are positions in the joined view, which lists
+  // the live members' blocks in member order.
+  std::uint32_t first_block = 0;
   for (std::uint32_t k = 0; k < plans.size(); ++k) {
     const Plan& plan = plans[k];
     Member& m = members_[k];
@@ -481,11 +451,13 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
       }
       for (const BlockQuarantine& q : quarantined) {
         degraded->quarantined.push_back(
-            {q.block, layout_ == Layout::kSingle
-                          ? q.reason
-                          : label(k) + " (" + plan.path + "): " + q.reason});
+            {first_block + q.block,
+             layout_ == Layout::kSingle
+                 ? q.reason
+                 : label(k) + " (" + plan.path + "): " + q.reason});
         degraded->partial = true;
       }
+      first_block += static_cast<std::uint32_t>(view.blocks().size());
     } catch (const Error& e) {
       if (strict || layout_ == Layout::kSingle) throw;
       degraded->quarantined_shards.push_back({k, e.what()});
@@ -497,16 +469,22 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
   }
 }
 
-void MemberSet::start_engines() {
-  MuBlastpOptions engine = options_.engine;
-  // The invariant every layout lives on: each member prices E-values over
-  // the combined search space, exactly like one index over the database.
-  engine.effective_db_residues = total_residues_;
-  for (Member& m : members_) {
-    if (m.mapped == nullptr && m.owned == nullptr) continue;
-    m.engine = std::make_unique<MuBlastpEngine>(m.view(), options_.params,
-                                                engine);
+std::unique_ptr<MuBlastpEngine> MemberSet::make_engine(
+    const std::vector<bool>& skip) const {
+  std::vector<DbIndexPart> parts;
+  for (std::uint32_t k = 0; k < member_count(); ++k) {
+    if (live(k) && (skip.empty() || !skip[k])) {
+      parts.push_back({members_[k].view(), members_[k].to_global});
+    }
   }
+  if (parts.empty()) return nullptr;
+  MuBlastpOptions engine = options_.engine;
+  // The invariant every layout lives on: E-values are priced over the
+  // whole database, exactly like one index over it, whichever members are
+  // searched.
+  engine.effective_db_residues = total_residues_;
+  return std::make_unique<MuBlastpEngine>(
+      DbIndexView::join(parts, total_sequences_), options_.params, engine);
 }
 
 std::string MemberSet::label(std::uint32_t k) const {
@@ -528,25 +506,17 @@ double MemberSet::predicted_imbalance() const {
 
 const SequenceStore& MemberSet::global_db() const {
   std::call_once(global_->once, [this] {
-    std::vector<std::pair<std::uint32_t, SeqId>> locate(
-        total_sequences_, {0, 0});
-    for (std::uint32_t k = 0; k < member_count(); ++k) {
-      const std::vector<SeqId>& tg = members_[k].to_global;
-      for (SeqId local = 0; local < tg.size(); ++local) {
-        locate[tg[local]] = {k, local};
-      }
-    }
-    for (const auto& [k, local] : locate) {
-      const MuBlastpEngine* e = members_[k].engine.get();
-      if (e == nullptr) {
+    const DbIndexView* v = view();
+    for (SeqId g = 0; g < total_sequences_; ++g) {
+      // A quarantined member's ids have no sorted id in the view.
+      if (v == nullptr || v->sorted_id(g) >= v->num_sequences()) {
         // The store rejects empty sequences; see the header.
         const Residue placeholder{};
         global_->db.add({&placeholder, 1}, {});
         continue;
       }
-      const SeqId sorted = e->view().sorted_id(local);
-      global_->db.add(e->view().sequence(sorted),
-                      std::string(e->view().name(sorted)));
+      const SeqId sorted = v->sorted_id(g);
+      global_->db.add(v->sequence(sorted), std::string(v->name(sorted)));
     }
   });
   return global_->db;
@@ -556,23 +526,11 @@ const SequenceStore& MemberSet::global_db() const {
 // Searching
 // ---------------------------------------------------------------------------
 
-struct MemberSet::Outcome {
-  std::vector<QueryResult> results;  ///< empty when the member failed
-  stats::DegradedStats degraded;     ///< the member engine's own report
-  double seconds = 0.0;
-  bool failed = false;
-  std::string reason;
-  ErrorKind kind = ErrorKind::kIo;  ///< what a strict run fails with
-  std::exception_ptr error;         ///< an in-process failure, rethrowable
-};
-
 MemberSearchResult MemberSet::search(const SequenceStore& queries,
                                      int threads, WorkerMode mode,
                                      trace::Tracer* tracer,
                                      stats::PipelineStats* ps) const {
   MUBLASTP_CHECK(!members_.empty(), "member set is empty");
-  MUBLASTP_CHECK(ps == nullptr || members_.size() == 1,
-                 "pipeline telemetry needs a 1-member set");
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
@@ -582,17 +540,12 @@ MemberSearchResult MemberSet::search(const SequenceStore& queries,
   // ascending order: deterministic regardless of worker scheduling, and
   // immune to fork duplicating the counter into every child.
   std::vector<bool> doomed(member_count(), false);
+  bool any_doomed = false;
   if (layout_ == Layout::kShards) {
     for (std::uint32_t k = 0; k < member_count(); ++k) {
-      if (engine(k) != nullptr) doomed[k] = MUBLASTP_FI_FAIL("shard.worker");
+      if (live(k)) doomed[k] = MUBLASTP_FI_FAIL("shard.worker");
+      any_doomed = any_doomed || doomed[k];
     }
-  }
-
-  std::vector<Outcome> outcomes(member_count());
-  if (mode == WorkerMode::kThread) {
-    run_in_process(queries, threads, doomed, outcomes, tracer, ps);
-  } else {
-    run_in_children(queries, doomed, outcomes, tracer);
   }
 
   MemberSearchResult out;
@@ -600,181 +553,114 @@ MemberSearchResult MemberSet::search(const SequenceStore& queries,
   out.shards.mode = worker_mode_name(mode);
   out.shards.strategy = strategy_name(strategy_);
   out.shards.imbalance_predicted = predicted_imbalance();
-  std::vector<std::vector<QueryResult>> per_member(member_count());
-  std::vector<std::span<const SeqId>> remaps(member_count());
+  for (std::uint32_t k = 0; k < member_count(); ++k) {
+    out.shards.per_shard.push_back({k, 0.0, 0, 0});
+  }
+  // Members that fail this search are quarantined like a load failure, or
+  // fail the run in strict mode.
+  const auto fail = [&](std::uint32_t k, const std::string& reason) {
+    if (options_.strict) {
+      throw Error(label(k) + " failed: " + reason, ErrorKind::kIo);
+    }
+    out.degraded.quarantined_shards.push_back({k, reason});
+    out.degraded.partial = true;
+  };
+
+  if (mode == WorkerMode::kProcess) {
+    const std::vector<std::string> failures =
+        search_in_children(queries, threads, doomed, tracer, ps, out);
+    for (std::uint32_t k = 0; k < member_count(); ++k) {
+      if (!failures[k].empty()) fail(k, failures[k]);
+    }
+  } else {
+    // One pass over every live member's blocks; a doomed member's drop out.
+    std::vector<std::uint32_t> member_at;  // set member of each view member
+    for (std::uint32_t k = 0; k < member_count(); ++k) {
+      if (doomed[k]) fail(k, "shard worker failed (injected fault)");
+      if (live(k) && !doomed[k]) member_at.push_back(k);
+    }
+    const std::unique_ptr<MuBlastpEngine> rest =
+        any_doomed ? make_engine(doomed) : nullptr;
+    const MuBlastpEngine* engine = any_doomed ? rest.get() : engine_.get();
+    if (engine == nullptr) {
+      out.results.resize(queries.size());
+      return out;
+    }
+    // The per-member rows are sums of per-block rows, so a search without
+    // a caller's collector keeps its own.
+    stats::PipelineStats own;
+    stats::PipelineStats* rows = ps != nullptr ? ps : &own;
+    stats::DegradedStats degraded;
+    out.results = engine->search_batch(queries, threads, rows,
+                                       options_.strict ? nullptr : &degraded,
+                                       tracer);
+    const DbIndexView& view = engine->view();
+    const auto member_of_block = [&](std::uint32_t block) {
+      return member_at[view.blocks()[block].member()];
+    };
+    for (stats::QuarantinedBlock& q : degraded.quarantined) {
+      if (layout_ != Layout::kSingle) {
+        q.reason = label(member_of_block(q.block)) + ": " + q.reason;
+      }
+      out.degraded.quarantined.push_back(std::move(q));
+    }
+    out.degraded.time_budget_trips += degraded.time_budget_trips;
+    out.degraded.mem_budget_trips += degraded.mem_budget_trips;
+    out.degraded.partial = out.degraded.partial || degraded.partial;
+
+    using stats::Stage;
+    for (const stats::BlockStats& b : rows->snapshot().per_block) {
+      stats::ShardStats& s = out.shards.per_shard[member_of_block(b.block)];
+      s.hits += b.counters.hits;
+      s.seconds += b.seconds[static_cast<int>(Stage::kHitDetect)] +
+                   b.seconds[static_cast<int>(Stage::kSort)] +
+                   b.seconds[static_cast<int>(Stage::kUngapped)];
+    }
+    for (const QueryResult& r : out.results) {
+      for (const GappedAlignment& a : r.alignments) {
+        const SeqId sorted = view.sorted_id(a.subject);
+        ++out.shards.per_shard[member_at[view.member_of(sorted)]].alignments;
+      }
+    }
+  }
+
+  // Over the members that searched: failed and empty ones booked no time.
   double lo = 0.0;
   double hi = 0.0;
-  bool first = true;
-  for (std::uint32_t k = 0; k < member_count(); ++k) {
-    Outcome& o = outcomes[k];
-    if (o.failed) {
-      if (layout_ == Layout::kSingle && o.error) {
-        std::rethrow_exception(o.error);
-      }
-      if (options_.strict) {
-        throw Error(label(k) + " failed: " + o.reason, o.kind);
-      }
-      out.degraded.quarantined_shards.push_back({k, o.reason});
-      out.degraded.partial = true;
-      o.results.clear();
-    }
-    for (const stats::QuarantinedBlock& q : o.degraded.quarantined) {
-      out.degraded.quarantined.push_back(
-          {q.block, layout_ == Layout::kSingle
-                        ? q.reason
-                        : label(k) + ": " + q.reason});
-    }
-    out.degraded.time_budget_trips += o.degraded.time_budget_trips;
-    out.degraded.mem_budget_trips += o.degraded.mem_budget_trips;
-    out.degraded.partial = out.degraded.partial || o.degraded.partial;
-
-    stats::ShardStats entry;
-    entry.shard = k;
-    entry.seconds = o.seconds;
-    for (const QueryResult& r : o.results) {
-      entry.hits += r.stats.hits;
-      entry.alignments += r.alignments.size();
-    }
-    out.shards.per_shard.push_back(entry);
-    if (engine(k) != nullptr && !o.failed) {
-      lo = first ? o.seconds : std::min(lo, o.seconds);
-      hi = first ? o.seconds : std::max(hi, o.seconds);
-      first = false;
-    }
-    per_member[k] = std::move(o.results);
-    remaps[k] = to_global(k);
+  for (const stats::ShardStats& s : out.shards.per_shard) {
+    if (s.seconds == 0.0) continue;
+    lo = hi == 0.0 ? s.seconds : std::min(lo, s.seconds);
+    hi = std::max(hi, s.seconds);
   }
   out.shards.imbalance_measured = hi > 0.0 ? (hi - lo) / hi : 0.0;
-
-  if (member_count() == 1 && per_member[0].size() == queries.size()) {
-    // One member covers the whole database: its results need no merge.
-    out.results = std::move(per_member[0]);
-    return out;
-  }
-  const std::uint64_t merge_begin = tracer != nullptr ? tracer->now_ns() : 0;
-  out.results = merge_partition_results(per_member, remaps, queries.size(),
-                                        options_.params.max_alignments);
-  if (tracer != nullptr) {
-    tracer->record(trace::SpanKind::kMerge, merge_begin, tracer->now_ns());
-    tracer->flush();
-  }
   return out;
 }
 
-void MemberSet::run_in_process(const SequenceStore& queries, int threads,
-                               const std::vector<bool>& doomed,
-                               std::vector<Outcome>& outcomes,
-                               trace::Tracer* tracer,
-                               stats::PipelineStats* ps) const {
-  std::vector<std::uint32_t> live;
-  for (std::uint32_t k = 0; k < member_count(); ++k) {
-    if (engine(k) == nullptr) continue;
-    if (doomed[k]) {
-      outcomes[k].failed = true;
-      outcomes[k].reason = "shard worker failed (injected fault)";
-      continue;
-    }
-    live.push_back(k);
-  }
-
-  // A kSingle set traces straight into `tracer`. Other layouts give each
-  // member a child tracer sharing the parent's clock epoch, so its spans
-  // absorb without re-basing and carry the member position in the shard
-  // lane.
-  const bool direct = tracer == nullptr || layout_ == Layout::kSingle;
-  std::vector<std::unique_ptr<trace::Tracer>> children(member_count());
-  if (!direct) {
-    for (const std::uint32_t k : live) {
-      children[k] = std::make_unique<trace::Tracer>(
-          tracer->options(), tracer->epoch_raw_ns(), k);
-    }
-  }
-
-  const auto run = [&](std::uint32_t k, int share) {
-    Outcome& out = outcomes[k];
-    trace::Tracer* t = direct ? tracer : children[k].get();
-    const std::uint64_t span_begin = direct ? 0 : t->now_ns();
-    const Timer timer;
-    // Nothing may escape: this runs on a worker thread.
-    try {
-      out.results = engine(k)->search_batch(
-          queries, share, ps, options_.strict ? nullptr : &out.degraded, t);
-      if (!direct) {
-        t->record(trace::SpanKind::kShardWorker, span_begin, t->now_ns(),
-                  trace::kNoId, trace::kNoId, k);
-        t->flush();
-      }
-    } catch (const std::exception& e) {
-      out.failed = true;
-      out.reason = e.what();
-      if (const auto* err = dynamic_cast<const Error*>(&e)) {
-        out.kind = err->kind();
-      }
-      out.error = std::current_exception();
-      out.results.clear();
-    }
-    out.seconds = timer.seconds();
-  };
-
-  // A batch with at least as many queries as threads keeps every thread
-  // busy inside one member, so members run in turn with the whole budget.
-  // A smaller batch would leave threads idle there, so members run at once
-  // and split the budget.
-  const int workers =
-      queries.size() >= static_cast<std::size_t>(threads)
-          ? 1
-          : std::clamp(static_cast<int>(live.size()), 1, threads);
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&](int share) {
-    for (std::size_t i = next++; i < live.size(); i = next++) {
-      run(live[i], share);
-    }
-  };
-  {
-    // jthreads join on every exit from this scope, exceptions included.
-    std::vector<std::jthread> pool;
-    for (int w = 1; w < workers; ++w) {
-      pool.emplace_back(worker, threads / workers + (w < threads % workers));
-    }
-    worker(threads / workers + (threads % workers != 0));
-  }
-
-  if (!direct) {
-    for (const std::uint32_t k : live) {
-      tracer->absorb(children[k]->spans().data(), children[k]->spans().size(),
-                     0, k);
-      tracer->add_dropped(children[k]->dropped());
-    }
-  }
-}
-
-void MemberSet::run_in_children(const SequenceStore& queries,
-                                const std::vector<bool>& doomed,
-                                std::vector<Outcome>& outcomes,
-                                trace::Tracer* tracer) const {
+std::vector<std::string> MemberSet::search_in_children(
+    const SequenceStore& queries, int threads,
+    const std::vector<bool>& doomed, trace::Tracer* tracer,
+    stats::PipelineStats* ps, MemberSearchResult& out) const {
   struct Child {
     std::uint32_t member = 0;
     pid_t pid = -1;
     int fd = -1;
   };
   std::vector<Child> children;
+  std::vector<std::string> failures(member_count());
+  const Timer run_timer;
 
   for (std::uint32_t k = 0; k < member_count(); ++k) {
-    if (engine(k) == nullptr) continue;
+    if (!live(k)) continue;
     int fds[2];
     if (::pipe(fds) != 0) {
-      outcomes[k].failed = true;
-      outcomes[k].reason = std::string("pipe failed: ") +
-                           std::strerror(errno);
+      failures[k] = std::string("pipe failed: ") + std::strerror(errno);
       continue;
     }
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
-      outcomes[k].failed = true;
-      outcomes[k].reason = std::string("fork failed: ") +
-                           std::strerror(errno);
+      failures[k] = std::string("fork failed: ") + std::strerror(errno);
       continue;
     }
     if (pid == 0) {
@@ -782,7 +668,7 @@ void MemberSet::run_in_children(const SequenceStore& queries,
       // recovery path (EOF on the pipe + nonzero waitpid status) is the
       // one exercised. Live children must stay out of OpenMP regions —
       // libgomp state does not survive fork — so the batch runs as a
-      // plain single-threaded loop.
+      // plain single-threaded loop over an engine of this member alone.
       ::close(fds[0]);
       if (doomed[k]) ::_exit(kInjectedExitStatus);
       int status = 0;
@@ -791,22 +677,23 @@ void MemberSet::run_in_children(const SequenceStore& queries,
         // and thread-local caches don't survive fork): same options, its
         // own epoch. The epoch ships back in the frame so the parent can
         // re-base — CLOCK_MONOTONIC is system-wide, so the offset is just
-        // the epoch difference.
+        // the epoch difference — and stamp the member on its spans.
         std::unique_ptr<trace::Tracer> child_tracer;
         if (tracer != nullptr) {
           child_tracer = std::make_unique<trace::Tracer>(tracer->options());
-          child_tracer->set_shard(k);
         }
         const Timer timer;
+        const MuBlastpEngine engine(members_[k].view(), options_.params,
+                                    engine_->options());
         std::vector<QueryResult> results;
         results.reserve(queries.size());
         for (SeqId q = 0; q < queries.size(); ++q) {
           if (child_tracer != nullptr) {
-            results.push_back(engine(k)->search(
-                queries.sequence(q), static_cast<std::uint32_t>(q),
-                *child_tracer));
+            results.push_back(engine.search(queries.sequence(q),
+                                            static_cast<std::uint32_t>(q),
+                                            *child_tracer));
           } else {
-            results.push_back(engine(k)->search(queries.sequence(q)));
+            results.push_back(engine.search(queries.sequence(q)));
           }
         }
         if (child_tracer != nullptr) {
@@ -836,8 +723,9 @@ void MemberSet::run_in_children(const SequenceStore& queries,
 
   // Drain each pipe fully, in member order, then reap. Children blocked on
   // a full pipe unblock when their turn comes; no deadlock.
+  std::vector<std::vector<QueryResult>> per_member(member_count());
   for (const Child& c : children) {
-    Outcome& out = outcomes[c.member];
+    std::string& failure = failures[c.member];
     std::uint64_t len = 0;
     std::uint32_t crc = 0;
     std::string payload;
@@ -853,37 +741,34 @@ void MemberSet::run_in_children(const SequenceStore& queries,
     while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
     }
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      out.failed = true;
       if (WIFEXITED(status) && WEXITSTATUS(status) == kInjectedExitStatus) {
-        out.reason = "shard worker exited with status " +
-                     std::to_string(kInjectedExitStatus) +
-                     " (injected fault)";
+        failure = "shard worker exited with status " +
+                  std::to_string(kInjectedExitStatus) + " (injected fault)";
       } else if (WIFSIGNALED(status)) {
-        out.reason = "shard worker killed by signal " +
-                     std::to_string(WTERMSIG(status));
+        failure = "shard worker killed by signal " +
+                  std::to_string(WTERMSIG(status));
       } else {
-        out.reason = "shard worker exited with status " +
-                     std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
-                                                      : -1);
+        failure = "shard worker exited with status " +
+                  std::to_string(WIFEXITED(status) ? WEXITSTATUS(status)
+                                                   : -1);
       }
       continue;
     }
     if (!frame_ok) {
-      out.failed = true;
-      out.reason = "shard worker result frame truncated";
+      failure = "shard worker result frame truncated";
       continue;
     }
     if (crc32(payload.data(), payload.size()) != crc) {
-      out.failed = true;
-      out.reason = "shard worker result frame checksum mismatch";
+      failure = "shard worker result frame checksum mismatch";
       continue;
     }
+    stats::ShardStats& entry = out.shards.per_shard[c.member];
     try {
       ChildTrace child_trace;
-      out.results = decode_results(
+      per_member[c.member] = decode_results(
           {reinterpret_cast<const std::byte*>(payload.data()),
            payload.size()},
-          queries.size(), &out.seconds,
+          queries.size(), &entry.seconds,
           tracer != nullptr ? &child_trace : nullptr);
       if (tracer != nullptr) {
         const std::int64_t offset =
@@ -894,11 +779,62 @@ void MemberSet::run_in_children(const SequenceStore& queries,
         tracer->add_dropped(child_trace.dropped);
       }
     } catch (const std::exception& e) {
-      out.failed = true;
-      out.reason = e.what();
-      out.results.clear();
+      failure = e.what();
+      per_member[c.member].clear();
+      entry.seconds = 0.0;
+      continue;
+    }
+    for (const QueryResult& r : per_member[c.member]) {
+      entry.hits += r.stats.hits;
+      entry.alignments += r.alignments.size();
     }
   }
+
+  // The merge: remap to global ids, concatenate, sum the counters, rank
+  // with finalize's total order and keep the top max_alignments.
+  const std::uint64_t merge_begin = tracer != nullptr ? tracer->now_ns() : 0;
+  out.results.resize(queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    QueryResult& merged = out.results[q];
+    for (std::uint32_t k = 0; k < member_count(); ++k) {
+      if (per_member[k].empty()) continue;  // failed or empty member
+      const QueryResult& r = per_member[k][q];
+      for (GappedAlignment a : r.alignments) {
+        a.subject = members_[k].to_global[a.subject];
+        merged.alignments.push_back(std::move(a));
+      }
+      for (UngappedAlignment u : r.ungapped) {
+        u.subject = members_[k].to_global[u.subject];
+        merged.ungapped.push_back(u);
+      }
+      merged.stats += r.stats;
+    }
+    std::sort(merged.alignments.begin(), merged.alignments.end(),
+              final_ranking_less);
+    if (merged.alignments.size() > options_.params.max_alignments) {
+      merged.alignments.resize(options_.params.max_alignments);
+    }
+    canonicalize_ungapped(merged.ungapped);
+  }
+  if (tracer != nullptr) {
+    tracer->record(trace::SpanKind::kMerge, merge_begin, tracer->now_ns());
+    tracer->flush();
+  }
+  if (ps != nullptr) {
+    // The children keep no per-block rows: the run books the results'
+    // counters only.
+    ps->begin_run(threads, 0, queries.size());
+    ps->set_kernel(simd::kernel_name(options_.engine.kernel));
+    stats::PipelineStats::Recorder rec = ps->recorder(0);
+    stats::GappedKernelStats gapped;
+    for (const QueryResult& r : out.results) {
+      rec.add(stats::counters_of(r.stats));
+      gapped += stats::gapped_kernel_of(r.stats);
+    }
+    ps->set_gapped_kernel(gapped);
+    ps->finish_run(run_timer.seconds());
+  }
+  return failures;
 }
 
 }  // namespace mublastp::cluster

@@ -1,24 +1,26 @@
 // MemberSet: one logical database searched as an ordered set of
-// self-contained index members, with the per-member results merged back
-// into single-database output. The paper's Section IV-D treats partition
-// search and batch merge as one operation; so does this class, for all
-// three database layouts:
+// self-contained index members, for all three database layouts:
 //  * kSingle — a plain index file, or a generation with one member;
 //  * kChain  — a MUGEN01 generation: base + appended delta members
 //              (index/generation.hpp, docs/INCREMENTAL.md);
 //  * kShards — the shards of a MUSHARD01 manifest (docs/SHARDING.md).
 //
-// Why merged output is bit-identical to one index over the whole database:
-//  * every member engine prices E-values over the COMBINED residue total
+// The paper's Section IV-D treats a partition as a set of blocks followed
+// by one batch merge, and so does a search in this process: one
+// MuBlastpEngine over one DbIndexView joining every live member's blocks
+// (DbIndexView::join), then one gapped stage and one finalize per query.
+// A 1-member set's view is its member's own. WorkerMode::kProcess stands in
+// for the paper's multi-node design: one fork(2)ed child per member, with
+// the children's results merged. Either way the output is bit-identical to
+// one index over the whole database:
+//  * E-values are priced over the set's manifest total
 //    (MuBlastpOptions::effective_db_residues);
-//  * finalize culling is same-subject only, and members hold disjoint
-//    subjects, so no member's alignment can suppress another's;
-//  * each member's kept list is a prefix, under final_ranking_less, of its
-//    non-redundant alignments that holds the global top-K living in that
-//    member, so remapping to global ids, concatenating, re-sorting with the
-//    same total order and truncating reproduces the single-index list;
+//  * every stage after hit detection works per subject, and each subject
+//    lives in one member, whose blocks resolve it through that member's
+//    own store to its global id;
+//  * results are ranked with one total order (final_ranking_less), and
+//    each child's kept list holds the global top-K living in its member;
 //  * stage counters are additive over disjoint subject sets.
-// A 1-member set skips the merge: its member's results are the answer.
 // tests/test_shards.cpp and tests/test_incremental.cpp prove this
 // differentially, and mublastp_verify re-proves it on every CI build.
 //
@@ -30,7 +32,7 @@
 // quarantined whole; a chain member is checked whole under strict mode.
 //
 // A member that fails (load damage, a worker crash, an injected fault) is
-// quarantined: the others still merge, the member lands in
+// quarantined: it contributes no blocks, it lands in
 // DegradedStats::quarantined_shards by position, and the run is partial
 // (exit 3 in the tools). Strict mode fails closed instead. The one member
 // of a kSingle set is never quarantined: its errors propagate unchanged.
@@ -54,10 +56,8 @@ namespace mublastp::cluster {
 
 /// Where member searches run.
 enum class WorkerMode {
-  /// In this process. A batch with at least as many queries as threads
-  /// searches the members one after another, each with every thread; a
-  /// smaller batch searches them at once, with no more than `threads`
-  /// search threads in total.
+  /// In this process: one engine pass over every member's blocks, with
+  /// every thread.
   kThread,
   /// One fork(2)ed child per member running a single-threaded per-query
   /// loop, results back over a pipe in a length + CRC frame.
@@ -78,38 +78,26 @@ enum class LoadMode {
   kCopy,  ///< copy-load every member
 };
 
-/// Configuration shared by every member engine plus the failure policy.
+/// Engine configuration plus the failure policy.
 struct MemberSetOptions {
   SearchParams params;
-  /// Engine options for every member. effective_db_residues is overwritten
-  /// with the set's combined total: that field is the set's, not the
-  /// caller's.
+  /// Engine options. effective_db_residues is overwritten with the set's
+  /// manifest total: that field is the set's, not the caller's.
   MuBlastpOptions engine;
   /// Fail closed: any member damage or failure throws instead of
   /// quarantining the member and continuing.
   bool strict = false;
 };
 
-/// What a search returns: merged per-query results (global subject ids,
-/// final ranking, counters summed over members) plus per-member telemetry
-/// (the stats-v1 "shards" object) and the degradation picked up while
-/// searching.
+/// What a search returns: per-query results over the whole set (global
+/// subject ids, final ranking, counters over every member) plus per-member
+/// telemetry (the stats-v1 "shards" object) and the degradation picked up
+/// while searching.
 struct MemberSearchResult {
   std::vector<QueryResult> results;
   stats::ShardsStats shards;
   stats::DegradedStats degraded;
 };
-
-/// Merges per-member results of any disjoint-subject partition of one
-/// database: remaps each member's subject ids through its `to_global`
-/// slice, concatenates, sums stage counters, re-sorts with
-/// final_ranking_less, truncates to `max_alignments` and canonicalizes the
-/// ungapped lists. An empty per-member vector means that member was
-/// quarantined and contributes nothing.
-std::vector<QueryResult> merge_partition_results(
-    const std::vector<std::vector<QueryResult>>& per_member,
-    const std::vector<std::span<const SeqId>>& to_global,
-    std::size_t num_queries, std::size_t max_alignments);
 
 /// The members of one logical database, opened and ready to search.
 class MemberSet {
@@ -147,18 +135,19 @@ class MemberSet {
   MemberSet& operator=(MemberSet&&) noexcept;
   ~MemberSet();
 
-  /// Searches `queries` against every live member and merges. `threads` is
-  /// the whole search-thread budget (<= 0: the hardware concurrency); see
-  /// WorkerMode for how members share it. Injection site "shard.worker" is
-  /// evaluated in the parent once per live shard of a kShards set, in
-  /// ascending order: a fired thread-mode member fails before searching, a
-  /// fired process-mode child dies like a real crash.
+  /// Searches `queries` against every live member. `threads` is the
+  /// search-thread budget (<= 0: the hardware concurrency). Injection site
+  /// "shard.worker" is evaluated in the parent once per live shard of a
+  /// kShards set, in ascending order: a fired thread-mode member's blocks
+  /// drop out of the pass, a fired process-mode child dies like a real
+  /// crash.
   ///
-  /// With `tracer` non-null, a kSingle set records into it directly; the
-  /// members of the other layouts record into child tracers whose spans
-  /// carry the member position in the shard lane, plus one shard_worker
-  /// span per member and, when results are merged, one merge span. `ps`,
-  /// for a 1-member set only, collects the engine's pipeline telemetry.
+  /// In thread mode `tracer` (when non-null) records the pass's stage
+  /// spans, block ids being positions in view(); in process mode it gets
+  /// each child's spans, stamped with the member position in the shard
+  /// lane, plus one shard_worker span per member and one merge span. `ps`
+  /// (when non-null) collects the run's pipeline telemetry: per-block rows
+  /// in thread mode, the results' counters in process mode.
   MemberSearchResult search(const SequenceStore& queries, int threads,
                             WorkerMode mode = WorkerMode::kThread,
                             trace::Tracer* tracer = nullptr,
@@ -179,9 +168,14 @@ class MemberSet {
   /// (max - min) / max of the per-member residue counts.
   double predicted_imbalance() const;
 
-  /// Member k's engine, or null for an empty or quarantined member.
-  const MuBlastpEngine* engine(std::uint32_t k) const {
-    return members_[k].engine.get();
+  /// True unless member k is empty or quarantined.
+  bool live(std::uint32_t k) const { return members_[k].live(); }
+
+  /// The one view over every live member's blocks that in-process searches
+  /// run on; results of any layout render against it. Null when no member
+  /// is live.
+  const DbIndexView* view() const {
+    return engine_ != nullptr ? &engine_->view() : nullptr;
   }
 
   /// Member k's local-original-id -> global-original-id map.
@@ -200,11 +194,9 @@ class MemberSet {
     return members_[k].load;
   }
 
-  /// The whole database in global original-id order, for rendering merged
-  /// results. Built on first call, so a caller that renders a 1-member set
-  /// from its member's view never pays for the copy. Quarantined members
-  /// contribute one-residue placeholders, which are never rendered: they
-  /// contribute no alignments either.
+  /// The whole database in global original-id order, as a copy. Built on
+  /// first call. Quarantined members contribute one-residue placeholders,
+  /// which are never rendered: they contribute no alignments either.
   const SequenceStore& global_db() const;
 
   const MemberSetOptions& options() const { return options_; }
@@ -215,10 +207,10 @@ class MemberSet {
     std::vector<SeqId> to_global;
     std::uint64_t num_residues = 0;
     stats::IndexLoadStats load;
-    std::unique_ptr<MappedDbIndex> mapped;   ///< mapped member
-    std::unique_ptr<DbIndex> owned;          ///< copy-loaded or built
-    std::unique_ptr<MuBlastpEngine> engine;  ///< null when empty/quarantined
+    std::unique_ptr<MappedDbIndex> mapped;  ///< mapped member
+    std::unique_ptr<DbIndex> owned;         ///< copy-loaded or built
 
+    bool live() const { return mapped != nullptr || owned != nullptr; }
     DbIndexView view() const {
       return mapped ? DbIndexView(*mapped) : DbIndexView(*owned);
     }
@@ -226,22 +218,22 @@ class MemberSet {
   /// What the layout's manifest promises about one member.
   struct Plan;
   struct GlobalStore;
-  struct Outcome;
 
   MemberSet();
   void open_members(const std::vector<Plan>& plans, LoadMode mode,
                     stats::DegradedStats* degraded);
-  void start_engines();
+  /// An engine over the joined view of every live member not in `skip`,
+  /// or null when there is none.
+  std::unique_ptr<MuBlastpEngine> make_engine(
+      const std::vector<bool>& skip) const;
   /// "shard k" or "chain member k", for messages.
   std::string label(std::uint32_t k) const;
-  void run_in_process(const SequenceStore& queries, int threads,
-                      const std::vector<bool>& doomed,
-                      std::vector<Outcome>& outcomes, trace::Tracer* tracer,
-                      stats::PipelineStats* ps) const;
-  void run_in_children(const SequenceStore& queries,
-                       const std::vector<bool>& doomed,
-                       std::vector<Outcome>& outcomes,
-                       trace::Tracer* tracer) const;
+  /// One forked child per live member, then the merge. Returns why each
+  /// member failed ("" for those that did not).
+  std::vector<std::string> search_in_children(
+      const SequenceStore& queries, int threads,
+      const std::vector<bool>& doomed, trace::Tracer* tracer,
+      stats::PipelineStats* ps, MemberSearchResult& out) const;
 
   Layout layout_ = Layout::kSingle;
   std::vector<Member> members_;
@@ -250,6 +242,7 @@ class MemberSet {
   std::uint64_t total_residues_ = 0;
   PartitionStrategy strategy_ = PartitionStrategy::kContiguous;
   MemberSetOptions options_;
+  std::unique_ptr<MuBlastpEngine> engine_;  ///< over every live member
   std::unique_ptr<GlobalStore> global_;
 };
 

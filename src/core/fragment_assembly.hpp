@@ -21,7 +21,8 @@ namespace mublastp {
 /// Converts a fragment-local ungapped segment to whole-sequence coordinates,
 /// re-extending across the boundary when the local extension was clipped.
 /// `qoff`/`soff_local` anchor the hit that produced `seg`. `Db` is anything
-/// with sequence(SeqId) -> span<const Residue> (SequenceStore, DbIndexView).
+/// with sequence(SeqId) -> span<const Residue> (SequenceStore, DbIndexView,
+/// DbIndexView::Member).
 template <typename Db>
 UngappedAlignment resolve_fragment_segment(
     std::span<const Residue> query, const Db& db,

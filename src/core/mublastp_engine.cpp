@@ -92,7 +92,8 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
                                   Workspace& ws, const FlatNeighborhood* flat,
                                   Mem mem, Rec prec) const {
   const ScoreMatrix& matrix = *params_.matrix;
-  const DbIndexView& db = view_;
+  // The block's fragments point into its own member's store.
+  const DbIndexView::Member& db = view_.members()[block.member()];
   const NeighborTable& neighbors = view_.neighbors();
 
   // Dense per-block diagonal keys (core/diag_keys.hpp): compact keys mean
@@ -311,6 +312,7 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       ++stats.ungapped_alignments;
       out.push_back(resolve_fragment_segment(query, db, frag, seg, rec.qoff,
                                              soff, matrix, params_));
+      out.back().subject += db.first_seq;
       ext_reached = static_cast<std::int32_t>(seg.q_end);
     } else {
       ext_reached = static_cast<std::int32_t>(rec.qoff);

@@ -71,11 +71,11 @@ struct MuBlastpOptions {
   double time_budget_seconds = 0.0;
 
   /// Search-space size (residues) used for E-value statistics instead of
-  /// the index's own total when nonzero. Sharded execution sets this to the
-  /// COMBINED database size so every shard's E-values (and the E-value
-  /// cutoff) are computed over the same n as an unsharded run — the
-  /// prerequisite for merged output being bit-identical. 0 (the default)
-  /// keeps the single-index behaviour: n = view.total_residues().
+  /// the view's own total when nonzero. A member set sets this to the
+  /// whole database's size from its manifest, so E-values (and the E-value
+  /// cutoff) are computed over the same n as one index over the database,
+  /// whichever members a pass or a process-mode child searches. 0 (the
+  /// default) keeps n = view.total_residues().
   std::uint64_t effective_db_residues = 0;
 
   /// Whole-batch workspace budget (bytes; 0 = none), split evenly across
@@ -200,8 +200,8 @@ class MuBlastpEngine {
 
   void sort_records(std::vector<HitRecord>& records, int key_bits) const;
 
-  /// The n of the K*m*n E-value search space: the combined-database
-  /// override when set (sharded execution), the index total otherwise.
+  /// The n of the K*m*n E-value search space: the whole-database override
+  /// when set (member sets), the view's total otherwise.
   std::size_t statistical_db_residues() const {
     return options_.effective_db_residues != 0
                ? static_cast<std::size_t>(options_.effective_db_residues)

@@ -32,8 +32,7 @@ void PipelineSnapshot::merge(const PipelineSnapshot& o) {
   if (!index_load.recorded()) index_load = o.index_load;
   // Degraded state accumulates: the run is partial if any piece was, and a
   // block quarantined in one piece is quarantined for the whole run
-  // (deduplicated by id and reason: the members of a partitioned database
-  // number their blocks independently, and the reason names the member).
+  // (deduplicated by id and reason).
   degraded.partial = degraded.partial || o.degraded.partial;
   degraded.load_retries += o.degraded.load_retries;
   degraded.time_budget_trips += o.degraded.time_budget_trips;

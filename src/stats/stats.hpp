@@ -273,13 +273,17 @@ struct BuildStats {
   friend bool operator==(const BuildStats&, const BuildStats&) = default;
 };
 
-/// One shard's contribution to a sharded run: wall time of its worker and
-/// what it found. A quarantined shard keeps its entry with zeros.
+/// One shard's contribution to a sharded run: its time and what it found.
+/// A quarantined shard keeps its entry with zeros.
 struct ShardStats {
   std::uint32_t shard = 0;
-  double seconds = 0.0;          ///< worker wall time across the batch
+  /// In-process: stage 1-2 CPU seconds over the shard's blocks. Process
+  /// mode: the shard worker's wall time.
+  double seconds = 0.0;
   std::uint64_t hits = 0;        ///< stage-1 word hits in this shard
-  std::uint64_t alignments = 0;  ///< final alignments contributed (pre-merge)
+  /// Final alignments of this shard's subjects (process mode: the worker's
+  /// own list, before the merge).
+  std::uint64_t alignments = 0;
 
   friend bool operator==(const ShardStats&, const ShardStats&) = default;
 };
@@ -294,7 +298,7 @@ struct ShardsStats {
   /// (max - min) / max of per-shard residue counts — the static balance the
   /// partitioner promised.
   double imbalance_predicted = 0.0;
-  /// Same ratio over the measured per-shard worker seconds — what the run
+  /// Same ratio over the measured per-shard seconds — what the run
   /// actually saw. Cross-checked against the discrete-event simulator in
   /// bench/shard_balance.
   double imbalance_measured = 0.0;

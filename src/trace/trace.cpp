@@ -123,13 +123,6 @@ Tracer::Tracer(TracerOptions opts)
       epoch_raw_ns_(raw_now_ns()),
       id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-Tracer::Tracer(TracerOptions opts, std::uint64_t epoch_raw_ns,
-               std::uint32_t shard)
-    : opts_(opts),
-      epoch_raw_ns_(epoch_raw_ns),
-      id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)),
-      shard_(shard) {}
-
 Handle Tracer::handle() {
   if (tl_lane.tracer_id != id_) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -159,9 +152,7 @@ void Tracer::flush() {
     const std::size_t first = spans_.size();
     lane->ring.drain(spans_);
     for (std::size_t i = first; i < spans_.size(); ++i) {
-      Span& s = spans_[i];
-      s.lane = lane->index;
-      if (s.shard == kNoId) s.shard = shard_;
+      spans_[i].lane = lane->index;
     }
   }
 }

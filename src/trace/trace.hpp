@@ -15,9 +15,9 @@
 // list (flush()). Overflowing a lane drops the span and bumps a counter —
 // tracing never blocks or reallocates inside a parallel region.
 //
-// Distributed timelines: in-process shard and chain members record into
-// child tracers sharing the parent's clock epoch (no re-basing); fork-process
-// workers ship their raw spans back over the member set's CRC-framed
+// Distributed timelines: an in-process search of any database layout is
+// one engine pass recording straight into the run's tracer; fork-process
+// shard workers ship their raw spans back over the member set's CRC-framed
 // pipes together with their own epoch, and absorb() re-bases them onto the
 // parent's epoch — CLOCK_MONOTONIC is system-wide on Linux, so one merged
 // timeline covers the whole fan-out.
@@ -50,9 +50,9 @@ enum class SpanKind : std::uint8_t {
   kFinalize = 4,    ///< stage 4: merge, cull, traceback, E-values
   kFlatten = 5,     ///< FlatNeighborhood build (hit-kernel setup)
   kIndexLoad = 6,   ///< index open/parse/map
-  kShardWorker = 7, ///< one shard worker's whole batch
+  kShardWorker = 7, ///< one process-mode shard worker's whole batch
   kBatch = 8,       ///< one checkpoint batch
-  kMerge = 9,       ///< cross-shard result merge
+  kMerge = 9,       ///< process-mode cross-shard result merge
 };
 inline constexpr int kNumSpanKinds = 10;
 
@@ -157,9 +157,6 @@ class Handle {
 class Tracer {
  public:
   explicit Tracer(TracerOptions opts = {});
-  /// Child tracer sharing a parent's clock epoch (thread-mode shard
-  /// workers): its spans need no re-basing and are stamped with `shard`.
-  Tracer(TracerOptions opts, std::uint64_t epoch_raw_ns, std::uint32_t shard);
 
   /// Raw CLOCK_MONOTONIC (steady_clock) ns — the clock all epochs live on.
   static std::uint64_t raw_now_ns();
@@ -172,8 +169,6 @@ class Tracer {
   /// The options this tracer was built with (child tracers inherit them).
   const TracerOptions& options() const { return opts_; }
 
-  /// Default shard attribution of locally recorded spans (kNoId = main).
-  void set_shard(std::uint32_t shard) { shard_ = shard; }
   /// Batch id stamped onto spans as they are pushed. Serial-point use only.
   void set_batch(std::uint32_t batch) {
     batch_.store(batch, std::memory_order_relaxed);
@@ -192,13 +187,12 @@ class Tracer {
               std::uint32_t block = kNoId, std::uint32_t query = kNoId,
               std::uint32_t shard = kNoId);
 
-  /// Drains every lane into the run's span list, stamping this tracer's
-  /// shard id onto spans without one. Called at serial points (block-loop
-  /// merge, end of batch); safe against concurrent pushes.
+  /// Drains every lane into the run's span list. Called at serial points
+  /// (block-loop merge, end of batch); safe against concurrent pushes.
   void flush();
 
-  /// Appends externally collected spans (a child tracer's, or a fork-mode
-  /// worker's shipped over the pipe), shifting timestamps by `offset_ns`
+  /// Appends externally collected spans (a fork-mode worker's shipped
+  /// over the pipe), shifting timestamps by `offset_ns`
   /// (child_epoch_raw - parent_epoch_raw) and filling in `shard` / the
   /// current batch where unattributed.
   void absorb(const Span* spans, std::size_t n, std::int64_t offset_ns,
@@ -228,7 +222,6 @@ class Tracer {
   TracerOptions opts_;
   std::uint64_t epoch_raw_ns_;
   std::uint64_t id_;  ///< process-global tracer id (thread-local lane cache key)
-  std::uint32_t shard_ = kNoId;
   std::atomic<std::uint32_t> batch_{kNoId};
   std::atomic<bool> counters_opened_{false};
 

@@ -25,6 +25,7 @@
 #include "common/rng.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_io.hpp"
+#include "index/mapped_db_index.hpp"
 #include "report/report.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
@@ -189,6 +190,55 @@ TEST_F(Incremental, ChainSearchMatchesRebuildDownToEveryCounter) {
                 expect[q].alignments[i].ops);
     }
   }
+}
+
+TEST_F(Incremental, ChainTelemetryIsOnePassOverEveryMembersBlocks) {
+  const SequenceStore db =
+      synth::generate_database(synth::sprot_like(40000), 7);
+  Rng rng(8);
+  const SequenceStore queries = synth::sample_queries(db, 3, 64, rng);
+  const std::vector<SequenceStore> batches = split_batches(db, 2);
+  DbIndexConfig config;
+  config.block_bytes = 16 * 1024;  // several blocks per member
+  save_db_index_file_durable(base_, DbIndex::build(batches[0], config));
+  (void)append_generation(base_, batches[1]);
+
+  SequenceStore combined;
+  concat_into(combined, batches[0]);
+  concat_into(combined, batches[1]);
+  const DbIndex full = DbIndex::build(combined, config);
+  stats::PipelineStats single;
+  const std::vector<QueryResult> expect =
+      MuBlastpEngine{DbIndexView(full)}.search_batch(queries, 2, &single);
+
+  const cluster::MemberSet chain = cluster::MemberSet::open_index(
+      base_, {{}, {}, /*strict=*/true}, nullptr);
+  ASSERT_EQ(chain.member_count(), 2u);
+  std::size_t member_blocks = 0;
+  for (std::uint32_t k = 0; k < chain.member_count(); ++k) {
+    member_blocks += MappedDbIndex(chain.member_path(k)).blocks().size();
+  }
+  EXPECT_GT(member_blocks, 2u);
+
+  stats::PipelineStats ps;
+  const cluster::MemberSearchResult got =
+      chain.search(queries, 2, cluster::WorkerMode::kThread, nullptr, &ps);
+  ASSERT_EQ(got.results.size(), expect.size());
+  for (SeqId q = 0; q < queries.size(); ++q) {
+    EXPECT_TRUE(got.results[q].stats == expect[q].stats) << "query " << q;
+    EXPECT_EQ(got.results[q].alignments.size(), expect[q].alignments.size());
+  }
+  const stats::PipelineSnapshot snap = ps.snapshot();
+  EXPECT_TRUE(snap.totals == single.snapshot().totals);
+  ASSERT_EQ(snap.per_block.size(), member_blocks);
+  for (std::size_t b = 0; b < snap.per_block.size(); ++b) {
+    EXPECT_EQ(snap.per_block[b].block, b);
+  }
+  std::uint64_t member_hits = 0;
+  for (const stats::ShardStats& s : got.shards.per_shard) {
+    member_hits += s.hits;
+  }
+  EXPECT_EQ(member_hits, snap.totals.hits);
 }
 
 // --- manifest fail-closed sweeps --------------------------------------------

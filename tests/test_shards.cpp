@@ -31,6 +31,7 @@
 #include "index/db_index_view.hpp"
 #include "report/report.hpp"
 #include "score/matrix.hpp"
+#include "stats/stats.hpp"
 #include "synth/synth.hpp"
 #include "temp_path.hpp"
 
@@ -133,8 +134,7 @@ TEST_P(ShardEquivalence, MergedOutputIsBitIdenticalToUnsharded) {
   EXPECT_FALSE(res.degraded.any());
   expect_same_results(res.results, *reference_);
 
-  // A batch with fewer queries than threads runs in-process members at
-  // once instead of in turn; it must merge to the same answer.
+  // A batch with fewer queries than threads must give the same answer.
   SequenceStore one;
   one.add(queries_->sequence(0), queries_->name(0));
   const MemberSearchResult single = set.search(one, 2, mode);
@@ -149,17 +149,21 @@ TEST_P(ShardEquivalence, MergedOutputIsBitIdenticalToUnsharded) {
   for (const QueryResult& r : *reference_) ref_hits += r.stats.hits;
   EXPECT_EQ(shard_hits, ref_hits);
 
-  // Rendered reports must match line for line: merged results carry global
-  // ids resolved against the reconstructed global store.
+  // Rendered reports must match line for line: results carry global ids,
+  // resolved against the set's joined view (what mublastp_search renders
+  // from) and against the reconstructed global store.
   const DbIndex index = DbIndex::build(*db_, test_config());
   const DbIndexView view(index);
   for (SeqId q = 0; q < queries_->size(); ++q) {
-    std::ostringstream sharded, unsharded;
-    write_tabular(sharded, queries_->name(q), queries_->sequence(q),
+    std::ostringstream joined, copied, unsharded;
+    write_tabular(joined, queries_->name(q), queries_->sequence(q),
+                  *set.view(), res.results[q], blosum62());
+    write_tabular(copied, queries_->name(q), queries_->sequence(q),
                   set.global_db(), res.results[q], blosum62());
     write_tabular(unsharded, queries_->name(q), queries_->sequence(q), view,
                   (*reference_)[q], blosum62());
-    EXPECT_EQ(sharded.str(), unsharded.str()) << "query " << q;
+    EXPECT_EQ(joined.str(), unsharded.str()) << "query " << q;
+    EXPECT_EQ(copied.str(), unsharded.str()) << "query " << q;
   }
 }
 
@@ -181,6 +185,57 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return n;
     });
+
+// ---------------------------------------------------------------------------
+// One engine pass: pipeline telemetry over every member's blocks
+// ---------------------------------------------------------------------------
+
+class ShardTelemetry : public ShardCampaign,
+                       public ::testing::WithParamInterface<int> {};
+
+TEST_P(ShardTelemetry, OnePassBooksEveryMembersBlocks) {
+  const int n = GetParam();
+  const DbIndex index = DbIndex::build(*db_, test_config());
+  const MuBlastpEngine engine(index, test_params());
+  stats::PipelineStats single;
+  (void)engine.search_batch(*queries_, 2, &single);
+
+  const MemberSet set = MemberSet::partition(
+      *db_, n, PartitionStrategy::kRoundRobinSorted, test_config(),
+      {test_params(), {}, false});
+  std::size_t member_blocks = 0;
+  for (std::uint32_t k = 0; k < set.member_count(); ++k) {
+    SequenceStore slice;
+    for (const SeqId g : set.to_global(k)) {
+      slice.add(db_->sequence(g), db_->name(g));
+    }
+    member_blocks += DbIndex::build(slice, test_config()).blocks().size();
+  }
+
+  stats::PipelineStats ps;
+  const MemberSearchResult res =
+      set.search(*queries_, 2, WorkerMode::kThread, nullptr, &ps);
+  EXPECT_FALSE(res.degraded.any());
+  expect_same_results(res.results, *reference_);
+  const stats::PipelineSnapshot got = ps.snapshot();
+  EXPECT_TRUE(got.totals == single.snapshot().totals);
+  // One row per block of every member, numbered by position in the view.
+  ASSERT_EQ(got.per_block.size(), member_blocks);
+  for (std::size_t b = 0; b < got.per_block.size(); ++b) {
+    EXPECT_EQ(got.per_block[b].block, b);
+    EXPECT_EQ(got.per_block[b].rounds, queries_->size());
+  }
+  std::uint64_t shard_hits = 0;
+  for (const stats::ShardStats& s : res.shards.per_shard) {
+    shard_hits += s.hits;
+  }
+  EXPECT_EQ(shard_hits, got.totals.hits);
+}
+
+INSTANTIATE_TEST_SUITE_P(Members, ShardTelemetry, ::testing::Values(1, 3, 7),
+                         [](const auto& info) {
+                           return "N" + std::to_string(info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // More shards than sequences: surplus shards are empty and harmless
@@ -208,7 +263,7 @@ TEST_F(ShardCampaign, EmptyShardsAreHarmless) {
       {test_params(), {}, false});
   std::uint32_t live = 0;
   for (std::uint32_t k = 0; k < set.member_count(); ++k) {
-    if (set.engine(k) != nullptr) ++live;
+    if (set.live(k)) ++live;
   }
   EXPECT_EQ(live, 5u);
   const MemberSearchResult res =
@@ -244,7 +299,7 @@ std::string write_shard_layout(const SequenceStore& db, int n,
     for (const SeqId g : shard.to_global) {
       shard.num_residues += db.length(g);
     }
-    if (set.engine(k) == nullptr) continue;
+    if (!set.live(k)) continue;
     const std::string path =
         name + ".shard" + std::to_string(k) + ".mbi";
     // Rebuild the shard index from the shard's slice (partition does not
@@ -317,7 +372,7 @@ TEST_F(ShardCampaign, RottedShardIndexIsQuarantinedOrFailsClosed) {
   EXPECT_NE(deg.quarantined_shards[0].reason.find("checksum"),
             std::string::npos);
   EXPECT_TRUE(deg.partial);
-  EXPECT_EQ(set.engine(1), nullptr);
+  EXPECT_FALSE(set.live(1));
 
   // Surviving shards still produce their subjects' exact results.
   const MemberSearchResult res =

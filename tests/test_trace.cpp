@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -218,6 +219,9 @@ TEST(TracerAbsorb, ShardedTimelinesAreMonotoneInBothWorkerModes) {
   const cluster::MemberSet set = cluster::MemberSet::partition(
       db, 3, cluster::PartitionStrategy::kRoundRobinSorted, DbIndexConfig{},
       opts);
+  const std::uint32_t nblocks =
+      static_cast<std::uint32_t>(set.view()->blocks().size());
+  ASSERT_EQ(set.view()->members().size(), 3u);
 
   for (const auto mode : {cluster::WorkerMode::kThread,
                           cluster::WorkerMode::kProcess}) {
@@ -229,6 +233,7 @@ TEST(TracerAbsorb, ShardedTimelinesAreMonotoneInBothWorkerModes) {
     const std::uint64_t wall_end = tracer.now_ns();
     bool saw_worker = false;
     bool saw_merge = false;
+    std::set<std::uint32_t> blocks;
     for (const trace::Span& s : tracer.spans()) {
       EXPECT_LE(s.begin_ns, s.end_ns);
       // Every re-based child timestamp lands inside the parent's run
@@ -239,12 +244,24 @@ TEST(TracerAbsorb, ShardedTimelinesAreMonotoneInBothWorkerModes) {
         EXPECT_NE(s.shard, trace::kNoId);
       }
       if (s.kind == trace::SpanKind::kMerge) saw_merge = true;
-      if (s.kind == trace::SpanKind::kGapped) {
+      if (s.kind == trace::SpanKind::kHitDetect) blocks.insert(s.block);
+      if (s.kind == trace::SpanKind::kGapped &&
+          mode == cluster::WorkerMode::kProcess) {
         EXPECT_NE(s.shard, trace::kNoId);
       }
     }
-    EXPECT_TRUE(saw_worker);
-    EXPECT_TRUE(saw_merge);
+    if (mode == cluster::WorkerMode::kThread) {
+      // One engine pass over every member's blocks: stage spans carry the
+      // blocks' positions in the joined view, and nothing is merged.
+      EXPECT_FALSE(saw_worker);
+      EXPECT_FALSE(saw_merge);
+      ASSERT_FALSE(blocks.empty());
+      EXPECT_LT(*blocks.rbegin(), nblocks);
+      EXPECT_EQ(blocks.size(), nblocks);
+    } else {
+      EXPECT_TRUE(saw_worker);
+      EXPECT_TRUE(saw_merge);
+    }
   }
 }
 

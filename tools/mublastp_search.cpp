@@ -18,22 +18,21 @@
 // --append` never ran, else the MUGEN01 base + delta chain. A corrupt
 // newest manifest fails closed (exit 5). --shards-manifest opens the shards
 // of a MUSHARD01 manifest written by `mublastp_makedb --shards=N`
-// (docs/SHARDING.md). Every layout is one cluster::MemberSet: each member
-// prices E-values over the COMBINED database, and the merged report is
-// byte-identical to a search of one index over the same sequences. Every
-// flag applies to every layout.
+// (docs/SHARDING.md). Every layout is one cluster::MemberSet, searched by
+// one engine pass over every member's blocks with E-values priced over the
+// whole database, so the report is byte-identical to a search of one index
+// over the same sequences. Every flag applies to every layout.
 //
-// --shard-mode=thread (the default) searches the shards in this process:
-// when the batch has at least as many queries as --threads, one after
-// another with every thread, else at once, splitting the threads.
-// --shard-mode=process fork(2)s one single-threaded child per shard and
-// reads results back over CRC-framed pipes. Chain members always run in
-// this process.
+// --shard-mode=thread (the default) searches the shards in that one pass.
+// --shard-mode=process fork(2)s one single-threaded child per shard,
+// reads results back over CRC-framed pipes and merges them. --shard-mode
+// needs --shards-manifest: chain members always run in this process.
 //
 // --trace=FILE records a span timeline of the whole run (index load, every
-// stage of every (block, query) round, member workers, the merge) and
-// writes it as Chrome trace-event JSON (schema "mublastp-trace-v1",
-// loadable in Perfetto / chrome://tracing; see docs/OBSERVABILITY.md).
+// stage of every (block, query) round; process-mode shard workers and their
+// merge) and writes it as Chrome trace-event JSON (schema
+// "mublastp-trace-v1", loadable in Perfetto / chrome://tracing; see
+// docs/OBSERVABILITY.md).
 // --trace-counters additionally samples hardware counters (cycles,
 // instructions, LLC misses, branch mispredicts) per stage span via
 // perf_event_open(2) — silently degrading to plain timestamps where the
@@ -45,11 +44,14 @@
 // stderr is not a TTY so piped output stays clean; --progress=force prints
 // regardless.
 //
-// --threads defaults to the OpenMP thread pool size (omp_get_max_threads);
-// non-positive values are rejected. --kernel selects the kernel ("auto" =
-// best the CPU supports, the default) used by hit detection and the banded
-// gapped extension; ungapped extension is scalar on every kernel. Results
-// are bit-identical for every kernel.
+// Numeric flags take decimal digits only and are range-checked: --threads
+// 1..1024 (default: the OpenMP thread pool size, omp_get_max_threads),
+// --max-alignments and --batch-size at least 1, --mem-budget-mb small
+// enough that its bytes fit 64 bits, and --time-budget a finite number
+// >= 0. A bad value exits 2 naming the flag. --kernel selects the kernel
+// ("auto" = best the CPU supports, the default) used by hit detection and
+// the banded gapped extension; ungapped extension is scalar on every
+// kernel. Results are bit-identical for every kernel.
 //
 // Index loading: v3 index files are memory-mapped by default (zero-copy;
 // pages shared with other processes serving the same database), v2 files
@@ -78,12 +80,14 @@
 //
 // --stats prints a human-readable pipeline-telemetry table to stderr;
 // --stats=json emits the machine-readable snapshot (schema
-// "mublastp-stats-v1", see docs/ALGORITHMS.md) to stdout. A single index
-// reports its full pipeline telemetry and an "index" object recording the
-// load mode/time/residency; shards and chains report the merged counters
-// (shards also a "shards" object with per-shard timings and imbalance).
-// Degraded runs add the "degraded" object. Combine --stats=json with
-// --outfmt=none (or --out) for a stdout that is pure JSON.
+// "mublastp-stats-v1", see docs/ALGORITHMS.md) to stdout. Every in-process
+// layout reports the pass's full pipeline telemetry, its per-block rows
+// numbered by position in the joined view; a single index adds an "index"
+// object recording the load mode/time/residency, and shards a "shards"
+// object with per-shard timings and imbalance. Process-mode shards report
+// the merged counters without per-block rows. Degraded runs add the
+// "degraded" object. Combine --stats=json with --outfmt=none (or --out) for
+// a stdout that is pure JSON.
 //
 // Exit codes: 0 complete, 1 generic failure, 2 usage error, 3 partial
 // results (degraded), 4 I/O error, 5 corrupt input, 6 resource exhaustion,
@@ -92,12 +96,15 @@
 #include <omp.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cluster/member_set.hpp"
@@ -117,21 +124,50 @@ namespace {
 using namespace mublastp;
 using cluster::MemberSet;
 
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
+/// The most --threads and --time-budget accept.
+constexpr int kMaxThreads = 1024;
+constexpr double kMaxTimeBudgetSeconds = 1e9;
+
+/// The value of the first --key=VALUE, or nullopt when the flag is absent.
+std::optional<std::string> arg_value(int argc, char** argv,
+                                     const std::string& key) {
   const std::string prefix = "--" + key + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).rfind(prefix, 0) == 0) {
       return std::string(argv[i] + prefix.size());
     }
   }
-  return fallback;
+  return std::nullopt;
 }
 
-std::size_t arg_num(int argc, char** argv, const std::string& key,
-                    std::size_t fallback) {
-  const std::string v = arg_str(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
+std::string arg_str(int argc, char** argv, const std::string& key,
+                    const std::string& fallback) {
+  return arg_value(argc, argv, key).value_or(fallback);
+}
+
+/// A bad flag value: main prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Reads --key=VALUE as one decimal number (std::from_chars syntax, nothing
+/// around it) within [lo, hi]; `fallback` when the flag is absent.
+template <typename T>
+T arg_number(int argc, char** argv, const std::string& key, T fallback, T lo,
+             T hi) {
+  const std::optional<std::string> v = arg_value(argc, argv, key);
+  if (!v) return fallback;
+  T x{};
+  const char* end = v->data() + v->size();
+  const auto [stop, ec] = std::from_chars(v->data(), end, x);
+  // Written so that a NaN fails too.
+  if (ec != std::errc{} || stop != end || !(x >= lo && x <= hi)) {
+    std::ostringstream msg;
+    msg << "--" << key << " must be a number from " << lo << " to " << hi
+        << " (got '" << *v << "')";
+    throw UsageError(msg.str());
+  }
+  return x;
 }
 
 bool arg_flag(int argc, char** argv, const std::string& key) {
@@ -157,41 +193,22 @@ void render(std::ostream& os, const std::string& outfmt,
   }
 }
 
-/// Renders the reports of queries [begin, begin + results.size()). A
-/// 1-member set renders straight from its member's index view; merged
-/// results carry global ids, resolved against the set's global store.
+/// Renders the reports of queries [begin, begin + results.size()) against
+/// the set's one view, whatever the layout. A set with no live member has
+/// no alignments to resolve.
 void render_batch(std::ostream& os, const std::string& outfmt,
                   const SequenceStore& queries, SeqId begin,
                   const MemberSet& set,
                   const std::vector<QueryResult>& results) {
   if (outfmt == "none") return;  // e.g. for --stats=json
-  const MuBlastpEngine* only = set.member_count() == 1 ? set.engine(0)
-                                                       : nullptr;
+  static const SequenceStore kNoSubjects;
   for (SeqId i = 0; i < results.size(); ++i) {
-    if (only != nullptr) {
-      render(os, outfmt, queries, begin + i, only->view(), results[i]);
+    if (set.view() != nullptr) {
+      render(os, outfmt, queries, begin + i, *set.view(), results[i]);
     } else {
-      render(os, outfmt, queries, begin + i, set.global_db(), results[i]);
+      render(os, outfmt, queries, begin + i, kNoSubjects, results[i]);
     }
   }
-}
-
-/// Resolves --threads (default: the OpenMP pool size). Returns false (after
-/// printing the usage error) on a non-positive or malformed value.
-bool parse_threads(int argc, char** argv, int* out) {
-  const std::string threads_arg = arg_str(argc, argv, "threads", "");
-  long threads_val = omp_get_max_threads();
-  if (!threads_arg.empty()) {
-    char* endp = nullptr;
-    threads_val = std::strtol(threads_arg.c_str(), &endp, 10);
-    if (endp == threads_arg.c_str() || *endp != '\0' || threads_val <= 0) {
-      std::fprintf(stderr, "error: --threads must be a positive integer"
-                   " (got '%s')\n", threads_arg.c_str());
-      return false;
-    }
-  }
-  *out = static_cast<int>(threads_val);
-  return true;
 }
 
 /// The engine name stats-v1 and trace-v1 report for a layout.
@@ -202,33 +219,6 @@ const char* engine_name(MemberSet::Layout layout) {
     case MemberSet::Layout::kShards: return "mublastp-sharded";
   }
   return "mublastp";
-}
-
-/// The stats-v1 snapshot of one search call. A single index reports its
-/// engine's pipeline telemetry (`ps`). A merged search reports only the
-/// deterministic counters, the wall time and, for shards, the "shards"
-/// object: per-stage seconds and blocks are member-internal.
-stats::PipelineSnapshot batch_snapshot(const MemberSet& set,
-                                       const cluster::MemberSearchResult& res,
-                                       const stats::PipelineStats* ps,
-                                       int threads, double seconds) {
-  stats::PipelineSnapshot snap;
-  if (ps != nullptr) {
-    snap = ps->snapshot();
-  } else {
-    snap.engine = engine_name(set.layout());
-    snap.kernel = simd::kernel_name(set.options().engine.kernel);
-    snap.threads = threads;
-    snap.queries = res.results.size();
-    snap.total_seconds = seconds;
-    for (const QueryResult& r : res.results) {
-      snap.totals += stats::counters_of(r.stats);
-      snap.gapped_kernel += stats::gapped_kernel_of(r.stats);
-    }
-    if (set.layout() == MemberSet::Layout::kShards) snap.shards = res.shards;
-  }
-  snap.degraded = res.degraded;
-  return snap;
 }
 
 /// Builds the run's tracer from --trace= / --trace-counters, or a null
@@ -346,72 +336,77 @@ int main(int argc, char** argv) {
                  " [--progress[=force]]\n");
     return 2;
   }
-  if (force_mmap && force_copy) {
-    std::fprintf(stderr, "error: --mmap and --no-mmap are exclusive\n");
-    return 2;
-  }
-  if (!stats_mode.empty() && stats_mode != "table" && stats_mode != "json") {
-    std::fprintf(stderr, "error: unknown --stats mode '%s'"
-                 " (expected --stats or --stats=json)\n", stats_mode.c_str());
-    return 2;
-  }
-  if (outfmt != "pairwise" && outfmt != "tabular" && outfmt != "none") {
-    std::fprintf(stderr, "error: unknown --outfmt '%s'"
-                 " (expected pairwise, tabular or none)\n", outfmt.c_str());
-    return 2;
-  }
-  if (!checkpoint_path.empty() && out_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --checkpoint requires --out=FILE (resume truncates"
-                 " the output back to the last durable batch)\n");
-    return 2;
-  }
-  if (arg_flag(argc, argv, "trace-counters") &&
-      arg_str(argc, argv, "trace", "").empty()) {
-    std::fprintf(stderr, "error: --trace-counters requires --trace=FILE\n");
-    return 2;
-  }
-  {
+  std::size_t batch_size = 0;
+  int threads = 0;
+  cluster::MemberSetOptions opts;
+  cluster::WorkerMode mode = cluster::WorkerMode::kThread;
+  try {
+    if (force_mmap && force_copy) {
+      throw UsageError("--mmap and --no-mmap are exclusive");
+    }
+    if (!stats_mode.empty() && stats_mode != "table" && stats_mode != "json") {
+      throw UsageError("unknown --stats mode '" + stats_mode +
+                       "' (expected --stats or --stats=json)");
+    }
+    if (outfmt != "pairwise" && outfmt != "tabular" && outfmt != "none") {
+      throw UsageError("unknown --outfmt '" + outfmt +
+                       "' (expected pairwise, tabular or none)");
+    }
+    if (!checkpoint_path.empty() && out_path.empty()) {
+      throw UsageError("--checkpoint requires --out=FILE (resume truncates"
+                       " the output back to the last durable batch)");
+    }
+    if (arg_flag(argc, argv, "trace-counters") &&
+        arg_str(argc, argv, "trace", "").empty()) {
+      throw UsageError("--trace-counters requires --trace=FILE");
+    }
     const std::string progress_mode = arg_str(argc, argv, "progress", "");
     if (!progress_mode.empty() && progress_mode != "force") {
-      std::fprintf(stderr, "error: unknown --progress mode '%s'"
-                   " (expected --progress or --progress=force)\n",
-                   progress_mode.c_str());
-      return 2;
+      throw UsageError("unknown --progress mode '" + progress_mode +
+                       "' (expected --progress or --progress=force)");
     }
-  }
-  const std::size_t batch_size = arg_num(argc, argv, "batch-size", 16);
-  if (batch_size == 0) {
-    std::fprintf(stderr, "error: --batch-size must be positive\n");
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    batch_size = arg_number<std::uint64_t>(argc, argv, "batch-size", 16, 1,
+                                           kMax);
+    threads = arg_number(argc, argv, "threads", omp_get_max_threads(), 1,
+                         kMaxThreads);
+    opts.params.max_alignments = arg_number<std::uint64_t>(
+        argc, argv, "max-alignments", 25, 1, kMax);
+    opts.engine.time_budget_seconds = arg_number(
+        argc, argv, "time-budget", 0.0, 0.0, kMaxTimeBudgetSeconds);
+    // Checked before the shift, which would wrap.
+    opts.engine.mem_budget_bytes =
+        arg_number<std::uint64_t>(argc, argv, "mem-budget-mb", 0, 0,
+                                  kMax >> 20)
+        << 20;
+    const std::optional<std::string> shard_mode =
+        arg_value(argc, argv, "shard-mode");
+    if (shard_mode) {
+      if (manifest_path.empty()) {
+        throw UsageError("--shard-mode needs --shards-manifest (generation"
+                         " chains always run in this process)");
+      }
+      mode = cluster::parse_worker_mode(*shard_mode);
+    }
+    if (!inject.empty()) {
+      try {
+        fi::arm_from_spec(inject);
+      } catch (const Error& e) {
+        throw UsageError("bad --inject spec '" + inject + "': " + e.what() +
+                         " (see docs/ROBUSTNESS.md for the site registry)");
+      }
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
-  }
-  int threads = 0;
-  if (!parse_threads(argc, argv, &threads)) return 2;
-  if (!inject.empty()) {
-    try {
-      fi::arm_from_spec(inject);
-    } catch (const Error& e) {
-      std::fprintf(stderr,
-                   "error: bad --inject spec '%s': %s"
-                   " (see docs/ROBUSTNESS.md for the site registry)\n",
-                   inject.c_str(), e.what());
-      return 2;
-    }
   }
 
   // The whole run's snapshot: every search call's stats and degradation
   // fold into it, after what the open itself reported.
   stats::PipelineSnapshot run;
   try {
-    cluster::MemberSetOptions opts;
-    opts.params.max_alignments = arg_num(argc, argv, "max-alignments", 25);
     opts.engine.kernel =
         simd::parse_kernel(arg_str(argc, argv, "kernel", "auto"));
-    opts.engine.time_budget_seconds =
-        std::strtod(arg_str(argc, argv, "time-budget", "0").c_str(), nullptr);
-    opts.engine.mem_budget_bytes =
-        static_cast<std::uint64_t>(arg_num(argc, argv, "mem-budget-mb", 0))
-        << 20;
     if (progress_enabled(argc, argv)) opts.engine.progress = ProgressPrinter{};
     opts.strict = strict;
     if (!simd::kernel_supported(opts.engine.kernel)) {
@@ -423,11 +418,6 @@ int main(int argc, char** argv) {
         force_mmap ? cluster::LoadMode::kMmap
                    : force_copy ? cluster::LoadMode::kCopy
                                 : cluster::LoadMode::kAuto;
-    const cluster::WorkerMode mode =
-        manifest_path.empty()
-            ? cluster::WorkerMode::kThread
-            : cluster::parse_worker_mode(
-                  arg_str(argc, argv, "shard-mode", "thread"));
     const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
 
     Timer t;
@@ -469,14 +459,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "read %zu queries\n", queries.size());
 
     const bool want_stats = !stats_mode.empty();
-    // One search call: its results, with its stats folded into `run`.
+    // One search call: its results, with its stats and degradation folded
+    // into `run`.
     const auto search = [&](const SequenceStore& batch) {
-      stats::PipelineStats ps;
-      stats::PipelineStats* telemetry = want_stats && single ? &ps : nullptr;
-      const Timer bt;
-      cluster::MemberSearchResult res =
-          set.search(batch, threads, mode, tracer.get(), telemetry);
-      run.merge(batch_snapshot(set, res, telemetry, threads, bt.seconds()));
+      stats::PipelineStats ps(engine_name(set.layout()));
+      cluster::MemberSearchResult res = set.search(
+          batch, threads, mode, tracer.get(), want_stats ? &ps : nullptr);
+      stats::PipelineSnapshot snap = ps.snapshot();
+      if (set.layout() == MemberSet::Layout::kShards) snap.shards = res.shards;
+      snap.degraded = std::move(res.degraded);
+      run.merge(snap);
       return std::move(res.results);
     };
 
@@ -503,7 +495,8 @@ int main(int argc, char** argv) {
       // the batch id is journaled, so every journaled batch's output
       // survived any crash and resuming is bit-identical to a clean run.
       const std::uint64_t nq = queries.size();
-      const std::uint64_t nbatches = (nq + batch_size - 1) / batch_size;
+      const std::uint64_t nbatches =
+          nq / batch_size + (nq % batch_size != 0);
       // Fingerprint ties the journal to this (database, query-set,
       // batching) configuration; resuming under any other combination is
       // an error.

@@ -7,11 +7,16 @@
 #   CHECK=equal  (tool_search_sharded_matches_unsharded): the tabular report
 #     of the single index, of the shards under both --shard-mode values and
 #     of the chain must be byte-identical. Two query sets run at 4 threads:
-#     QUERY (one query, fewer than the threads, so in-process members run
-#     at once) and 8 queries drawn with SYNTHGEN (members run in turn).
+#     QUERY (one query, fewer than the threads) and 8 queries drawn with
+#     SYNTHGEN.
 #   CHECK=budget (tool_search_time_budget_every_layout): --time-budget=
 #     0.000001 must trip on the single index, the thread-mode shards and the
 #     chain: exit 3 with time_budget_trips > 0 in stats-v1.
+#   CHECK=stats  (tool_search_stats_every_layout): the thread-mode shards
+#     and the chain run one engine pass over every member's blocks, so
+#     their --stats=json must print the single index's counters, nonzero
+#     stage seconds, and a "blocks" count above 0 with that many per_block
+#     rows.
 foreach(var CHECK SEARCH MAKEDB SYNTHGEN DB_FASTA INDEX MANIFEST QUERY
             WORKDIR)
   if(NOT DEFINED ${var})
@@ -75,23 +80,48 @@ if(CHECK STREQUAL "equal")
   endforeach()
   message(STATUS "single, shards (thread, process) and chain output"
                  " byte-identical for both query sets")
-elseif(CHECK STREQUAL "budget")
+elseif(CHECK STREQUAL "budget" OR CHECK STREQUAL "stats")
   # Fork-mode shard children run the plain per-query search, without
-  # budgets; the in-process layouts must all trip.
+  # budgets or per-block telemetry; the in-process layouts are checked.
+  set(extra "")
+  set(want_rc 0)
+  if(CHECK STREQUAL "budget")
+    set(extra --time-budget=0.000001)
+    set(want_rc 3)
+  endif()
   foreach(layout single shards_thread chain)
     execute_process(
       COMMAND ${SEARCH} ${${layout}_args} --query=${QUERY} --outfmt=none
-              --stats=json --time-budget=0.000001
+              --stats=json ${extra}
       RESULT_VARIABLE rc OUTPUT_VARIABLE stats ERROR_VARIABLE err)
-    if(NOT rc EQUAL 3)
-      message(FATAL_ERROR "${layout}: --time-budget exited ${rc}, not 3:\n"
-                          "${err}")
+    if(NOT rc EQUAL want_rc)
+      message(FATAL_ERROR "${layout}: exited ${rc}, not ${want_rc}:\n${err}")
     endif()
-    if(NOT stats MATCHES "\"time_budget_trips\": [1-9]")
-      message(FATAL_ERROR "${layout}: no time_budget_trips in:\n${stats}")
+    if(CHECK STREQUAL "budget")
+      if(NOT stats MATCHES "\"time_budget_trips\": [1-9]")
+        message(FATAL_ERROR "${layout}: no time_budget_trips in:\n${stats}")
+      endif()
+      continue()
+    endif()
+    # The first "counters" object is the run's; per_block rows follow it.
+    string(REGEX MATCH "\"counters\": {[^}]*}" counters "${stats}")
+    string(REGEX MATCH "\"blocks\": ([0-9]+)" unused "${stats}")
+    set(blocks "${CMAKE_MATCH_1}")
+    string(REGEX MATCHALL "{\"block\": [0-9]+" rows "${stats}")
+    list(LENGTH rows nrows)
+    if(layout STREQUAL "single")
+      set(want "${counters}")
+    elseif(NOT counters STREQUAL want)
+      message(FATAL_ERROR "${layout}: counters differ from the single"
+                          " index:\n${counters}\nvs\n${want}")
+    endif()
+    if(NOT blocks GREATER 0 OR NOT nrows EQUAL blocks OR
+       stats MATCHES "\"stage_seconds\": {\"hit_detect\": 0,")
+      message(FATAL_ERROR "${layout}: ${blocks} blocks, ${nrows} per_block"
+                          " rows, or no stage seconds:\n${stats}")
     endif()
   endforeach()
-  message(STATUS "--time-budget trips and exits 3 on every layout")
+  message(STATUS "CHECK=${CHECK} holds on every in-process layout")
 else()
   message(FATAL_ERROR "shard_e2e.cmake: unknown CHECK=${CHECK}")
 endif()
