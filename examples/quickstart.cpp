@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   const DbIndex index = DbIndex::build(db, config);
   std::printf("indexed into %zu blocks in %.2fs (T=%d neighbor threshold)\n",
               index.blocks().size(), t.seconds(),
-              index.neighbors().threshold());
+              index.config().neighbor_threshold);
 
   // 3. Pick a 256-residue query out of the database.
   Rng rng(seed + 1);

@@ -25,6 +25,7 @@ InterleavedDbEngine::InterleavedDbEngine(DbIndexView index,
                                          SearchParams params,
                                          simd::KernelPath kernel)
     : view_(std::move(index)),
+      neighbors_(*view_.config().matrix, view_.config().neighbor_threshold),
       params_(checked_params(params)),
       kernel_(kernel),
       karlin_(gapped_params(*params.matrix, params.gap_open,
@@ -44,7 +45,7 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                        Rec rec) const {
   const ScoreMatrix& matrix = *params_.matrix;
   const DbIndexView::Member& db = view_.members()[block.member()];
-  const NeighborTable& neighbors = view_.neighbors();
+  const NeighborTable& neighbors = neighbors_;
   [[maybe_unused]] StageStats before;
   if constexpr (Rec::kEnabled) before = stats;
   stats::LapTimer<Rec::kEnabled> lap;
@@ -151,7 +152,7 @@ QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
     if (kernel_ != simd::KernelPath::kScalar) {
       stats::LapTimer<Rec::kEnabled> flat_lap;
       rec.mark();
-      flat.build(query, view_.neighbors());
+      flat.build(query, neighbors_);
       flatp = &flat;
       if constexpr (Rec::kEnabled) {
         rec.hit_kernel({1, flat_lap.lap(), 0, 0});

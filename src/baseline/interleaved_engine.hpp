@@ -15,6 +15,7 @@
 #include "core/two_hit.hpp"
 #include "index/db_index_view.hpp"
 #include "index/flat_lookup.hpp"
+#include "index/neighbor.hpp"
 #include "memsim/memsim.hpp"
 #include "score/karlin.hpp"
 #include "simd/dispatch.hpp"
@@ -29,7 +30,8 @@ class InterleavedDbEngine {
   /// convert implicitly) must outlive the engine. `kernel` selects the
   /// hit-lookup and banded gapped-extension kernels. Results are
   /// bit-identical for every path, and traced runs always use the scalar
-  /// kernel.
+  /// kernel. The engine builds its neighbor table from the index's matrix
+  /// and threshold.
   explicit InterleavedDbEngine(DbIndexView index, SearchParams params = {},
                                simd::KernelPath kernel
                                = simd::default_kernel());
@@ -73,6 +75,7 @@ class InterleavedDbEngine {
                           Rec rec) const;
 
   DbIndexView view_;
+  NeighborTable neighbors_;  ///< of view_.config()'s matrix and threshold
   SearchParams params_;
   simd::KernelPath kernel_;
   KarlinParams karlin_;

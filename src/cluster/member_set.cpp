@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -241,7 +242,7 @@ struct MemberSet::Plan {
   std::uint64_t num_residues = 0;
   std::uint32_t crc = 0;
   bool promised = false;   ///< counts and crc come from a manifest
-  bool check_crc = false;  ///< verify the whole-file CRC before opening
+  bool check_crc = false;  ///< verify the whole-file CRC after opening
 };
 
 struct MemberSet::GlobalStore {
@@ -367,22 +368,6 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
     m.num_residues = plan.num_residues;
     if (plan.path.empty()) continue;
     try {
-      if (plan.check_crc) {
-        // Names a rotted member before the section-level checks run.
-        const std::uint32_t crc = file_crc32(plan.path);
-        MUBLASTP_CHECK_KIND(crc == plan.crc, ErrorKind::kCorrupt,
-                            label(k) + " index checksum mismatch (manifest"
-                                       " says " + std::to_string(plan.crc) +
-                                ", file has " + std::to_string(crc) + ")");
-      }
-      const DbIndexFileInfo info = describe_db_index_file(plan.path);
-      const bool v3 = info.version >= kDbIndexFormatVersion;
-      MUBLASTP_CHECK(mode != LoadMode::kMmap || v3,
-                     "--mmap requires a format v" +
-                         std::to_string(kDbIndexFormatVersion) +
-                         " index; '" + plan.path + "' is v" +
-                         std::to_string(info.version) +
-                         " (rebuild it with mublastp_makedb)");
       const Timer t;
       std::vector<BlockQuarantine> quarantined;
       const auto open_mapped = [&] {
@@ -402,17 +387,19 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
         m.owned = std::make_unique<DbIndex>(load_db_index_file(plan.path, o));
         m.load.mode = "copy";
       };
-      if (mode == LoadMode::kCopy || !v3) {
+      if (mode == LoadMode::kCopy) {
         open_copy();
       } else if (strict) {
         open_mapped();
       } else {
         // Transient map failures (ENOMEM under pressure, a racing writer)
         // get one more try; persistent ones get the copy loader, which has
-        // no address-space or SIGBUS exposure.
+        // no address-space or SIGBUS exposure. A corrupt file gets neither:
+        // the copy loader parses the same bytes.
         try {
           open_mapped();
         } catch (const Error& first) {
+          if (first.kind() == ErrorKind::kCorrupt) throw;
           std::fprintf(stderr, "warning: mmap load failed (%s); retrying\n",
                        first.what());
           ++degraded->load_retries;
@@ -429,8 +416,20 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
           }
         }
       }
+      if (plan.check_crc) {
+        // Over the mapping the open just verified; only a copy load reads
+        // the file a second time.
+        const std::uint32_t crc = m.mapped ? crc32(m.mapped->image())
+                                           : file_crc32(plan.path);
+        MUBLASTP_CHECK_KIND(crc == plan.crc, ErrorKind::kCorrupt,
+                            "index checksum mismatch (manifest says " +
+                                std::to_string(plan.crc) + ", file has " +
+                                std::to_string(crc) + ")");
+      }
       m.load.load_seconds = t.seconds();
-      m.load.file_bytes = info.file_bytes;
+      std::error_code ec;
+      m.load.file_bytes = m.mapped ? m.mapped->file_bytes()
+                                   : std::filesystem::file_size(plan.path, ec);
       m.load.resident_bytes = m.mapped ? m.mapped->resident_bytes() : 0;
 
       // The member must describe the slice its manifest promised (block
@@ -459,8 +458,11 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
       }
       first_block += static_cast<std::uint32_t>(view.blocks().size());
     } catch (const Error& e) {
-      if (strict || layout_ == Layout::kSingle) throw;
-      degraded->quarantined_shards.push_back({k, e.what()});
+      if (layout_ == Layout::kSingle) throw;
+      // Name the member, whichever check failed.
+      const std::string reason = label(k) + " (" + plan.path + "): " + e.what();
+      if (strict) throw Error(reason, e.kind());
+      degraded->quarantined_shards.push_back({k, reason});
       degraded->partial = true;
       m.mapped.reset();
       m.owned.reset();

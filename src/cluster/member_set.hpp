@@ -24,12 +24,13 @@
 // tests/test_shards.cpp and tests/test_incremental.cpp prove this
 // differentially, and mublastp_verify re-proves it on every CI build.
 //
-// Every member opens the way a single index does: v3 files are mapped
-// (MappedDbIndex) and v2 files copy-loaded; in degraded mode a failed map
-// is retried once and then copy-loaded, and damaged blocks are quarantined.
-// On top of the section checksums every open verifies, a shard is checked
-// whole against its manifest CRC in both modes, so a rotted shard is
-// quarantined whole; a chain member is checked whole under strict mode.
+// Every member opens the way a single index does: mapped (MappedDbIndex),
+// or copy-loaded under --no-mmap; in degraded mode a failed map is retried
+// once and then copy-loaded, and damaged blocks are quarantined. On top of
+// the section checksums every open verifies, a shard is checked whole
+// against its manifest CRC in both modes, over the mapping the open holds,
+// so a rotted shard is quarantined whole; a chain member is checked whole
+// under strict mode. Every error of a multi-member open names the member.
 //
 // A member that fails (load damage, a worker crash, an injected fault) is
 // quarantined: it contributes no blocks, it lands in
@@ -71,11 +72,10 @@ const char* worker_mode_name(WorkerMode mode);
 /// mublastp::Error(kInvalid) on anything else.
 WorkerMode parse_worker_mode(std::string_view spec);
 
-/// How member index files are opened (--mmap / --no-mmap).
+/// How member index files are opened.
 enum class LoadMode {
-  kAuto,  ///< map v3 files, copy-load v2 files
-  kMmap,  ///< map; a v2 member is an error
-  kCopy,  ///< copy-load every member
+  kAuto,  ///< map (degraded mode falls back to a copy load)
+  kCopy,  ///< copy-load every member (--no-mmap)
 };
 
 /// Engine configuration plus the failure policy.

@@ -4,50 +4,41 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <type_traits>
 
-#include "common/checksum.hpp"
 #include "common/durable.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
-#include "index/db_index_format.hpp"
+#include "common/sectioned_file.hpp"
 
 namespace mublastp::cluster {
 namespace {
 
-constexpr char kMagic[12] = "MUSHARD01";  // NUL-padded to 12 bytes
-constexpr std::size_t kNumSections = 4;
+using sectioned::append_pod;
 
-template <typename T>
-void append_pod(std::string& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+constexpr std::uint32_t raw(ShardSectionId id) {
+  return static_cast<std::uint32_t>(id);
 }
 
-std::size_t align_up(std::size_t n) {
-  return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-}
+// Listed in id order, so section id k is at position k - 1.
+constexpr sectioned::SectionName kSections[] = {
+    {raw(ShardSectionId::kConfig), "config"},
+    {raw(ShardSectionId::kShardMeta), "shard-meta"},
+    {raw(ShardSectionId::kRemap), "remap"},
+    {raw(ShardSectionId::kPaths), "paths"},
+};
+
+constexpr sectioned::Format kFormat{
+    "shard manifest", std::string_view("MUSHARD01\0\0\0", 12),
+    kShardManifestVersion, kSections, /*pad_tail=*/true};
 
 [[noreturn]] void fail_section(ShardSectionId id, const std::string& what) {
-  throw Error("shard manifest section '" +
-                  std::string(shard_section_name(id)) + "' " + what,
-              ErrorKind::kCorrupt);
-}
-
-[[noreturn]] void fail_file(const std::string& what) {
-  throw Error("shard manifest " + what, ErrorKind::kCorrupt);
+  sectioned::fail_section(kFormat, raw(id), what);
 }
 
 }  // namespace
 
 std::string_view shard_section_name(ShardSectionId id) {
-  switch (id) {
-    case ShardSectionId::kConfig: return "config";
-    case ShardSectionId::kShardMeta: return "shard-meta";
-    case ShardSectionId::kRemap: return "remap";
-    case ShardSectionId::kPaths: return "paths";
-  }
-  return "unknown";
+  return sectioned::section_name(kFormat, raw(id));
 }
 
 double ShardManifest::predicted_imbalance() const {
@@ -93,19 +84,16 @@ void save_shard_manifest(const std::string& path,
   MUBLASTP_CHECK(sum_residues == manifest.total_residues,
                  "shard residue counts must sum to total_residues");
 
-  // Build the four section payloads.
-  const std::uint32_t shard_count = manifest.shard_count();
-  std::string config;
   ShardConfigRecord cfg{};
-  cfg.shard_count = shard_count;
+  cfg.shard_count = manifest.shard_count();
   cfg.strategy = static_cast<std::uint32_t>(manifest.strategy);
   cfg.total_sequences = manifest.total_sequences;
   cfg.total_residues = manifest.total_residues;
-  append_pod(config, cfg);
-
-  std::string meta;
-  std::string remap;
-  std::string paths;
+  sectioned::Payload sections[] = {{raw(ShardSectionId::kConfig), {}},
+                                   {raw(ShardSectionId::kShardMeta), {}},
+                                   {raw(ShardSectionId::kRemap), {}},
+                                   {raw(ShardSectionId::kPaths), {}}};
+  append_pod(sections[0].bytes, cfg);
   std::uint64_t remap_offset = 0;
   for (const ShardManifest::Shard& s : manifest.shards) {
     ShardMetaRecord rec{};
@@ -114,48 +102,13 @@ void save_shard_manifest(const std::string& path,
     rec.remap_offset = remap_offset;
     rec.index_crc32 = s.index_crc32;
     rec.reserved = 0;
-    append_pod(meta, rec);
+    append_pod(sections[1].bytes, rec);
     remap_offset += s.num_sequences;
-    for (const SeqId id : s.to_global) append_pod(remap, id);
-    paths.append(s.path);
-    paths.push_back('\0');
+    sectioned::append_span<SeqId>(sections[2].bytes, s.to_global);
+    sections[3].bytes.append(s.path);
+    sections[3].bytes.push_back('\0');
   }
-
-  const std::string* payloads[kNumSections] = {&config, &meta, &remap,
-                                               &paths};
-  constexpr ShardSectionId kIds[kNumSections] = {
-      ShardSectionId::kConfig, ShardSectionId::kShardMeta,
-      ShardSectionId::kRemap, ShardSectionId::kPaths};
-
-  // Lay out the file: header, table, aligned payloads.
-  const std::size_t table_bytes = kNumSections * sizeof(SectionRecord);
-  std::uint64_t cursor = align_up(sizeof(ShardManifestHeader) + table_bytes);
-  SectionRecord table[kNumSections];
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    table[i].id = static_cast<std::uint32_t>(kIds[i]);
-    table[i].reserved = 0;
-    table[i].offset = cursor;
-    table[i].length = payloads[i]->size();
-    table[i].crc32 = crc32(payloads[i]->data(), payloads[i]->size());
-    cursor = align_up(cursor + payloads[i]->size());
-  }
-
-  ShardManifestHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof(header.magic));
-  header.version = kShardManifestVersion;
-  header.section_count = kNumSections;
-  header.table_crc32 = crc32(table, table_bytes);
-  header.file_bytes = cursor;
-
-  std::string image;
-  image.reserve(cursor);
-  append_pod(image, header);
-  image.append(reinterpret_cast<const char*>(table), table_bytes);
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    image.resize(table[i].offset, '\0');
-    image.append(*payloads[i]);
-  }
-  image.resize(cursor, '\0');
+  const std::string image = sectioned::write(kFormat, sections);
 
   // Publish with the durable protocol (temp → fsync → atomic rename → dir
   // fsync): a crash while makedb writes the manifest leaves either the old
@@ -167,66 +120,14 @@ void save_shard_manifest(const std::string& path,
 }
 
 ShardManifest parse_shard_manifest(std::span<const std::byte> image) {
-  if (image.size() < sizeof(ShardManifestHeader)) {
-    fail_file("is too short for a header (truncated file)");
-  }
-  ShardManifestHeader header{};
-  std::memcpy(&header, image.data(), sizeof(header));
-  if (std::memcmp(header.magic, kMagic, sizeof(header.magic)) != 0) {
-    fail_file("has bad magic (not a MUSHARD01 file)");
-  }
-  if (header.version != kShardManifestVersion) {
-    fail_file("has unsupported version " + std::to_string(header.version));
-  }
-  if (header.file_bytes != image.size()) {
-    fail_file("size mismatch: header says " +
-              std::to_string(header.file_bytes) + " bytes, file has " +
-              std::to_string(image.size()) + " (truncated file)");
-  }
-  if (header.section_count != kNumSections) {
-    fail_file("has wrong section count " +
-              std::to_string(header.section_count));
-  }
-
-  const std::size_t table_bytes =
-      header.section_count * sizeof(SectionRecord);
-  if (sizeof(header) + table_bytes > image.size()) {
-    fail_file("is too short for its section table (truncated file)");
-  }
-  std::vector<SectionRecord> table(header.section_count);
-  std::memcpy(table.data(), image.data() + sizeof(header), table_bytes);
-  if (crc32(table.data(), table_bytes) != header.table_crc32) {
-    fail_file("section table checksum mismatch");
-  }
-
-  // Locate, bounds-check and checksum each required section exactly once.
-  std::span<const std::byte> sections[kNumSections + 1];  // indexed by id
-  bool seen[kNumSections + 1] = {};
-  for (const SectionRecord& rec : table) {
-    if (rec.id < 1 || rec.id > kNumSections) {
-      fail_file("has unknown section id " + std::to_string(rec.id));
-    }
-    const auto id = static_cast<ShardSectionId>(rec.id);
-    if (seen[rec.id]) fail_section(id, "appears twice in the table");
-    seen[rec.id] = true;
-    if (rec.offset % kSectionAlign != 0) {
-      fail_section(id, "is misaligned");
-    }
-    if (rec.offset > image.size() ||
-        rec.length > image.size() - rec.offset) {
-      fail_section(id, "extends past the end of the file (truncated file)");
-    }
-    const std::span<const std::byte> payload =
-        image.subspan(rec.offset, rec.length);
-    if (crc32(payload) != static_cast<std::uint32_t>(rec.crc32)) {
-      fail_section(id, "checksum mismatch");
-    }
-    sections[rec.id] = payload;
-  }
+  const std::vector<sectioned::Section> sections =
+      sectioned::parse(kFormat, image);
+  const auto payload = [&](ShardSectionId id) {
+    return sections[raw(id) - 1].bytes;
+  };
 
   // kConfig.
-  const auto cfg_bytes =
-      sections[static_cast<std::size_t>(ShardSectionId::kConfig)];
+  const auto cfg_bytes = payload(ShardSectionId::kConfig);
   if (cfg_bytes.size() != sizeof(ShardConfigRecord)) {
     fail_section(ShardSectionId::kConfig, "has invalid size");
   }
@@ -243,8 +144,7 @@ ShardManifest parse_shard_manifest(std::span<const std::byte> image) {
   }
 
   // kShardMeta.
-  const auto meta_bytes =
-      sections[static_cast<std::size_t>(ShardSectionId::kShardMeta)];
+  const auto meta_bytes = payload(ShardSectionId::kShardMeta);
   if (meta_bytes.size() !=
       static_cast<std::size_t>(cfg.shard_count) * sizeof(ShardMetaRecord)) {
     fail_section(ShardSectionId::kShardMeta,
@@ -254,8 +154,7 @@ ShardManifest parse_shard_manifest(std::span<const std::byte> image) {
   std::memcpy(meta.data(), meta_bytes.data(), meta_bytes.size());
 
   // kRemap.
-  const auto remap_bytes =
-      sections[static_cast<std::size_t>(ShardSectionId::kRemap)];
+  const auto remap_bytes = payload(ShardSectionId::kRemap);
   if (remap_bytes.size() != cfg.total_sequences * sizeof(SeqId)) {
     fail_section(ShardSectionId::kRemap,
                  "has invalid size (expected one id per sequence)");
@@ -266,8 +165,7 @@ ShardManifest parse_shard_manifest(std::span<const std::byte> image) {
   }
 
   // kPaths: exactly shard_count NUL-terminated names consuming the section.
-  const auto paths_bytes =
-      sections[static_cast<std::size_t>(ShardSectionId::kPaths)];
+  const auto paths_bytes = payload(ShardSectionId::kPaths);
   std::vector<std::string> shard_paths;
   shard_paths.reserve(cfg.shard_count);
   std::size_t pos = 0;

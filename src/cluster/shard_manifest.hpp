@@ -19,11 +19,11 @@
 //    a search ever runs over it;
 //  * the shard index file names, stored relative to the manifest.
 //
-// The on-disk layout follows the v3 index idiom (db_index_format.hpp): a
-// 64-byte header, a CRC-guarded section table of SectionRecord rows, then
-// 64-byte-aligned checksummed payload sections. Corruption errors name the
-// offending section ("shard manifest section 'remap' checksum mismatch"),
-// never crash, and never yield a silently partial search.
+// On disk it is a sectioned file (common/sectioned_file.hpp) with a 12-byte
+// magic "MUSHARD01" and a tail padded to 64 bytes; this file owns only its
+// section ids and payload codecs. Corruption errors name the offending
+// section ("shard manifest section 'remap' checksum mismatch"), never
+// crash, and never yield a silently partial search.
 #pragma once
 
 #include <cstdint>
@@ -50,19 +50,6 @@ enum class ShardSectionId : std::uint32_t {
 
 /// Human-readable section name used in error messages.
 std::string_view shard_section_name(ShardSectionId id);
-
-/// Fixed-size file header at offset 0.
-struct ShardManifestHeader {
-  char magic[12];              ///< "MUSHARD01", NUL-padded
-  std::uint32_t version;       ///< kShardManifestVersion
-  std::uint32_t section_count;
-  std::uint32_t table_crc32;   ///< CRC32 of the section-table bytes
-  std::uint32_t reserved0;     ///< zero
-  std::uint32_t reserved1;     ///< zero; aligns file_bytes to 8
-  std::uint64_t file_bytes;    ///< total file size (fast truncation check)
-  std::uint8_t reserved[24];   ///< zero; pads the header to 64 bytes
-};
-static_assert(sizeof(ShardManifestHeader) == 64);
 
 /// Payload of the kConfig section.
 struct ShardConfigRecord {
@@ -119,9 +106,9 @@ struct ShardManifest {
 void save_shard_manifest(const std::string& path,
                          const ShardManifest& manifest);
 
-/// Parses and validates a complete manifest image. Checks, in order:
-/// header magic / version / size, section-table CRC, per-section bounds +
-/// alignment + CRC32, then structural invariants (per-shard counts sum to
+/// Parses and validates a complete manifest image. Checks, in order: the
+/// sectioned file's header, table, padding and section CRC32s, then
+/// structural invariants (per-shard counts sum to
 /// the totals, remap offsets contiguous, the remap is a permutation of the
 /// global ids with strictly increasing per-shard slices, one path per
 /// shard). Throws Error(kCorrupt) naming the offending section; never

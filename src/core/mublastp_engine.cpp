@@ -54,6 +54,7 @@ bool MuBlastpEngine::Workspace::enforce_budget() {
 MuBlastpEngine::MuBlastpEngine(DbIndexView index, SearchParams params,
                                MuBlastpOptions options)
     : view_(std::move(index)),
+      neighbors_(*view_.config().matrix, view_.config().neighbor_threshold),
       params_(checked_params(params)),
       options_(options),
       karlin_(gapped_params(*params.matrix, params.gap_open,
@@ -94,7 +95,7 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   const ScoreMatrix& matrix = *params_.matrix;
   // The block's fragments point into its own member's store.
   const DbIndexView::Member& db = view_.members()[block.member()];
-  const NeighborTable& neighbors = view_.neighbors();
+  const NeighborTable& neighbors = neighbors_;
 
   // Dense per-block diagonal keys (core/diag_keys.hpp): compact keys mean
   // fewer radix passes and a last-hit array of ~2x the block's position
@@ -341,7 +342,7 @@ QueryResult MuBlastpEngine::search_impl(std::span<const Residue> query,
     if (options_.kernel != simd::KernelPath::kScalar) {
       stats::LapTimer<Rec::kEnabled> flat_lap;
       prec.mark();
-      flat.build(query, view_.neighbors());
+      flat.build(query, neighbors_);
       flatp = &flat;
       if constexpr (Rec::kEnabled) {
         prec.hit_kernel({1, flat_lap.lap(), 0, 0});
@@ -470,8 +471,7 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
     frec.mark();
     flats.resize(nq);
     for (std::size_t i = 0; i < nq; ++i) {
-      flats[i].build(queries.sequence(static_cast<SeqId>(i)),
-                     view_.neighbors());
+      flats[i].build(queries.sequence(static_cast<SeqId>(i)), neighbors_);
     }
     if constexpr (kObserve) {
       frec.hit_kernel(

@@ -30,6 +30,7 @@
 #include "core/two_hit.hpp"
 #include "index/flat_lookup.hpp"
 #include "index/db_index_view.hpp"
+#include "index/neighbor.hpp"
 #include "memsim/memsim.hpp"
 #include "score/karlin.hpp"
 #include "simd/dispatch.hpp"
@@ -102,7 +103,8 @@ struct MuBlastpOptions {
 class MuBlastpEngine {
  public:
   /// The index behind `index` (owned DbIndex or MappedDbIndex — both
-  /// convert implicitly) must outlive the engine.
+  /// convert implicitly) must outlive the engine. The engine builds its
+  /// neighbor table from the index's matrix and threshold.
   explicit MuBlastpEngine(DbIndexView index, SearchParams params = {},
                           MuBlastpOptions options = {});
 
@@ -209,6 +211,7 @@ class MuBlastpEngine {
   }
 
   DbIndexView view_;
+  NeighborTable neighbors_;  ///< of view_.config()'s matrix and threshold
   SearchParams params_;
   MuBlastpOptions options_;
   KarlinParams karlin_;

@@ -58,9 +58,7 @@ DbIndex DbIndex::build(const SequenceStore& db, const DbIndexConfig& config,
   std::vector<SeqId> order = db.ids_by_length();
   SequenceStore sorted = db.permuted(order);
 
-  NeighborTable neighbors(*config.matrix, config.neighbor_threshold);
-  DbIndex index(std::move(sorted), std::move(order), config,
-                std::move(neighbors));
+  DbIndex index(std::move(sorted), std::move(order), config);
   index.inverse_.resize(index.order_.size());
   for (SeqId sorted_pos = 0; sorted_pos < index.order_.size(); ++sorted_pos) {
     index.inverse_[index.order_[sorted_pos]] = sorted_pos;

@@ -10,8 +10,9 @@
 //
 // Neighboring words are NOT materialized in the position lists (that is the
 // query index's strategy and would multiply the index size); instead hit
-// detection consults the shared NeighborTable first, then reads the exact
-// word position lists of each neighbor (the "two-level structure").
+// detection consults the search engine's neighbor table first, then reads
+// the exact word position lists of each neighbor (the "two-level
+// structure").
 //
 // Very long sequences (the paper cites ~40k-residue outliers) are not
 // indexed whole: they are split into fragments with overlapped boundaries
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/sequence.hpp"
@@ -35,8 +37,8 @@ struct DbIndexConfig {
   /// Bytes of position data per block (positions are 32-bit, so a 512KB
   /// block holds 128K positions; the paper sweeps 128KB..4MB in Fig. 8).
   std::size_t block_bytes = 512 * 1024;
-  /// Substitution matrix the neighbor table is built from. Searches must
-  /// use the same matrix.
+  /// Substitution matrix neighbor words are scored with. Searches must use
+  /// the same matrix.
   const ScoreMatrix* matrix = &blosum62();
   /// Neighbor threshold T.
   Score neighbor_threshold = kDefaultNeighborThreshold;
@@ -115,8 +117,7 @@ class DbIndexBlock {
  private:
   friend class DbIndex;
   friend class DbIndexView;
-  friend void save_db_index(std::ostream& out, const DbIndex& index);
-  friend void save_db_index_v2(std::ostream& out, const DbIndex& index);
+  friend std::string db_index_image(const DbIndex& index);
   friend DbIndex load_db_index(std::istream& in,
                                const IndexLoadOptions& options);
   std::vector<std::uint32_t> offsets_;  // kNumWords + 1
@@ -128,7 +129,7 @@ class DbIndexBlock {
 };
 
 /// The full database index: a length-sorted copy of the database plus its
-/// blocks and the shared neighbor table.
+/// blocks.
 class DbIndex {
  public:
   /// Builds the index. The input store is copied in ascending length order;
@@ -143,9 +144,6 @@ class DbIndex {
 
   /// Index blocks in ascending sequence-length order.
   std::span<const DbIndexBlock> blocks() const { return blocks_; }
-
-  /// Shared word -> neighbor-words table.
-  const NeighborTable& neighbors() const { return neighbors_; }
 
   /// Maps a sorted-store id back to the id in the store build() received.
   SeqId original_id(SeqId sorted_id) const { return order_[sorted_id]; }
@@ -163,23 +161,17 @@ class DbIndex {
 
  private:
   friend class DbIndexView;
-  friend void save_db_index(std::ostream& out, const DbIndex& index);
-  friend void save_db_index_v2(std::ostream& out, const DbIndex& index);
+  friend std::string db_index_image(const DbIndex& index);
   friend DbIndex load_db_index(std::istream& in,
                                const IndexLoadOptions& options);
 
-  DbIndex(SequenceStore db, std::vector<SeqId> order, DbIndexConfig config,
-          NeighborTable neighbors)
-      : db_(std::move(db)),
-        order_(std::move(order)),
-        config_(config),
-        neighbors_(std::move(neighbors)) {}
+  DbIndex(SequenceStore db, std::vector<SeqId> order, DbIndexConfig config)
+      : db_(std::move(db)), order_(std::move(order)), config_(config) {}
 
   SequenceStore db_;
   std::vector<SeqId> order_;
   std::vector<SeqId> inverse_;
   DbIndexConfig config_;
-  NeighborTable neighbors_;
   std::vector<DbIndexBlock> blocks_;
 };
 

@@ -1,21 +1,8 @@
-// On-disk layout of index format v3: a checksummed section table over
-// 64-byte-aligned raw sections.
-//
-// v2 streamed every vector through length-prefixed records, which forces a
-// copying deserialization pass. v3 instead lays out each array as one
-// contiguous section whose in-file representation IS the in-memory
+// Index format v3 ("MUBI"): a sectioned file (common/sectioned_file.hpp)
+// whose eleven sections each hold one array of the index in its in-memory
 // representation, so a loader can mmap the file and serve spans straight
-// out of the mapping:
-//
-//   FileHeaderV3 (64 bytes, magic "MUBI", version 3, CRC of section table)
-//   SectionRecord[section_count]   (id, offset, length, CRC32 per section)
-//   ...zero padding to 64-byte boundaries...
-//   section payloads, each starting on a 64-byte boundary
-//
-// Alignment is 64 bytes (one cache line) so that every typed span carved
-// out of the mapping is naturally aligned and block data never straddles a
-// line needlessly. All scalars are little-endian; this library only targets
-// little-endian hosts (same contract as v2).
+// out of the mapping. The header's magic is 4 bytes, and the file ends at
+// its last payload (no tail padding).
 //
 // The section table names every payload, which is what lets corruption
 // errors say *which* part of the file is bad ("index section 'entries'
@@ -28,18 +15,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/sectioned_file.hpp"
 #include "common/sequence.hpp"
 #include "index/db_index.hpp"
 
 namespace mublastp {
-
-/// Current (sectioned, mmap-able) file-format version.
-inline constexpr std::uint32_t kDbIndexFormatV3 = 3;
-/// Legacy streamed format still accepted by the copy loader.
-inline constexpr std::uint32_t kDbIndexFormatV2 = 2;
-
-/// Section payload alignment: one cache line.
-inline constexpr std::size_t kSectionAlign = 64;
 
 /// Identifies a section in the v3 table. Values are stable on-disk ids.
 enum class SectionId : std::uint32_t {
@@ -58,27 +38,6 @@ enum class SectionId : std::uint32_t {
 
 /// Human-readable section name used in error messages and dbinfo output.
 std::string_view section_name(SectionId id);
-
-/// Fixed-size file header at offset 0.
-struct FileHeaderV3 {
-  char magic[4];               ///< "MUBI"
-  std::uint32_t version;       ///< 3
-  std::uint32_t section_count;
-  std::uint32_t table_crc32;   ///< CRC32 of the section-table bytes
-  std::uint64_t file_bytes;    ///< total file size (fast truncation check)
-  std::uint8_t reserved[40];   ///< zero; pads the header to 64 bytes
-};
-static_assert(sizeof(FileHeaderV3) == 64);
-
-/// One row of the section table, directly after the header.
-struct SectionRecord {
-  std::uint32_t id;        ///< SectionId
-  std::uint32_t reserved;  ///< zero
-  std::uint64_t offset;    ///< absolute file offset, kSectionAlign-aligned
-  std::uint64_t length;    ///< payload bytes (excluding padding)
-  std::uint64_t crc32;     ///< CRC32 of the payload (low 32 bits)
-};
-static_assert(sizeof(SectionRecord) == 32);
 
 /// Per-block scalars in the kBlockMeta section. Fragment/entry counts are
 /// also the cursor into the concatenated kFragments/kEntries sections.
@@ -149,11 +108,11 @@ struct IndexParseOptions {
   std::vector<BlockQuarantine>* quarantined = nullptr;
 };
 
-/// Parses and validates a v3 file image. Checks, in order: header magic /
-/// version / size, section-table CRC, per-section bounds + alignment +
-/// CRC32 (when verifying), then cross-section structural invariants
-/// (counts consistent, CSR offsets monotone, fragments and entries in
-/// range). Throws mublastp::Error naming the offending section; never
+/// Parses and validates a v3 file image. Checks, in order: the sectioned
+/// file's header, table, padding and section CRC32s (the CRCs when
+/// verifying), then cross-section structural invariants (counts
+/// consistent, CSR offsets monotone, fragments and entries in range).
+/// Throws mublastp::Error naming the offending section; never
 /// returns a partially-valid view — except under
 /// IndexParseOptions::tolerate_block_corruption, where block-local damage
 /// is reported through `quarantined` and the affected blocks' spans must

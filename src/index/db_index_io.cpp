@@ -7,109 +7,56 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/durable.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "common/sectioned_file.hpp"
 #include "index/db_index_format.hpp"
 #include "score/matrix.hpp"
 
 namespace mublastp {
 namespace {
 
-constexpr char kMagic[4] = {'M', 'U', 'B', 'I'};
+using sectioned::append_pod;
+using sectioned::append_span;
 
-// All scalars are written as fixed-width little-endian values. The library
-// only targets little-endian hosts (x86/ARM servers); a byte-order check at
-// load time would go here if that ever changes.
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+constexpr std::uint32_t raw(SectionId id) {
+  return static_cast<std::uint32_t>(id);
 }
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kCorrupt, "truncated index file");
-  return value;
-}
-
-template <typename T>
-void write_vector(std::ostream& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  write_pod<std::uint64_t>(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T> read_vector(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = read_pod<std::uint64_t>(in);
-  MUBLASTP_CHECK_KIND(n < (std::uint64_t{1} << 40), ErrorKind::kCorrupt,
-                      "implausible vector size");
-  std::vector<T> v(n);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kCorrupt, "truncated index file");
-  return v;
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const auto n = read_pod<std::uint32_t>(in);
-  MUBLASTP_CHECK_KIND(n < (1u << 20), ErrorKind::kCorrupt,
-                      "implausible string size");
-  std::string s(n, '\0');
-  in.read(s.data(), n);
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kCorrupt, "truncated index file");
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// v3: section assembly (writer side)
-// ---------------------------------------------------------------------------
-
-// A section payload being assembled in memory before offsets and checksums
-// are known. Payloads are byte strings; the writer computes the final
-// layout, then streams header + table + padded payloads in one pass.
-struct PendingSection {
-  SectionId id;
-  std::string payload;
+// Listed in id order, so section id k is at position k - 1.
+constexpr sectioned::SectionName kSections[] = {
+    {raw(SectionId::kConfig), "config"},
+    {raw(SectionId::kSeqOffsets), "seq-offsets"},
+    {raw(SectionId::kArena), "arena"},
+    {raw(SectionId::kNameOffsets), "name-offsets"},
+    {raw(SectionId::kNameBlob), "name-blob"},
+    {raw(SectionId::kOrder), "order"},
+    {raw(SectionId::kInverse), "inverse"},
+    {raw(SectionId::kBlockMeta), "block-meta"},
+    {raw(SectionId::kFragments), "fragments"},
+    {raw(SectionId::kCsrOffsets), "csr-offsets"},
+    {raw(SectionId::kEntries), "entries"},
 };
 
-template <typename T>
-void append_pod(std::string& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+constexpr sectioned::Format kFormat{"index", std::string_view("MUBI", 4),
+                                    kDbIndexFormatVersion, kSections,
+                                    /*pad_tail=*/false, "index.crc"};
+
+constexpr std::uint64_t bit(SectionId id) {
+  return std::uint64_t{1} << (raw(id) - 1);
 }
 
-template <typename T>
-void append_span(std::string& out, std::span<const T> v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
-}
-
-std::size_t align_up(std::size_t n) {
-  return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-}
-
-// ---------------------------------------------------------------------------
-// v3: parse helpers (reader side)
-// ---------------------------------------------------------------------------
+/// The sections that each hold a slice per block: a degraded load pins a
+/// CRC mismatch in them on the blocks whose block CRC fails.
+constexpr std::uint64_t kPerBlockSections = bit(SectionId::kFragments) |
+                                            bit(SectionId::kCsrOffsets) |
+                                            bit(SectionId::kEntries);
 
 [[noreturn]] void fail_section(SectionId id, const std::string& what) {
-  throw Error("index section '" + std::string(section_name(id)) + "' " +
-                  what,
-              ErrorKind::kCorrupt);
+  sectioned::fail_section(kFormat, raw(id), what);
 }
 
 // Reads scalars sequentially out of one section's payload with bounds
@@ -153,86 +100,83 @@ std::span<const T> typed_section(SectionId id,
   return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
 }
 
+/// Decodes the 'config' section.
+IndexConfigSummary read_config(std::span<const std::byte> bytes) {
+  SectionReader r{SectionId::kConfig, bytes};
+  IndexConfigSummary c;
+  c.block_bytes = r.read<std::uint64_t>();
+  c.neighbor_threshold = r.read<std::int32_t>();
+  const auto name_len = r.read<std::uint32_t>();
+  if (name_len > (1u << 10)) {
+    fail_section(SectionId::kConfig, "has an implausible matrix name");
+  }
+  c.matrix_name = std::string(r.read_string(name_len));
+  c.long_seq_limit = r.read<std::uint64_t>();
+  c.long_seq_overlap = r.read<std::uint64_t>();
+  c.num_seqs = r.read<std::uint64_t>();
+  c.num_blocks = r.read<std::uint64_t>();
+  if (c.num_seqs == 0 || c.num_seqs >= (std::uint64_t{1} << 40)) {
+    fail_section(SectionId::kConfig, "has an implausible sequence count");
+  }
+  if (c.num_blocks == 0 || c.num_blocks >= (std::uint64_t{1} << 32)) {
+    fail_section(SectionId::kConfig, "has an implausible block count");
+  }
+  return c;
+}
+
 }  // namespace
 
 std::string_view section_name(SectionId id) {
-  switch (id) {
-    case SectionId::kConfig: return "config";
-    case SectionId::kSeqOffsets: return "seq-offsets";
-    case SectionId::kArena: return "arena";
-    case SectionId::kNameOffsets: return "name-offsets";
-    case SectionId::kNameBlob: return "name-blob";
-    case SectionId::kOrder: return "order";
-    case SectionId::kInverse: return "inverse";
-    case SectionId::kBlockMeta: return "block-meta";
-    case SectionId::kFragments: return "fragments";
-    case SectionId::kCsrOffsets: return "csr-offsets";
-    case SectionId::kEntries: return "entries";
-  }
-  return "unknown";
+  return sectioned::section_name(kFormat, raw(id));
 }
 
 // ---------------------------------------------------------------------------
-// v3 writer
+// writer
 // ---------------------------------------------------------------------------
 
-void save_db_index(std::ostream& out, const DbIndex& index) {
+std::string db_index_image(const DbIndex& index) {
   const SequenceStore& db = index.db_;
-  std::vector<PendingSection> sections;
+  std::vector<sectioned::Payload> sections;
+  sections.reserve(std::size(kSections));  // keeps add()'s references valid
+  const auto add = [&](SectionId id) -> std::string& {
+    sections.push_back({raw(id), {}});
+    return sections.back().bytes;
+  };
 
   {
-    PendingSection s{SectionId::kConfig, {}};
-    append_pod<std::uint64_t>(s.payload, index.config_.block_bytes);
-    append_pod<std::int32_t>(s.payload, index.config_.neighbor_threshold);
+    std::string& cfg = add(SectionId::kConfig);
+    append_pod<std::uint64_t>(cfg, index.config_.block_bytes);
+    append_pod<std::int32_t>(cfg, index.config_.neighbor_threshold);
     const std::string matrix_name(index.config_.matrix->name());
-    append_pod<std::uint32_t>(s.payload,
+    append_pod<std::uint32_t>(cfg,
                               static_cast<std::uint32_t>(matrix_name.size()));
-    s.payload += matrix_name;
-    append_pod<std::uint64_t>(s.payload, index.config_.long_seq_limit);
-    append_pod<std::uint64_t>(s.payload, index.config_.long_seq_overlap);
-    append_pod<std::uint64_t>(s.payload, db.size());
-    append_pod<std::uint64_t>(s.payload, index.blocks_.size());
-    sections.push_back(std::move(s));
+    cfg += matrix_name;
+    append_pod<std::uint64_t>(cfg, index.config_.long_seq_limit);
+    append_pod<std::uint64_t>(cfg, index.config_.long_seq_overlap);
+    append_pod<std::uint64_t>(cfg, db.size());
+    append_pod<std::uint64_t>(cfg, index.blocks_.size());
   }
+  static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+  append_span<std::size_t>(add(SectionId::kSeqOffsets), db.arena_offsets());
+  append_span<Residue>(add(SectionId::kArena), db.arena());
   {
-    PendingSection s{SectionId::kSeqOffsets, {}};
-    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-    append_span<std::size_t>(s.payload, db.arena_offsets());
-    sections.push_back(std::move(s));
-  }
-  {
-    PendingSection s{SectionId::kArena, {}};
-    append_span<Residue>(s.payload, db.arena());
-    sections.push_back(std::move(s));
-  }
-  {
-    PendingSection offs{SectionId::kNameOffsets, {}};
-    PendingSection blob{SectionId::kNameBlob, {}};
+    std::string& offs = add(SectionId::kNameOffsets);
+    std::string& blob = add(SectionId::kNameBlob);
     std::uint64_t cursor = 0;
-    append_pod<std::uint64_t>(offs.payload, cursor);
+    append_pod<std::uint64_t>(offs, cursor);
     for (SeqId i = 0; i < db.size(); ++i) {
-      blob.payload += db.name(i);
+      blob += db.name(i);
       cursor += db.name(i).size();
-      append_pod<std::uint64_t>(offs.payload, cursor);
+      append_pod<std::uint64_t>(offs, cursor);
     }
-    sections.push_back(std::move(offs));
-    sections.push_back(std::move(blob));
   }
+  append_span<SeqId>(add(SectionId::kOrder), index.order_);
+  append_span<SeqId>(add(SectionId::kInverse), index.inverse_);
   {
-    PendingSection s{SectionId::kOrder, {}};
-    append_span<SeqId>(s.payload, index.order_);
-    sections.push_back(std::move(s));
-  }
-  {
-    PendingSection s{SectionId::kInverse, {}};
-    append_span<SeqId>(s.payload, index.inverse_);
-    sections.push_back(std::move(s));
-  }
-  {
-    PendingSection meta{SectionId::kBlockMeta, {}};
-    PendingSection frags{SectionId::kFragments, {}};
-    PendingSection csr{SectionId::kCsrOffsets, {}};
-    PendingSection entries{SectionId::kEntries, {}};
+    std::string& meta = add(SectionId::kBlockMeta);
+    std::string& frags = add(SectionId::kFragments);
+    std::string& csr = add(SectionId::kCsrOffsets);
+    std::string& entries = add(SectionId::kEntries);
     for (const DbIndexBlock& b : index.blocks_) {
       // Per-block CRC over the block's slice of the three per-block
       // sections, in section order; a degraded loader uses it to pin a
@@ -246,54 +190,18 @@ void save_db_index(std::ostream& out, const DbIndex& index) {
       const BlockMetaRecord m{b.fragments_.size(), b.entries_.size(),
                               b.max_fragment_len_, b.total_chars_,
                               b.offset_bits_, bcrc};
-      append_pod(meta.payload, m);
-      append_span<FragmentRef>(frags.payload, b.fragments_);
-      append_span<std::uint32_t>(csr.payload, b.offsets_);
-      append_span<std::uint32_t>(entries.payload, b.entries_);
+      append_pod(meta, m);
+      append_span<FragmentRef>(frags, b.fragments_);
+      append_span<std::uint32_t>(csr, b.offsets_);
+      append_span<std::uint32_t>(entries, b.entries_);
     }
-    sections.push_back(std::move(meta));
-    sections.push_back(std::move(frags));
-    sections.push_back(std::move(csr));
-    sections.push_back(std::move(entries));
   }
+  return sectioned::write(kFormat, sections);
+}
 
-  // Lay sections out after the header + table, each on a 64-byte boundary.
-  std::vector<SectionRecord> table(sections.size());
-  std::size_t cursor = align_up(sizeof(FileHeaderV3) +
-                                sections.size() * sizeof(SectionRecord));
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    table[i].id = static_cast<std::uint32_t>(sections[i].id);
-    table[i].reserved = 0;
-    table[i].offset = cursor;
-    table[i].length = sections[i].payload.size();
-    table[i].crc32 = crc32(sections[i].payload.data(),
-                           sections[i].payload.size());
-    cursor = align_up(cursor + sections[i].payload.size());
-  }
-
-  FileHeaderV3 header{};
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kDbIndexFormatV3;
-  header.section_count = static_cast<std::uint32_t>(sections.size());
-  header.table_crc32 =
-      crc32(table.data(), table.size() * sizeof(SectionRecord));
-  // The last section's padding is not written; the file ends at its payload.
-  header.file_bytes = table.back().offset + table.back().length;
-
-  write_pod(out, header);
-  out.write(reinterpret_cast<const char*>(table.data()),
-            static_cast<std::streamsize>(table.size() *
-                                         sizeof(SectionRecord)));
-  std::size_t written = sizeof(FileHeaderV3) +
-                        table.size() * sizeof(SectionRecord);
-  static constexpr char kZeros[kSectionAlign] = {};
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    out.write(kZeros, static_cast<std::streamsize>(table[i].offset -
-                                                   written));
-    out.write(sections[i].payload.data(),
-              static_cast<std::streamsize>(sections[i].payload.size()));
-    written = table[i].offset + sections[i].payload.size();
-  }
+void save_db_index(std::ostream& out, const DbIndex& index) {
+  const std::string image = db_index_image(index);
+  out.write(image.data(), static_cast<std::streamsize>(image.size()));
   MUBLASTP_CHECK(out.good(), "write failure while saving index");
 }
 
@@ -303,62 +211,20 @@ void save_db_index_file(const std::string& path, const DbIndex& index) {
   save_db_index(out, index);
 }
 
-void save_db_index_file_durable(const std::string& path,
-                                const DbIndex& index) {
+std::uint32_t save_db_index_file_durable(const std::string& path,
+                                         const DbIndex& index) {
   // Serialize in memory, then follow the publish protocol (temp → fsync →
   // rename → dir fsync) so a crash at any instant leaves either no trace
   // (plus an orphaned .tmp) or the complete file under its final name.
-  std::ostringstream buf(std::ios::binary);
-  save_db_index(buf, index);
+  const std::string image = db_index_image(index);
   const std::string tmp = durable::temp_path_for(path);
-  durable::write_file_durable(tmp, buf.str(), "build.block_write",
-                              "build.fsync");
+  durable::write_file_durable(tmp, image, "build.block_write", "build.fsync");
   durable::publish_rename(tmp, path, "build.publish_rename", "build.fsync");
+  return crc32(image.data(), image.size());
 }
 
 // ---------------------------------------------------------------------------
-// v2 writer (legacy, kept for compatibility testing and old deployments)
-// ---------------------------------------------------------------------------
-
-void save_db_index_v2(std::ostream& out, const DbIndex& index) {
-  out.write(kMagic, sizeof(kMagic));
-  write_pod<std::uint32_t>(out, kDbIndexFormatV2);
-
-  // Config.
-  write_pod<std::uint64_t>(out, index.config_.block_bytes);
-  write_pod<std::int32_t>(out, index.config_.neighbor_threshold);
-  write_string(out, std::string(index.config_.matrix->name()));
-  write_pod<std::uint64_t>(out, index.config_.long_seq_limit);
-  write_pod<std::uint64_t>(out, index.config_.long_seq_overlap);
-
-  // Sorted sequence store.
-  const SequenceStore& db = index.db_;
-  write_pod<std::uint64_t>(out, db.size());
-  for (SeqId i = 0; i < db.size(); ++i) {
-    const auto seq = db.sequence(i);
-    write_pod<std::uint64_t>(out, seq.size());
-    out.write(reinterpret_cast<const char*>(seq.data()),
-              static_cast<std::streamsize>(seq.size()));
-    write_string(out, db.name(i));
-  }
-
-  write_vector(out, index.order_);
-
-  // Blocks.
-  write_pod<std::uint64_t>(out, index.blocks_.size());
-  for (const DbIndexBlock& b : index.blocks_) {
-    write_vector(out, b.fragments_);
-    write_vector(out, b.offsets_);
-    write_vector(out, b.entries_);
-    write_pod<std::uint64_t>(out, b.max_fragment_len_);
-    write_pod<std::uint64_t>(out, b.total_chars_);
-    write_pod<std::int32_t>(out, b.offset_bits_);
-  }
-  MUBLASTP_CHECK(out.good(), "write failure while saving index");
-}
-
-// ---------------------------------------------------------------------------
-// v3 parser (shared by the copy loader and MappedDbIndex)
+// parser (shared by the copy loader and MappedDbIndex)
 // ---------------------------------------------------------------------------
 
 ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
@@ -367,97 +233,35 @@ ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
   const bool tolerant = options.tolerate_block_corruption;
   MUBLASTP_CHECK(!tolerant || options.quarantined != nullptr,
                  "tolerate_block_corruption requires a quarantine list");
-  MUBLASTP_CHECK_KIND(image.size() >= sizeof(FileHeaderV3),
-                      ErrorKind::kCorrupt,
-                      "truncated index file: missing header");
-  FileHeaderV3 header;
-  std::memcpy(&header, image.data(), sizeof(header));
-  MUBLASTP_CHECK_KIND(std::equal(header.magic, header.magic + 4, kMagic),
-                      ErrorKind::kCorrupt,
-                      "not a muBLASTP index file (bad magic)");
-  MUBLASTP_CHECK_KIND(header.version == kDbIndexFormatV3, ErrorKind::kCorrupt,
-                      "unsupported index format version " +
-                          std::to_string(header.version));
-  MUBLASTP_CHECK_KIND(header.file_bytes == image.size(), ErrorKind::kCorrupt,
-                      "truncated index file: header declares " +
-                          std::to_string(header.file_bytes) +
-                          " bytes, file has " + std::to_string(image.size()));
-  MUBLASTP_CHECK_KIND(header.section_count >= 1 && header.section_count <= 64,
-                      ErrorKind::kCorrupt,
-                      "index header: implausible section count");
-  const std::size_t table_bytes =
-      header.section_count * sizeof(SectionRecord);
-  MUBLASTP_CHECK_KIND(sizeof(FileHeaderV3) + table_bytes <= image.size(),
-                      ErrorKind::kCorrupt,
-                      "truncated index file: section table out of bounds");
-  std::vector<SectionRecord> table(header.section_count);
-  std::memcpy(table.data(), image.data() + sizeof(FileHeaderV3), table_bytes);
-  MUBLASTP_CHECK_KIND(crc32(table.data(), table_bytes) == header.table_crc32,
-                      ErrorKind::kCorrupt,
-                      "index header: section table checksum mismatch");
-
-  // Locate every required section, once each, in bounds and aligned. The
-  // checksum is verified before any payload byte is interpreted. In
-  // tolerant mode a CRC mismatch in a *per-block* section is deferred
-  // (recorded in `crc_failed`) so it can be localized to a block below;
-  // every other section stays fail-closed.
-  SectionId crc_failed_id = SectionId::kConfig;  // valid iff crc_failed
-  bool crc_failed = false;
-  const auto section = [&](SectionId id) -> std::span<const std::byte> {
-    const SectionRecord* found = nullptr;
-    for (const SectionRecord& r : table) {
-      if (r.id == static_cast<std::uint32_t>(id)) {
-        if (found != nullptr) fail_section(id, "appears more than once");
-        found = &r;
-      }
-    }
-    if (found == nullptr) fail_section(id, "is missing from the file");
-    if (found->offset % kSectionAlign != 0) {
-      fail_section(id, "is misaligned");
-    }
-    if (found->offset > image.size() ||
-        found->length > image.size() - found->offset) {
-      fail_section(id, "is out of bounds (truncated file?)");
-    }
-    const auto payload = image.subspan(found->offset, found->length);
-    if (verify_checksums &&
-        (MUBLASTP_FI_FAIL("index.crc") ||
-         crc32(payload) != static_cast<std::uint32_t>(found->crc32))) {
-      const bool per_block = id == SectionId::kFragments ||
-                             id == SectionId::kCsrOffsets ||
-                             id == SectionId::kEntries;
-      if (!(tolerant && per_block)) {
-        fail_section(id, "checksum mismatch (corrupt file)");
-      }
-      if (!crc_failed) crc_failed_id = id;
-      crc_failed = true;
-    }
-    return payload;
+  // In tolerant mode a CRC mismatch in a *per-block* section is deferred so
+  // it can be localized to a block below; every other section stays
+  // fail-closed.
+  const std::vector<sectioned::Section> sections = sectioned::parse(
+      kFormat, image, verify_checksums, tolerant ? kPerBlockSections : 0);
+  const auto section = [&](SectionId id) {
+    return sections[raw(id) - 1].bytes;
   };
-
-  ParsedIndexFile p;
-
-  {
-    SectionReader r{SectionId::kConfig, section(SectionId::kConfig)};
-    p.config.block_bytes = r.read<std::uint64_t>();
-    p.config.neighbor_threshold = r.read<std::int32_t>();
-    const auto name_len = r.read<std::uint32_t>();
-    if (name_len > (1u << 10)) {
-      fail_section(SectionId::kConfig, "has an implausible matrix name");
-    }
-    p.config.matrix = &matrix_by_name(std::string(r.read_string(name_len)));
-    p.config.long_seq_limit = r.read<std::uint64_t>();
-    p.config.long_seq_overlap = r.read<std::uint64_t>();
-    p.num_seqs = r.read<std::uint64_t>();
-    p.num_blocks = r.read<std::uint64_t>();
-    if (p.num_seqs == 0 || p.num_seqs >= (std::uint64_t{1} << 40)) {
-      fail_section(SectionId::kConfig, "has an implausible sequence count");
-    }
-    if (p.num_blocks == 0 || p.num_blocks >= (std::uint64_t{1} << 32)) {
-      fail_section(SectionId::kConfig, "has an implausible block count");
+  bool crc_failed = false;
+  SectionId crc_failed_id = SectionId::kConfig;  // valid iff crc_failed
+  for (const SectionId id : {SectionId::kFragments, SectionId::kCsrOffsets,
+                             SectionId::kEntries}) {
+    if (!crc_failed && !sections[raw(id) - 1].crc_ok) {
+      crc_failed = true;
+      crc_failed_id = id;
     }
   }
 
+  ParsedIndexFile p;
+  {
+    const IndexConfigSummary c = read_config(section(SectionId::kConfig));
+    p.config.block_bytes = c.block_bytes;
+    p.config.neighbor_threshold = c.neighbor_threshold;
+    p.config.matrix = &matrix_by_name(c.matrix_name);
+    p.config.long_seq_limit = c.long_seq_limit;
+    p.config.long_seq_overlap = c.long_seq_overlap;
+    p.num_seqs = c.num_seqs;
+    p.num_blocks = c.num_blocks;
+  }
   p.seq_offsets =
       typed_section<std::uint64_t>(SectionId::kSeqOffsets,
                                    section(SectionId::kSeqOffsets));
@@ -673,176 +477,74 @@ ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
 }
 
 // ---------------------------------------------------------------------------
-// copy loader (v2 + v3)
+// copy loader
 // ---------------------------------------------------------------------------
 
 DbIndex load_db_index(std::istream& in, const IndexLoadOptions& options) {
   MUBLASTP_CHECK_KIND(!MUBLASTP_FI_FAIL("io.read"), ErrorKind::kIo,
                       "injected read failure (io.read) while loading index");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  MUBLASTP_CHECK_KIND(in.good() && std::equal(magic, magic + 4, kMagic),
-                      ErrorKind::kCorrupt,
-                      "not a muBLASTP index file (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  MUBLASTP_CHECK_KIND(
-      version == kDbIndexFormatV2 || version == kDbIndexFormatV3,
-      ErrorKind::kCorrupt,
-      "unsupported index format version " + std::to_string(version));
-
-  if (version == kDbIndexFormatV3) {
-    // Slurp the remaining stream and reuse the section parser, then copy
-    // the parsed spans into an owned DbIndex. mmap loading (MappedDbIndex)
-    // skips this copy entirely; this path exists for stream sources and
-    // callers that want an owned index.
-    std::string image(reinterpret_cast<const char*>(kMagic),
-                      sizeof(kMagic));
-    image.append(reinterpret_cast<const char*>(&version), sizeof(version));
-    image.append(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
-                        "read failure while loading index");
-    IndexParseOptions parse_options;
-    parse_options.tolerate_block_corruption =
-        options.tolerate_block_corruption;
-    parse_options.quarantined = options.quarantined;
-    const ParsedIndexFile p = parse_db_index_v3(
-        {reinterpret_cast<const std::byte*>(image.data()), image.size()},
-        parse_options);
-    std::vector<char> block_bad(p.num_blocks, 0);
-    if (options.quarantined != nullptr) {
-      for (const BlockQuarantine& q : *options.quarantined) {
-        if (q.block < block_bad.size()) block_bad[q.block] = 1;
-      }
+  // Slurp the stream and reuse the section parser, then copy the parsed
+  // spans into an owned DbIndex. mmap loading (MappedDbIndex) skips this
+  // copy entirely; this path exists for stream sources and callers that
+  // want an owned index.
+  const std::string image((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
+                      "read failure while loading index");
+  IndexParseOptions parse_options;
+  parse_options.tolerate_block_corruption = options.tolerate_block_corruption;
+  parse_options.quarantined = options.quarantined;
+  const ParsedIndexFile p = parse_db_index_v3(
+      {reinterpret_cast<const std::byte*>(image.data()), image.size()},
+      parse_options);
+  std::vector<char> block_bad(p.num_blocks, 0);
+  if (options.quarantined != nullptr) {
+    for (const BlockQuarantine& q : *options.quarantined) {
+      if (q.block < block_bad.size()) block_bad[q.block] = 1;
     }
-
-    SequenceStore db;
-    for (std::uint64_t i = 0; i < p.num_seqs; ++i) {
-      const auto seq =
-          p.arena.subspan(p.seq_offsets[i], p.seq_offsets[i + 1] -
-                                                p.seq_offsets[i]);
-      db.add(seq, std::string(p.name_blob.substr(
-                      p.name_offsets[i],
-                      p.name_offsets[i + 1] - p.name_offsets[i])));
-    }
-    std::vector<SeqId> order(p.order.begin(), p.order.end());
-    NeighborTable neighbors(*p.config.matrix, p.config.neighbor_threshold);
-    DbIndex index(std::move(db), std::move(order), p.config,
-                  std::move(neighbors));
-    index.inverse_.assign(p.inverse.begin(), p.inverse.end());
-
-    constexpr std::size_t kCsrLen = static_cast<std::size_t>(kNumWords) + 1;
-    index.blocks_.resize(p.num_blocks);
-    std::size_t frag_cursor = 0;
-    std::size_t entry_cursor = 0;
-    for (std::size_t b = 0; b < p.num_blocks; ++b) {
-      const BlockMetaRecord& m = p.block_meta[b];
-      DbIndexBlock& block = index.blocks_[b];
-      if (block_bad[b]) {
-        // Quarantined: an empty block (all-zero CSR, no fragments or
-        // entries) contributes no hits, so the engine skips it naturally.
-        block.fragments_.clear();
-        block.offsets_.assign(kCsrLen, 0);
-        block.entries_.clear();
-        block.max_fragment_len_ = 0;
-        block.total_chars_ = 0;
-        block.offset_bits_ = 1;
-      } else {
-        const auto frags = p.fragments.subspan(frag_cursor, m.num_fragments);
-        const auto csr = p.csr_offsets.subspan(b * kCsrLen, kCsrLen);
-        const auto entries = p.entries.subspan(entry_cursor, m.num_entries);
-        block.fragments_.assign(frags.begin(), frags.end());
-        block.offsets_.assign(csr.begin(), csr.end());
-        block.entries_.assign(entries.begin(), entries.end());
-        block.max_fragment_len_ = m.max_fragment_len;
-        block.total_chars_ = m.total_chars;
-        block.offset_bits_ = m.offset_bits;
-      }
-      frag_cursor += m.num_fragments;
-      entry_cursor += m.num_entries;
-    }
-    return index;
   }
-
-  // --- v2 body (legacy streamed format) ---------------------------------
-  DbIndexConfig config;
-  config.block_bytes = read_pod<std::uint64_t>(in);
-  config.neighbor_threshold = read_pod<std::int32_t>(in);
-  config.matrix = &matrix_by_name(read_string(in));
-  config.long_seq_limit = read_pod<std::uint64_t>(in);
-  config.long_seq_overlap = read_pod<std::uint64_t>(in);
 
   SequenceStore db;
-  const auto num_seqs = read_pod<std::uint64_t>(in);
-  MUBLASTP_CHECK(num_seqs > 0 && num_seqs < (std::uint64_t{1} << 40),
-                 "implausible sequence count");
-  for (std::uint64_t i = 0; i < num_seqs; ++i) {
-    const auto len = read_pod<std::uint64_t>(in);
-    MUBLASTP_CHECK(len > 0 && len < (std::uint64_t{1} << 32),
-                   "implausible sequence length");
-    std::vector<Residue> seq(len);
-    in.read(reinterpret_cast<char*>(seq.data()),
-            static_cast<std::streamsize>(len));
-    MUBLASTP_CHECK(in.good(), "truncated index file");
-    db.add(seq, read_string(in));
+  for (std::uint64_t i = 0; i < p.num_seqs; ++i) {
+    const auto seq = p.arena.subspan(p.seq_offsets[i],
+                                     p.seq_offsets[i + 1] - p.seq_offsets[i]);
+    db.add(seq, std::string(p.name_blob.substr(
+                    p.name_offsets[i],
+                    p.name_offsets[i + 1] - p.name_offsets[i])));
   }
+  std::vector<SeqId> order(p.order.begin(), p.order.end());
+  DbIndex index(std::move(db), std::move(order), p.config);
+  index.inverse_.assign(p.inverse.begin(), p.inverse.end());
 
-  std::vector<SeqId> order = read_vector<SeqId>(in);
-  MUBLASTP_CHECK(order.size() == db.size(), "order/store size mismatch");
-
-  NeighborTable neighbors(*config.matrix, config.neighbor_threshold);
-  DbIndex index(std::move(db), std::move(order), config,
-                std::move(neighbors));
-  index.inverse_.resize(index.order_.size());
-  for (SeqId s = 0; s < index.order_.size(); ++s) {
-    index.inverse_[index.order_[s]] = s;
-  }
-
-  const auto num_blocks = read_pod<std::uint64_t>(in);
-  MUBLASTP_CHECK(num_blocks > 0 && num_blocks < (std::uint64_t{1} << 32),
-                 "implausible block count");
-  index.blocks_.resize(num_blocks);
-  for (DbIndexBlock& b : index.blocks_) {
-    b.fragments_ = read_vector<FragmentRef>(in);
-    b.offsets_ = read_vector<std::uint32_t>(in);
-    b.entries_ = read_vector<std::uint32_t>(in);
-    b.max_fragment_len_ = read_pod<std::uint64_t>(in);
-    b.total_chars_ = read_pod<std::uint64_t>(in);
-    b.offset_bits_ = read_pod<std::int32_t>(in);
-    MUBLASTP_CHECK(
-        b.offsets_.size() == static_cast<std::size_t>(kNumWords) + 1,
-        "corrupt block: wrong offsets size");
-    MUBLASTP_CHECK(b.offsets_.back() == b.entries_.size(),
-                   "corrupt block: offsets/entries mismatch");
-    MUBLASTP_CHECK(b.offset_bits_ >= 1 && b.offset_bits_ <= 31,
-                   "corrupt block: bad offset bits");
-    std::size_t max_len = 0;
-    std::size_t chars = 0;
-    for (const FragmentRef& f : b.fragments_) {
-      MUBLASTP_CHECK(f.seq < index.db_.size() &&
-                         f.start + f.len <= index.db_.length(f.seq),
-                     "corrupt block: fragment out of range");
-      max_len = std::max<std::size_t>(max_len, f.len);
-      chars += f.len;
+  constexpr std::size_t kCsrLen = static_cast<std::size_t>(kNumWords) + 1;
+  index.blocks_.resize(p.num_blocks);
+  std::size_t frag_cursor = 0;
+  std::size_t entry_cursor = 0;
+  for (std::size_t b = 0; b < p.num_blocks; ++b) {
+    const BlockMetaRecord& m = p.block_meta[b];
+    DbIndexBlock& block = index.blocks_[b];
+    if (block_bad[b]) {
+      // Quarantined: an empty block (all-zero CSR, no fragments or
+      // entries) contributes no hits, so the engine skips it naturally.
+      block.fragments_.clear();
+      block.offsets_.assign(kCsrLen, 0);
+      block.entries_.clear();
+      block.max_fragment_len_ = 0;
+      block.total_chars_ = 0;
+      block.offset_bits_ = 1;
+    } else {
+      const auto frags = p.fragments.subspan(frag_cursor, m.num_fragments);
+      const auto csr = p.csr_offsets.subspan(b * kCsrLen, kCsrLen);
+      const auto entries = p.entries.subspan(entry_cursor, m.num_entries);
+      block.fragments_.assign(frags.begin(), frags.end());
+      block.offsets_.assign(csr.begin(), csr.end());
+      block.entries_.assign(entries.begin(), entries.end());
+      block.max_fragment_len_ = m.max_fragment_len;
+      block.total_chars_ = m.total_chars;
+      block.offset_bits_ = m.offset_bits;
     }
-    MUBLASTP_CHECK(b.max_fragment_len_ == max_len,
-                   "corrupt block: fragment length summary mismatch");
-    MUBLASTP_CHECK(b.total_chars_ == chars,
-                   "corrupt block: character count mismatch");
-    // Offsets must be monotone and every entry must decode to a valid
-    // (fragment, in-range offset) pair.
-    for (std::size_t w = 0; w + 1 < b.offsets_.size(); ++w) {
-      MUBLASTP_CHECK(b.offsets_[w] <= b.offsets_[w + 1],
-                     "corrupt block: offsets not monotone");
-    }
-    for (const std::uint32_t e : b.entries_) {
-      const std::uint32_t frag = b.entry_fragment(e);
-      MUBLASTP_CHECK(frag < b.fragments_.size(),
-                     "corrupt block: entry fragment out of range");
-      MUBLASTP_CHECK(b.entry_offset(e) + kWordLength <=
-                         b.fragments_[frag].len,
-                     "corrupt block: entry offset out of range");
-    }
+    frag_cursor += m.num_fragments;
+    entry_cursor += m.num_entries;
   }
   return index;
 }
@@ -891,42 +593,20 @@ DbIndex load_db_index_file(const std::string& path) {
 
 IndexConfigSummary read_index_config_file(const std::string& path) {
   const DbIndexFileInfo info = describe_db_index_file(path);
-  MUBLASTP_CHECK_KIND(info.version == kDbIndexFormatV3, ErrorKind::kInvalid,
-                      "index config summary needs a v3 file: " + path);
-  const IndexSectionInfo* cfg = nullptr;
-  for (const IndexSectionInfo& s : info.sections) {
-    if (s.id == static_cast<std::uint32_t>(SectionId::kConfig)) cfg = &s;
-  }
-  MUBLASTP_CHECK_KIND(cfg != nullptr, ErrorKind::kCorrupt,
-                      "index section 'config' is missing from the file");
+  const IndexSectionInfo& cfg = info.sections[raw(SectionId::kConfig) - 1];
   std::ifstream in(path, std::ios::binary);
   MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
                       "cannot open index file: " + path);
-  in.seekg(static_cast<std::streamoff>(cfg->offset));
-  std::string payload(cfg->length, '\0');
+  in.seekg(static_cast<std::streamoff>(cfg.offset));
+  std::string payload(cfg.length, '\0');
   in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kCorrupt,
-                      "index section 'config' is out of bounds"
-                      " (truncated file?)");
-  if (crc32(payload.data(), payload.size()) != cfg->crc32) {
+  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
+                      "read failure on index file: " + path);
+  if (crc32(payload.data(), payload.size()) != cfg.crc32) {
     fail_section(SectionId::kConfig, "checksum mismatch (corrupt file)");
   }
-  SectionReader r{SectionId::kConfig,
-                  {reinterpret_cast<const std::byte*>(payload.data()),
-                   payload.size()}};
-  IndexConfigSummary out;
-  out.block_bytes = r.read<std::uint64_t>();
-  out.neighbor_threshold = r.read<std::int32_t>();
-  const auto name_len = r.read<std::uint32_t>();
-  if (name_len > (1u << 10)) {
-    fail_section(SectionId::kConfig, "has an implausible matrix name");
-  }
-  out.matrix_name = std::string(r.read_string(name_len));
-  out.long_seq_limit = r.read<std::uint64_t>();
-  out.long_seq_overlap = r.read<std::uint64_t>();
-  out.num_seqs = r.read<std::uint64_t>();
-  out.num_blocks = r.read<std::uint64_t>();
-  return out;
+  return read_config(
+      {reinterpret_cast<const std::byte*>(payload.data()), payload.size()});
 }
 
 DbIndexFileInfo describe_db_index_file(const std::string& path) {
@@ -934,55 +614,22 @@ DbIndexFileInfo describe_db_index_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
                       "cannot open index file: " + path);
-
   DbIndexFileInfo info;
   std::error_code ec;
   info.file_bytes = std::filesystem::file_size(path, ec);
-
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  MUBLASTP_CHECK_KIND(in.good() && std::equal(magic, magic + 4, kMagic),
-                      ErrorKind::kCorrupt,
-                      "not a muBLASTP index file (bad magic): " + path);
-  info.version = read_pod<std::uint32_t>(in);
-  MUBLASTP_CHECK_KIND(
-      info.version == kDbIndexFormatV2 || info.version == kDbIndexFormatV3,
-      ErrorKind::kCorrupt,
-      "unsupported index format version " + std::to_string(info.version));
-  if (info.version == kDbIndexFormatV2) return info;  // v2 has no table
-
-  const auto section_count = read_pod<std::uint32_t>(in);
-  const auto table_crc = read_pod<std::uint32_t>(in);
-  const auto file_bytes = read_pod<std::uint64_t>(in);
-  MUBLASTP_CHECK_KIND(file_bytes == info.file_bytes, ErrorKind::kCorrupt,
-                      "truncated index file: header declares " +
-                          std::to_string(file_bytes) + " bytes, file has " +
-                          std::to_string(info.file_bytes));
-  MUBLASTP_CHECK_KIND(section_count >= 1 && section_count <= 64,
-                      ErrorKind::kCorrupt,
-                      "index header: implausible section count");
-  in.seekg(sizeof(FileHeaderV3));
-  std::vector<SectionRecord> table(section_count);
-  in.read(reinterpret_cast<char*>(table.data()),
-          static_cast<std::streamsize>(section_count *
-                                       sizeof(SectionRecord)));
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kCorrupt,
-                      "truncated index file: section table missing");
-  MUBLASTP_CHECK_KIND(
-      crc32(table.data(), section_count * sizeof(SectionRecord)) ==
-          table_crc,
-      ErrorKind::kCorrupt, "index header: section table checksum mismatch");
-  for (const SectionRecord& r : table) {
-    // Callers seek to and allocate from these records, so one that runs
-    // past the file is corruption, caught here before any allocation.
-    if (r.offset > info.file_bytes ||
-        r.length > info.file_bytes - r.offset) {
-      fail_section(static_cast<SectionId>(r.id),
-                   "is out of bounds (truncated file?)");
-    }
-    info.sections.push_back(
-        {std::string(section_name(static_cast<SectionId>(r.id))), r.id,
-         r.offset, r.length, static_cast<std::uint32_t>(r.crc32)});
+  std::string head(sectioned::head_bytes(kFormat), '\0');
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
+                      "read failure on index file: " + path);
+  head.resize(static_cast<std::size_t>(in.gcount()));
+  for (const SectionRecord& r : sectioned::read_table(
+           kFormat,
+           {reinterpret_cast<const std::byte*>(head.data()), head.size()},
+           info.file_bytes)) {
+    info.sections.push_back({std::string(section_name(
+                                 static_cast<SectionId>(r.id))),
+                             r.id, r.offset, r.length,
+                             static_cast<std::uint32_t>(r.crc32)});
   }
   return info;
 }

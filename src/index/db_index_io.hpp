@@ -3,20 +3,14 @@
 // The whole point of a database index is "build once, search many times"
 // (paper Section V-A explicitly excludes index build time because "the
 // index only need to be built once for a given database"). This module
-// persists a DbIndex to a versioned little-endian binary file and reads it
-// back, in two formats:
+// persists a DbIndex as index format v3: a sectioned file (see
+// db_index_format.hpp and common/sectioned_file.hpp) whose raw sections
+// are readable by both the copy loader here and the zero-copy
+// MappedDbIndex.
 //
-//   v3 (current): checksummed section table over 64-byte-aligned raw
-//   sections (see db_index_format.hpp). Written by save_db_index, readable
-//   by both the copy loader here and the zero-copy MappedDbIndex.
-//
-//   v2 (legacy): streamed length-prefixed records. Still loadable (old
-//   files keep working) and still writable via save_db_index_v2 so the
-//   compatibility path stays testable.
-//
-// The neighbor table is NOT serialized in either format: it is a pure
-// function of (matrix, threshold) and rebuilding it costs milliseconds,
-// while storing it would add megabytes.
+// The neighbor table is not serialized: it is a pure function of (matrix,
+// threshold) that each search engine builds in milliseconds, while storing
+// it would add megabytes.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +28,17 @@ struct BlockQuarantine;  // db_index_format.hpp
 /// semantics). With tolerate_block_corruption set, a v3 file whose damage is
 /// confined to individual blocks loads with those blocks replaced by EMPTY
 /// blocks (zero fragments/entries, so they contribute no hits) and their ids
-/// + reasons appended to `quarantined`. v2 files have no per-block checksums
-/// and always load strictly.
+/// + reasons appended to `quarantined`.
 struct IndexLoadOptions {
   bool tolerate_block_corruption = false;
   std::vector<BlockQuarantine>* quarantined = nullptr;
 };
 
-/// Current file-format version (the sectioned, mmap-able v3).
+/// The file-format version every save writes and every loader accepts.
 inline constexpr std::uint32_t kDbIndexFormatVersion = 3;
+
+/// The file image of `index`: the bytes every save below writes.
+std::string db_index_image(const DbIndex& index);
 
 /// Writes `index` as format v3. Throws mublastp::Error on I/O errors.
 void save_db_index(std::ostream& out, const DbIndex& index);
@@ -55,16 +51,12 @@ void save_db_index_file(const std::string& path, const DbIndex& index);
 /// fsync the parent directory. A crash at any instant leaves `path` either
 /// absent/old or complete — never torn. Injection sites:
 /// "build.block_write" (data write), "build.fsync" (file/dir fsync),
-/// "build.publish_rename" (the atomic rename).
-void save_db_index_file_durable(const std::string& path,
-                                const DbIndex& index);
+/// "build.publish_rename" (the atomic rename). Returns the CRC32 of the
+/// bytes written, the whole-file checksum manifests record.
+std::uint32_t save_db_index_file_durable(const std::string& path,
+                                         const DbIndex& index);
 
-/// Writes `index` in the legacy v2 streamed format. Kept so backward
-/// compatibility of the v2 reader stays testable and old deployments can be
-/// fed from new builds; new files should use save_db_index.
-void save_db_index_v2(std::ostream& out, const DbIndex& index);
-
-/// Reads an index back (v2 or v3, dispatched on the version field). Throws
+/// Reads an index back. Throws
 /// mublastp::Error with a typed kind (kCorrupt for malformed or truncated
 /// input, bad magic, checksum mismatches, unsupported versions) — never
 /// returns a partial index except as allowed by `options` (quarantined
@@ -95,14 +87,13 @@ struct IndexSectionInfo {
 
 /// Surface-level description of an index file (for dbinfo and probes).
 struct DbIndexFileInfo {
-  std::uint32_t version = 0;      ///< 2 or 3
   std::uint64_t file_bytes = 0;
-  std::vector<IndexSectionInfo> sections;  ///< empty for v2 files
+  std::vector<IndexSectionInfo> sections;  ///< in section-id order
 };
 
 /// Reads only the header + section table of an index file: cheap (no
-/// payload is touched, no checksum verified beyond the table's own). Used
-/// by tools to print the layout and to pick the mmap vs copy load path.
+/// payload is touched, no checksum verified beyond the table's own), but
+/// the header and table are validated as a full load would.
 DbIndexFileInfo describe_db_index_file(const std::string& path);
 
 /// The build configuration an index file was created with, as stored in
@@ -118,8 +109,8 @@ struct IndexConfigSummary {
   std::uint64_t num_blocks = 0;
 };
 
-/// Reads (and CRC-verifies) just the 'config' section of a v3 index file.
-/// Throws Error(kCorrupt) on damage, kInvalid for v2 files.
+/// Reads (and CRC-verifies) just the 'config' section of an index file.
+/// Throws Error(kCorrupt) on damage.
 IndexConfigSummary read_index_config_file(const std::string& path);
 
 }  // namespace mublastp

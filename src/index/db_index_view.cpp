@@ -12,7 +12,6 @@ static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
 DbIndexView::DbIndexView(const DbIndex& index)
     : order_(index.order_),
       inverse_(index.inverse_),
-      neighbors_(&index.neighbors_),
       config_(index.config_),
       total_residues_(index.db_.total_residues()) {
   Member m;
@@ -31,7 +30,6 @@ DbIndexView::DbIndexView(const MappedDbIndex& mapped)
     : blocks_(mapped.blocks().begin(), mapped.blocks().end()),
       order_(mapped.order()),
       inverse_(mapped.inverse()),
-      neighbors_(&mapped.neighbors()),
       config_(mapped.config()),
       total_residues_(mapped.total_residues()) {
   Member m;
@@ -55,7 +53,6 @@ DbIndexView DbIndexView::join(std::span<const DbIndexPart> parts,
   if (identity) return parts[0].view;
 
   DbIndexView out;
-  out.neighbors_ = parts[0].view.neighbors_;
   out.config_ = parts[0].view.config_;
   std::size_t num_sequences = 0;
   for (const DbIndexPart& p : parts) num_sequences += p.view.num_sequences();
@@ -68,7 +65,7 @@ DbIndexView DbIndexView::join(std::span<const DbIndexPart> parts,
     const DbIndexView& v = parts[k].view;
     MUBLASTP_CHECK(v.members_.size() == 1,
                    "only 1-member views can be joined");
-    // One neighbor table serves every member's blocks.
+    // One engine's neighbor table serves every member's blocks.
     MUBLASTP_CHECK(v.config_.matrix == out.config_.matrix &&
                        v.config_.neighbor_threshold ==
                            out.config_.neighbor_threshold,

@@ -2,8 +2,8 @@
 // engines.
 //
 // Two concrete index representations exist: the owned DbIndex (vectors
-// built in memory or copy-loaded from a v2/v3 file) and the MappedDbIndex
-// (spans served straight out of a read-only mmap of a v3 file). Search must
+// built in memory or copy-loaded from a file) and the MappedDbIndex (spans
+// served straight out of a read-only mmap of the file). Search must
 // drive both identically — same hits, same HSPs, same telemetry counters —
 // so the engines are written against this view instead of either concrete
 // type. The view is a handful of spans plus scalars: constructing one
@@ -16,9 +16,9 @@
 // member's store (members()[block.member()]), sorted ids numbering the
 // members' stores one after another, and original ids global.
 //
-// Lifetime: a DbIndexView borrows everything (arena, CSR arrays, neighbor
-// table) from the indexes it was built over; they must outlive the view
-// and every engine holding it — the same contract engines already had with
+// Lifetime: a DbIndexView borrows everything (arena, CSR arrays, names)
+// from the indexes it was built over; they must outlive the view and every
+// engine holding it — the same contract engines already had with
 // `const DbIndex&`.
 #pragma once
 
@@ -140,8 +140,9 @@ class DbIndexView {
   /// global ids in [0, num_global_ids). A global id no part maps to has a
   /// sorted_id() >= num_sequences(). One part whose map is the identity
   /// yields its own view unchanged. Every part must be a 1-member view
-  /// built with the same matrix and neighbor threshold: the joined view
-  /// serves part 0's neighbor table and config.
+  /// built with the same matrix and neighbor threshold: one engine's
+  /// neighbor table serves every part's blocks, and the joined view serves
+  /// part 0's config.
   static DbIndexView join(std::span<const DbIndexPart> parts,
                           std::size_t num_global_ids);
 
@@ -159,9 +160,6 @@ class DbIndexView {
         [](SeqId v, const Member& m) { return v < m.first_seq; });
     return static_cast<std::uint32_t>(next - members_.begin() - 1);
   }
-
-  /// Shared word -> neighbor-words table.
-  const NeighborTable& neighbors() const { return *neighbors_; }
 
   /// Construction parameters of the underlying index (member 0's).
   const DbIndexConfig& config() const { return config_; }
@@ -200,7 +198,6 @@ class DbIndexView {
   /// Backs order_ and inverse_ in a joined view; shared, so copies of the
   /// view keep their spans valid.
   std::shared_ptr<const std::vector<SeqId>> joined_ids_;
-  const NeighborTable* neighbors_ = nullptr;
   DbIndexConfig config_;
   std::size_t total_residues_ = 0;
 };

@@ -14,6 +14,7 @@
 #include "common/durable.hpp"
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "common/sectioned_file.hpp"
 #include "index/db_index_format.hpp"
 #include "index/db_index_io.hpp"
 #include "score/matrix.hpp"
@@ -21,29 +22,27 @@
 namespace mublastp {
 namespace {
 
-constexpr char kMagic[12] = "MUGEN01";  // NUL-padded to 12 bytes
-constexpr std::size_t kNumSections = 3;
-
 namespace fs = std::filesystem;
 
-template <typename T>
-void append_pod(std::string& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+using sectioned::append_pod;
+
+constexpr std::uint32_t raw(GenSectionId id) {
+  return static_cast<std::uint32_t>(id);
 }
 
-std::size_t align_up(std::size_t n) {
-  return (n + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
-}
+// Listed in id order, so section id k is at position k - 1.
+constexpr sectioned::SectionName kSections[] = {
+    {raw(GenSectionId::kConfig), "config"},
+    {raw(GenSectionId::kMemberMeta), "member-meta"},
+    {raw(GenSectionId::kPaths), "paths"},
+};
+
+constexpr sectioned::Format kFormat{
+    "generation manifest", std::string_view("MUGEN01\0\0\0\0\0", 12),
+    kGenerationManifestVersion, kSections, /*pad_tail=*/true};
 
 [[noreturn]] void fail_section(GenSectionId id, const std::string& what) {
-  throw Error("generation manifest section '" +
-                  std::string(gen_section_name(id)) + "' " + what,
-              ErrorKind::kCorrupt);
-}
-
-[[noreturn]] void fail_file(const std::string& what) {
-  throw Error("generation manifest " + what, ErrorKind::kCorrupt);
+  sectioned::fail_section(kFormat, raw(id), what);
 }
 
 std::string basename_of(const std::string& path) {
@@ -122,12 +121,7 @@ std::uint32_t file_crc32(const std::string& path) {
 }
 
 std::string_view gen_section_name(GenSectionId id) {
-  switch (id) {
-    case GenSectionId::kConfig: return "config";
-    case GenSectionId::kMemberMeta: return "member-meta";
-    case GenSectionId::kPaths: return "paths";
-  }
-  return "unknown";
+  return sectioned::section_name(kFormat, raw(id));
 }
 
 std::string generation_manifest_path(const std::string& base_path,
@@ -173,8 +167,6 @@ std::string serialize_generation_manifest(
   MUBLASTP_CHECK(sum_residues == manifest.total_residues,
                  "member residue counts must sum to total_residues");
 
-  // Section payloads.
-  std::string config;
   GenConfigRecord cfg{};
   cfg.generation = manifest.generation;
   cfg.member_count = manifest.member_count();
@@ -186,11 +178,11 @@ std::string serialize_generation_manifest(
       static_cast<std::uint32_t>(manifest.matrix_name.size());
   cfg.long_seq_limit = manifest.long_seq_limit;
   cfg.long_seq_overlap = manifest.long_seq_overlap;
-  append_pod(config, cfg);
-  config += manifest.matrix_name;
-
-  std::string meta;
-  std::string paths;
+  sectioned::Payload sections[] = {{raw(GenSectionId::kConfig), {}},
+                                   {raw(GenSectionId::kMemberMeta), {}},
+                                   {raw(GenSectionId::kPaths), {}}};
+  append_pod(sections[0].bytes, cfg);
+  sections[0].bytes += manifest.matrix_name;
   for (const GenerationMember& m : manifest.members) {
     GenMemberRecord rec{};
     rec.num_sequences = m.num_sequences;
@@ -198,140 +190,23 @@ std::string serialize_generation_manifest(
     rec.id_offset = m.id_offset;
     rec.index_crc32 = m.index_crc32;
     rec.reserved = 0;
-    append_pod(meta, rec);
-    paths.append(m.path);
-    paths.push_back('\0');
+    append_pod(sections[1].bytes, rec);
+    sections[2].bytes.append(m.path);
+    sections[2].bytes.push_back('\0');
   }
-
-  const std::string* payloads[kNumSections] = {&config, &meta, &paths};
-  constexpr GenSectionId kIds[kNumSections] = {GenSectionId::kConfig,
-                                               GenSectionId::kMemberMeta,
-                                               GenSectionId::kPaths};
-
-  const std::size_t table_bytes = kNumSections * sizeof(SectionRecord);
-  std::uint64_t cursor = align_up(sizeof(GenManifestHeader) + table_bytes);
-  SectionRecord table[kNumSections];
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    table[i].id = static_cast<std::uint32_t>(kIds[i]);
-    table[i].reserved = 0;
-    table[i].offset = cursor;
-    table[i].length = payloads[i]->size();
-    table[i].crc32 = crc32(payloads[i]->data(), payloads[i]->size());
-    cursor = align_up(cursor + payloads[i]->size());
-  }
-
-  GenManifestHeader header{};
-  std::memcpy(header.magic, kMagic, sizeof(header.magic));
-  header.version = kGenerationManifestVersion;
-  header.section_count = kNumSections;
-  header.table_crc32 = crc32(table, table_bytes);
-  header.file_bytes = cursor;
-
-  std::string image;
-  image.reserve(cursor);
-  append_pod(image, header);
-  image.append(reinterpret_cast<const char*>(table), table_bytes);
-  for (std::size_t i = 0; i < kNumSections; ++i) {
-    image.resize(table[i].offset, '\0');
-    image.append(*payloads[i]);
-  }
-  image.resize(cursor, '\0');
-  return image;
+  return sectioned::write(kFormat, sections);
 }
 
 GenerationManifest parse_generation_manifest(
     std::span<const std::byte> image) {
-  if (image.size() < sizeof(GenManifestHeader)) {
-    fail_file("is too short for a header (truncated file)");
-  }
-  GenManifestHeader header{};
-  std::memcpy(&header, image.data(), sizeof(header));
-  if (std::memcmp(header.magic, kMagic, sizeof(header.magic)) != 0) {
-    fail_file("has bad magic (not a MUGEN01 file)");
-  }
-  if (header.version != kGenerationManifestVersion) {
-    fail_file("has unsupported version " + std::to_string(header.version));
-  }
-  if (header.file_bytes != image.size()) {
-    fail_file("size mismatch: header says " +
-              std::to_string(header.file_bytes) + " bytes, file has " +
-              std::to_string(image.size()) + " (truncated file)");
-  }
-  if (header.section_count != kNumSections) {
-    fail_file("has wrong section count " +
-              std::to_string(header.section_count));
-  }
-  bool reserved_zero = header.reserved0 == 0 && header.reserved1 == 0;
-  for (const std::uint8_t b : header.reserved) {
-    reserved_zero = reserved_zero && b == 0;
-  }
-  if (!reserved_zero) {
-    fail_file("has nonzero reserved header bytes");
-  }
-
-  const std::size_t table_bytes =
-      header.section_count * sizeof(SectionRecord);
-  if (sizeof(header) + table_bytes > image.size()) {
-    fail_file("is too short for its section table (truncated file)");
-  }
-  std::vector<SectionRecord> table(header.section_count);
-  std::memcpy(table.data(), image.data() + sizeof(header), table_bytes);
-  if (crc32(table.data(), table_bytes) != header.table_crc32) {
-    fail_file("section table checksum mismatch");
-  }
-
-  std::span<const std::byte> sections[kNumSections + 1];  // indexed by id
-  bool seen[kNumSections + 1] = {};
-  for (const SectionRecord& rec : table) {
-    if (rec.id < 1 || rec.id > kNumSections) {
-      fail_file("has unknown section id " + std::to_string(rec.id));
-    }
-    const auto id = static_cast<GenSectionId>(rec.id);
-    if (seen[rec.id]) fail_section(id, "appears twice in the table");
-    seen[rec.id] = true;
-    if (rec.offset % kSectionAlign != 0) fail_section(id, "is misaligned");
-    if (rec.offset > image.size() ||
-        rec.length > image.size() - rec.offset) {
-      fail_section(id, "extends past the end of the file (truncated file)");
-    }
-    const std::span<const std::byte> payload =
-        image.subspan(rec.offset, rec.length);
-    if (crc32(payload) != static_cast<std::uint32_t>(rec.crc32)) {
-      fail_section(id, "checksum mismatch");
-    }
-    sections[rec.id] = payload;
-  }
-
-  // Every byte outside the header, the table and the section payloads is
-  // alignment padding the serializer wrote as zero. Verify that too: the
-  // checksums then cover the WHOLE image, so any flipped bit in a
-  // published manifest is detected — padding is not a blind spot.
-  {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> covered;
-    covered.emplace_back(0, sizeof(header) + table_bytes);
-    for (const SectionRecord& rec : table) {
-      covered.emplace_back(rec.offset, rec.offset + rec.length);
-    }
-    std::sort(covered.begin(), covered.end());
-    std::uint64_t cursor = 0;
-    const auto check_zero = [&](std::uint64_t from, std::uint64_t to) {
-      for (std::uint64_t at = from; at < to && at < image.size(); ++at) {
-        if (image[at] != std::byte{0}) {
-          fail_file("has nonzero alignment padding at offset " +
-                    std::to_string(at));
-        }
-      }
-    };
-    for (const auto& [begin, end] : covered) {
-      check_zero(cursor, begin);
-      cursor = std::max(cursor, end);
-    }
-    check_zero(cursor, image.size());
-  }
+  const std::vector<sectioned::Section> sections =
+      sectioned::parse(kFormat, image);
+  const auto payload = [&](GenSectionId id) {
+    return sections[raw(id) - 1].bytes;
+  };
 
   // kConfig: fixed record + matrix name.
-  const auto cfg_bytes =
-      sections[static_cast<std::size_t>(GenSectionId::kConfig)];
+  const auto cfg_bytes = payload(GenSectionId::kConfig);
   if (cfg_bytes.size() < sizeof(GenConfigRecord)) {
     fail_section(GenSectionId::kConfig, "has invalid size");
   }
@@ -362,8 +237,7 @@ GenerationManifest parse_generation_manifest(
   out.long_seq_overlap = cfg.long_seq_overlap;
 
   // kMemberMeta.
-  const auto meta_bytes =
-      sections[static_cast<std::size_t>(GenSectionId::kMemberMeta)];
+  const auto meta_bytes = payload(GenSectionId::kMemberMeta);
   if (meta_bytes.size() !=
       static_cast<std::size_t>(cfg.member_count) * sizeof(GenMemberRecord)) {
     fail_section(GenSectionId::kMemberMeta,
@@ -374,8 +248,7 @@ GenerationManifest parse_generation_manifest(
 
   // kPaths: exactly member_count NUL-terminated names consuming the
   // section.
-  const auto paths_bytes =
-      sections[static_cast<std::size_t>(GenSectionId::kPaths)];
+  const auto paths_bytes = payload(GenSectionId::kPaths);
   std::vector<std::string> member_paths;
   member_paths.reserve(cfg.member_count);
   std::size_t pos = 0;
@@ -566,14 +439,12 @@ AppendResult append_generation(const std::string& base_path,
   const DbIndexConfig cfg = chain_build_config(next, build_threads);
   const DbIndex delta = DbIndex::build(new_seqs, cfg, &out.telemetry);
   out.delta_path = delta_member_path(base_path, next.generation);
-  save_db_index_file_durable(out.delta_path, delta);
-
   GenerationMember m{};
+  m.index_crc32 = save_db_index_file_durable(out.delta_path, delta);
   m.path = basename_of(out.delta_path);
   m.num_sequences = new_seqs.size();
   m.num_residues = new_seqs.total_residues();
   m.id_offset = next.total_sequences;
-  m.index_crc32 = file_crc32(out.delta_path);
   next.members.push_back(std::move(m));
   next.total_sequences += new_seqs.size();
   next.total_residues += new_seqs.total_residues();
@@ -620,7 +491,8 @@ CompactResult compact_generations(const std::string& base_path,
   const DbIndex canonical = DbIndex::build(global, cfg, &out.telemetry);
   out.generation = prev.generation + 1;
   out.compact_path = compact_member_path(base_path, out.generation);
-  save_db_index_file_durable(out.compact_path, canonical);
+  const std::uint32_t compact_crc =
+      save_db_index_file_durable(out.compact_path, canonical);
 
   GenerationManifest next;
   next.generation = out.generation;
@@ -636,7 +508,7 @@ CompactResult compact_generations(const std::string& base_path,
   m.num_sequences = prev.total_sequences;
   m.num_residues = prev.total_residues;
   m.id_offset = 0;
-  m.index_crc32 = file_crc32(out.compact_path);
+  m.index_crc32 = compact_crc;
   next.members.push_back(std::move(m));
   save_generation_manifest(base_path, next);
 

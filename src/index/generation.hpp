@@ -15,6 +15,8 @@
 // id = member id_offset + member-local original id — members are a
 // partition of the database in append order), its residue/sequence counts
 // (so E-values are priced over the combined total), and a whole-file CRC.
+// On disk a manifest is a sectioned file (common/sectioned_file.hpp) with a
+// 12-byte magic "MUGEN01" and a tail padded to 64 bytes.
 //
 // Crash consistency is the durable-publish protocol (common/durable.hpp):
 // members are fully written + fsynced under their final names BEFORE the
@@ -55,19 +57,6 @@ enum class GenSectionId : std::uint32_t {
 
 /// Human-readable section name used in error messages.
 std::string_view gen_section_name(GenSectionId id);
-
-/// Fixed-size file header at offset 0 (same shape as MUSHARD01).
-struct GenManifestHeader {
-  char magic[12];              ///< "MUGEN01", NUL-padded
-  std::uint32_t version;       ///< kGenerationManifestVersion
-  std::uint32_t section_count;
-  std::uint32_t table_crc32;   ///< CRC32 of the section-table bytes
-  std::uint32_t reserved0;     ///< zero
-  std::uint32_t reserved1;     ///< zero; aligns file_bytes to 8
-  std::uint64_t file_bytes;    ///< total file size (fast truncation check)
-  std::uint8_t reserved[24];   ///< zero; pads the header to 64 bytes
-};
-static_assert(sizeof(GenManifestHeader) == 64);
 
 /// Fixed prefix of the kConfig section; the matrix name follows it.
 struct GenConfigRecord {
@@ -123,7 +112,8 @@ struct GenerationManifest {
 };
 
 /// CRC32 of a whole file, read in chunks: the checksum manifests record for
-/// each member and shard index file. Throws Error(kIo) when unreadable.
+/// each member and shard index file, for a file no writer or mapping here
+/// already holds in memory. Throws Error(kIo) when unreadable.
 std::uint32_t file_crc32(const std::string& path);
 
 /// `<base>.genNNNNNN` — where generation `gen`'s manifest lives.

@@ -139,7 +139,6 @@ ParsedIndexFile MappedDbIndex::open_image(
 MappedDbIndex::MappedDbIndex(const std::string& path, Options options)
     : map_(path),
       parsed_(open_image(map_.bytes(), options, path, &quarantined_)),
-      neighbors_(*parsed_.config.matrix, parsed_.config.neighbor_threshold),
       path_(path) {
   // Carve per-block span descriptors out of the concatenated sections.
   constexpr std::size_t kCsrLen = static_cast<std::size_t>(kNumWords) + 1;

@@ -2,8 +2,8 @@
 //
 // The paper's premise is "build the index once, search many times" (Section
 // V-A excludes build time for exactly that reason). For a serving process
-// the analogous cost is *load* time: the v2 path deserializes the whole
-// arena through istream copies on every start. A MappedDbIndex instead maps
+// the analogous cost is *load* time: the copy loader deserializes the whole
+// file into owned vectors on every start. A MappedDbIndex instead maps
 // the file read-only and serves the sequence arena, block CSR offsets and
 // packed entries directly from the mapping as spans — no allocation
 // proportional to database size, pages faulted in on demand, and the OS
@@ -11,9 +11,9 @@
 // database (the load-path analogue of the paper's cache-conscious block
 // design).
 //
-// Only derived state is materialized: per-block span descriptors and the
-// neighbor table (a pure function of (matrix, threshold), rebuilt on every
-// open exactly as in the copy loader, ~5 ms).
+// Only derived state is materialized: the per-block span descriptors. The
+// neighbor table belongs to the search engine, which builds it from
+// config().
 //
 // Integrity: by default the constructor verifies the section table and
 // every section's CRC32 plus the structural invariants, so a truncated or
@@ -31,7 +31,6 @@
 
 #include "index/db_index_format.hpp"
 #include "index/db_index_view.hpp"
-#include "index/neighbor.hpp"
 
 namespace mublastp {
 
@@ -60,14 +59,13 @@ struct MappedDbIndexOptions {
   bool tolerate_block_corruption = false;
 };
 
-/// A read-only, memory-mapped database index (format v3 only).
+/// A read-only, memory-mapped database index.
 class MappedDbIndex {
  public:
   using Options = MappedDbIndexOptions;
 
-  /// Maps `path`. Throws mublastp::Error if the path is not a regular v3
-  /// index file or fails verification. v2 files are rejected with a message
-  /// pointing at the copy loader (load_db_index_file).
+  /// Maps `path`. Throws mublastp::Error if the path is not a regular
+  /// index file or fails verification.
   explicit MappedDbIndex(const std::string& path, Options options = {});
 
   MappedDbIndex(MappedDbIndex&& other) noexcept = default;
@@ -88,7 +86,6 @@ class MappedDbIndex {
   std::span<const SeqId> order() const { return parsed_.order; }
   std::span<const SeqId> inverse() const { return parsed_.inverse; }
   std::span<const DbBlockView> blocks() const { return blocks_; }
-  const NeighborTable& neighbors() const { return neighbors_; }
   const DbIndexConfig& config() const { return parsed_.config; }
   std::size_t num_sequences() const { return parsed_.num_seqs; }
   std::size_t total_residues() const { return parsed_.arena.size(); }
@@ -106,6 +103,9 @@ class MappedDbIndex {
 
   /// Size of the mapped file.
   std::size_t file_bytes() const { return map_.size; }
+
+  /// The mapped file's bytes.
+  std::span<const std::byte> image() const { return map_.bytes(); }
 
   /// Bytes of the mapping currently resident in physical memory (mincore
   /// sweep). Grows as searches fault pages in; a freshly opened unverified
@@ -139,7 +139,6 @@ class MappedDbIndex {
   Mapping map_;
   std::vector<BlockQuarantine> quarantined_;  // before parsed_: init order
   ParsedIndexFile parsed_;
-  NeighborTable neighbors_;
   std::vector<DbBlockView> blocks_;
   /// Backing storage for the empty CSR of quarantined blocks' views
   /// (kNumWords + 1 zeros). Heap-allocated, so the spans survive moves.

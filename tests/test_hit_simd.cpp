@@ -441,8 +441,8 @@ TEST(FlatNeighborhood, MatchesTwoLevelScanOrder)
       synth::generate_database(synth::sprot_like(60000), 808);
   Rng rng(809);
   const SequenceStore queries = synth::sample_queries(db, 3, 96, rng);
-  const DbIndex index = DbIndex::build(db, {});
-  const NeighborTable& neighbors = index.neighbors();
+  const DbIndexConfig config;
+  const NeighborTable neighbors(*config.matrix, config.neighbor_threshold);
 
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
     const auto query = queries.sequence(static_cast<SeqId>(qi));
@@ -466,12 +466,11 @@ TEST(FlatNeighborhood, MatchesTwoLevelScanOrder)
 }
 
 TEST(FlatNeighborhood, ShortQueryHasNoPositions) {
-  const SequenceStore db =
-      synth::generate_database(synth::sprot_like(20000), 810);
-  const DbIndex index = DbIndex::build(db, {});
+  const DbIndexConfig config;
+  const NeighborTable neighbors(*config.matrix, config.neighbor_threshold);
   const std::vector<Residue> tiny(kWordLength - 1, Residue{3});
   FlatNeighborhood flat;
-  flat.build({tiny.data(), tiny.size()}, index.neighbors());
+  flat.build({tiny.data(), tiny.size()}, neighbors);
   EXPECT_EQ(flat.positions(), 0u);
   EXPECT_EQ(flat.total_words(), 0u);
 }

@@ -31,8 +31,8 @@ TEST(DbIndexIo, RoundTripPreservesStructure) {
   EXPECT_EQ(loaded.db().total_residues(), original.db().total_residues());
   ASSERT_EQ(loaded.blocks().size(), original.blocks().size());
   EXPECT_EQ(loaded.config().block_bytes, original.config().block_bytes);
-  EXPECT_EQ(loaded.neighbors().threshold(),
-            original.neighbors().threshold());
+  EXPECT_EQ(loaded.config().neighbor_threshold,
+            original.config().neighbor_threshold);
 
   for (SeqId i = 0; i < loaded.db().size(); ++i) {
     EXPECT_EQ(loaded.db().name(i), original.db().name(i));

@@ -1,7 +1,7 @@
-// Round-trip property battery for index format v3 (and the v2 legacy
-// path): for a spread of database shapes, an index that goes through
-// save -> load (stream or file) or save -> mmap must drive the engine to
-// BIT-IDENTICAL results and telemetry counters as the in-memory original.
+// Round-trip property battery for index format v3: for a spread of
+// database shapes, an index that goes through save -> load (stream or
+// file) or save -> mmap must drive the engine to BIT-IDENTICAL results and
+// telemetry counters as the in-memory original.
 #include "index/db_index_io.hpp"
 
 #include <gtest/gtest.h>
@@ -152,13 +152,6 @@ TEST_P(IndexIoRoundTrip, AllLoadPathsSearchIdentically) {
                      "mapped-unverified");
   }
 
-  // Legacy v2 writer -> v2 reader must also reproduce the search exactly.
-  std::stringstream v2buf;
-  save_db_index_v2(v2buf, original);
-  const DbIndex v2_loaded = load_db_index(v2buf);
-  expect_identical(ref, drive(MuBlastpEngine(v2_loaded), queries),
-                   "v2-loaded");
-
   std::remove(path.c_str());
 }
 
@@ -251,35 +244,17 @@ std::string read_file(const std::string& path) {
   return bytes.str();
 }
 
-TEST(IndexIoRoundTrip, V2FixtureStillLoads) {
-  // A v2 file produced by the legacy writer is checked into tests/data/ so
-  // forward compatibility is pinned by bytes on disk, not by the current
-  // writer's behaviour.
-  const DbIndex loaded = load_db_index_file(fixture_path("tiny_v2.mbi"));
-  ASSERT_EQ(loaded.db().size(), 4u);
-  EXPECT_EQ(loaded.config().block_bytes, 4096u);
-
-  // Reconstruct the original-order store through the id maps and rebuild;
-  // the fixture index must search exactly like a fresh build of its DB.
+TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
+  // tiny_v3.mbi's own database, back in original order and rebuilt with
+  // its config, must save to the fixture's exact bytes. Every section CRC,
+  // block CRC and the table CRC are in it, so a writer, layout or checksum
+  // change shows up here as a byte difference against a file on disk.
+  const std::string fixture = fixture_path("tiny_v3.mbi");
+  const DbIndex loaded = load_db_index_file(fixture);
   const SequenceStore original_db = original_order_store(loaded);
+  ASSERT_EQ(original_db.size(), 4u);
   EXPECT_EQ(original_db.name(0), "fix_helix");
   const DbIndex rebuilt = DbIndex::build(original_db, loaded.config());
-
-  Rng rng(215);
-  const SequenceStore queries = synth::sample_queries(original_db, 2, 24, rng);
-  expect_identical(drive(MuBlastpEngine(rebuilt), queries),
-                   drive(MuBlastpEngine(loaded), queries), "v2 fixture");
-}
-
-TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
-  // tiny_v3.mbi is the v2 fixture's database, rebuilt with its config and
-  // saved by the v3 writer. Every section CRC, block CRC and the table
-  // CRC are in it, so a writer, layout or checksum change shows up here
-  // as a byte difference against a file on disk.
-  const std::string fixture = fixture_path("tiny_v3.mbi");
-  const DbIndex v2 = load_db_index_file(fixture_path("tiny_v2.mbi"));
-  const SequenceStore original_db = original_order_store(v2);
-  const DbIndex rebuilt = DbIndex::build(original_db, v2.config());
 
   const std::string path = test_temp_path("tiny_v3.mbi");
   save_db_index_file(path, rebuilt);
@@ -303,34 +278,23 @@ TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
                    "v3 fixture, copy loader");
 }
 
-TEST(IndexIoRoundTrip, DescribeReportsSectionsForV3AndVersionForV2) {
+TEST(IndexIoRoundTrip, DescribeReportsEverySection) {
   const SequenceStore db =
       synth::generate_database(synth::sprot_like(5000), 216);
   DbIndexConfig cfg;
   cfg.block_bytes = 4096;
   const DbIndex index = DbIndex::build(db, cfg);
 
-  const std::string v3_path = test_temp_path("describe_v3.mbi");
-  save_db_index_file(v3_path, index);
-  const DbIndexFileInfo v3 = describe_db_index_file(v3_path);
-  EXPECT_EQ(v3.version, kDbIndexFormatVersion);
-  EXPECT_EQ(v3.sections.size(), 11u);
-  for (const IndexSectionInfo& s : v3.sections) {
+  const std::string path = test_temp_path("describe_v3.mbi");
+  save_db_index_file(path, index);
+  const DbIndexFileInfo info = describe_db_index_file(path);
+  EXPECT_EQ(info.sections.size(), 11u);
+  for (const IndexSectionInfo& s : info.sections) {
     EXPECT_NE(s.name, "unknown");
     EXPECT_EQ(s.offset % kSectionAlign, 0u) << s.name;
-    EXPECT_LE(s.offset + s.length, v3.file_bytes) << s.name;
+    EXPECT_LE(s.offset + s.length, info.file_bytes) << s.name;
   }
-
-  const std::string v2_path = test_temp_path("describe_v2.mbi");
-  {
-    std::ofstream out(v2_path, std::ios::binary);
-    save_db_index_v2(out, index);
-  }
-  const DbIndexFileInfo v2 = describe_db_index_file(v2_path);
-  EXPECT_EQ(v2.version, 2u);
-  EXPECT_TRUE(v2.sections.empty());
-  std::remove(v3_path.c_str());
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

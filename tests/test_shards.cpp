@@ -472,6 +472,20 @@ INSTANTIATE_TEST_SUITE_P(Modes, ShardFailure,
 // Manifest corruption: every section, truncation and bit rot
 // ---------------------------------------------------------------------------
 
+// The shard manifest header as laid out on disk (a sectioned file with a
+// 12-byte magic), spelled out here so these tests pin the field offsets.
+struct ShardManifestHeader {
+  char magic[12];
+  std::uint32_t version;
+  std::uint32_t section_count;
+  std::uint32_t table_crc32;
+  std::uint32_t reserved0;
+  std::uint32_t reserved1;
+  std::uint64_t file_bytes;
+  std::uint8_t reserved[24];
+};
+static_assert(sizeof(ShardManifestHeader) == kSectionedHeaderBytes);
+
 class ManifestCorruption : public ::testing::Test {
  protected:
   void SetUp() override {

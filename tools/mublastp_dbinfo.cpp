@@ -15,34 +15,23 @@
 // 5 corrupt input.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/error.hpp"
 #include "index/db_index_io.hpp"
 #include "index/generation.hpp"
+#include "index/neighbor.hpp"
 
 namespace {
 
 using namespace mublastp;
+using namespace mublastp::cli;
 
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind(prefix, 0) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-std::size_t arg_num(int argc, char** argv, const std::string& key,
-                    std::size_t fallback) {
-  const std::string v = arg_str(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
+/// The most --threads and --l3-mb accept.
+constexpr int kMaxThreads = 1024;
+constexpr std::size_t kMaxL3Mb = std::size_t{1} << 20;
 
 double mb(std::size_t bytes) {
   return static_cast<double>(bytes) / (1 << 20);
@@ -51,18 +40,19 @@ double mb(std::size_t bytes) {
 /// The full single-index report (file sections, blocks, word lists, cache
 /// budget) — one call per chain member.
 void describe_index(const std::string& path, int threads, std::size_t l3) {
-  // File-level description first: format version and, for v3, the
-  // checksummed section table the mmap loader navigates by.
+  // File-level description first: the checksummed section table the mmap
+  // loader navigates by.
   const DbIndexFileInfo finfo = describe_db_index_file(path);
   const DbIndex index = load_db_index_file(path);
   const SequenceStore& db = index.db();
+  const NeighborTable neighbors(*index.config().matrix,
+                                index.config().neighbor_threshold);
 
   std::printf("index file        : %s\n", path.c_str());
-  std::printf("format            : v%u, %llu bytes%s\n", finfo.version,
-              static_cast<unsigned long long>(finfo.file_bytes),
-              finfo.version >= kDbIndexFormatVersion
-                  ? " (mmap-able, checksummed sections)"
-                  : " (legacy streamed; copy-load only)");
+  std::printf("format            : v%u, %llu bytes"
+              " (mmap-able, checksummed sections)\n",
+              kDbIndexFormatVersion,
+              static_cast<unsigned long long>(finfo.file_bytes));
   for (const IndexSectionInfo& s : finfo.sections) {
     std::printf("  section %-12s offset=%-10llu length=%-10llu"
                 " crc32=%08x\n",
@@ -73,10 +63,8 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
               db.total_residues());
   std::printf("neighbor threshold: T=%d (%zu word-neighbor pairs, avg "
               "%.1f/word)\n",
-              index.neighbors().threshold(),
-              index.neighbors().total_neighbors(),
-              static_cast<double>(index.neighbors().total_neighbors()) /
-                  kNumWords);
+              neighbors.threshold(), neighbors.total_neighbors(),
+              static_cast<double>(neighbors.total_neighbors()) / kNumWords);
   std::printf("config block size : %zu KB positions, long-seq limit %zu\n",
               index.config().block_bytes / 1024,
               index.config().long_seq_limit);
@@ -158,8 +146,15 @@ int main(int argc, char** argv) {
                  " [--l3-mb=30]\n");
     return 2;
   }
-  const int threads = static_cast<int>(arg_num(argc, argv, "threads", 12));
-  const std::size_t l3 = arg_num(argc, argv, "l3-mb", 30) << 20;
+  int threads = 0;
+  std::size_t l3 = 0;
+  try {
+    threads = arg_number(argc, argv, "threads", 12, 1, kMaxThreads);
+    l3 = arg_number<std::size_t>(argc, argv, "l3-mb", 30, 1, kMaxL3Mb) << 20;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   try {
     // Generation resolution (docs/INCREMENTAL.md): describe the newest
     // published chain if one exists, else the bare file.

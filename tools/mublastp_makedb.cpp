@@ -50,10 +50,11 @@
 // 0 ok, 1 generic, 2 usage, 4 I/O, 5 corrupt input, 6 resources.
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "cluster/partition.hpp"
 #include "cluster/shard_manifest.hpp"
 #include "common/error.hpp"
@@ -68,30 +69,11 @@
 
 namespace {
 
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind(prefix, 0) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
+using namespace mublastp::cli;
 
-std::size_t arg_num(int argc, char** argv, const std::string& key,
-                    std::size_t fallback) {
-  const std::string v = arg_str(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string bare = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
+/// The most --shards and --build-threads accept.
+constexpr std::size_t kMaxShards = 1024;
+constexpr int kMaxThreads = 1024;
 
 std::string basename_of(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -148,9 +130,8 @@ void make_sharded(const mublastp::SequenceStore& db,
     const std::string shard_path = out_path + ".shard" + std::to_string(k);
     // Shard members publish durably too: the manifest (written last, also
     // durably) must never name a shard file that could be torn by a crash.
-    save_db_index_file_durable(shard_path, index);
+    shard.index_crc32 = save_db_index_file_durable(shard_path, index);
     shard.path = basename_of(shard_path);
-    shard.index_crc32 = file_crc32(shard_path);
     info("shard %d: %zu sequences, %llu residues, %zu blocks -> %s\n",
          k, shard.to_global.size(),
          static_cast<unsigned long long>(shard.num_residues),
@@ -224,31 +205,51 @@ int main(int argc, char** argv) {
                  " and --shards)\n");
     return 2;
   }
-  if (!stats_mode.empty() && stats_mode != "table" && stats_mode != "json") {
-    std::fprintf(stderr, "error: unknown --stats mode '%s'"
-                 " (expected --stats or --stats=json)\n", stats_mode.c_str());
+  std::size_t shards = 0;
+  int build_threads = 0;
+  std::size_t residues = 0;
+  std::uint64_t seed = 0;
+  DbIndexConfig config;
+  try {
+    if (!stats_mode.empty() && stats_mode != "table" &&
+        stats_mode != "json") {
+      throw UsageError("unknown --stats mode '" + stats_mode +
+                       "' (expected --stats or --stats=json)");
+    }
+    shards = arg_number<std::size_t>(argc, argv, "shards", 0, 0, kMaxShards);
+    if (shards > 0 && (!append_path.empty() || compact)) {
+      throw UsageError("--shards is exclusive with --append/--compact");
+    }
+    build_threads =
+        arg_number(argc, argv, "build-threads", 0, 0, kMaxThreads);
+    residues = arg_number<std::size_t>(argc, argv, "residues", 1 << 22, 1,
+                                       std::size_t{1} << 40);
+    seed = arg_number<std::uint64_t>(
+        argc, argv, "seed", 42, 0,
+        std::numeric_limits<std::uint64_t>::max());
+    config.block_bytes =
+        arg_number<std::size_t>(argc, argv, "block-kb", 512, 4, 1 << 20) *
+        1024;
+    config.neighbor_threshold =
+        arg_number<Score>(argc, argv, "threshold", 11, 0, 1000);
+    config.long_seq_limit = arg_number<std::size_t>(
+        argc, argv, "long-limit", 8192, config.long_seq_overlap + 1,
+        std::size_t{1} << 32);
+    config.build_threads = build_threads;
+    const std::string inject = arg_str(argc, argv, "inject", "");
+    if (!inject.empty()) {
+      try {
+        fi::arm_from_spec(inject);
+      } catch (const Error& e) {
+        throw UsageError("bad --inject spec '" + inject + "': " + e.what());
+      }
+    }
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
   if (stats_mode == "json") g_info = stderr;
-  const std::size_t shards = arg_num(argc, argv, "shards", 0);
-  if (shards > 0 && (!append_path.empty() || compact)) {
-    std::fprintf(stderr,
-                 "error: --shards is exclusive with --append/--compact\n");
-    return 2;
-  }
   const std::string strategy_spec = arg_str(argc, argv, "strategy", "rr");
-  const int build_threads =
-      static_cast<int>(arg_num(argc, argv, "build-threads", 0));
-  const std::string inject = arg_str(argc, argv, "inject", "");
-  if (!inject.empty()) {
-    try {
-      fi::arm_from_spec(inject);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "error: bad --inject spec '%s': %s\n",
-                   inject.c_str(), e.what());
-      return 2;
-    }
-  }
 
   try {
     if (compact) {
@@ -282,8 +283,6 @@ int main(int argc, char** argv) {
       info("read %zu sequences (%zu residues) from %s in %.2fs\n", n,
            db.total_residues(), read_path.c_str(), t.seconds());
     } else {
-      const std::size_t residues = arg_num(argc, argv, "residues", 1 << 22);
-      const std::uint64_t seed = arg_num(argc, argv, "seed", 42);
       const synth::DatabaseSpec spec = synth_preset == "envnr"
                                            ? synth::envnr_like(residues)
                                            : synth::sprot_like(residues);
@@ -312,13 +311,6 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-
-    DbIndexConfig config;
-    config.block_bytes = arg_num(argc, argv, "block-kb", 512) * 1024;
-    config.neighbor_threshold =
-        static_cast<Score>(arg_num(argc, argv, "threshold", 11));
-    config.long_seq_limit = arg_num(argc, argv, "long-limit", 8192);
-    config.build_threads = build_threads;
 
     if (shards > 0) {
       make_sharded(db, config, out_path, static_cast<int>(shards),

@@ -6,7 +6,7 @@
 //                    [--shard-mode=thread|process])
 //                   --query=q.fasta [--threads=N]
 //                   [--outfmt=pairwise|tabular|none] [--max-alignments=K]
-//                   [--stats[=json]] [--mmap|--no-mmap]
+//                   [--stats[=json]] [--no-mmap]
 //                   [--kernel=auto|scalar|sse42|avx2]
 //                   [--strict] [--inject=site:Nth[:errno]]
 //                   [--time-budget=SEC] [--mem-budget-mb=N]
@@ -53,10 +53,9 @@
 // the banded gapped extension; ungapped extension is scalar on every
 // kernel. Results are bit-identical for every kernel.
 //
-// Index loading: v3 index files are memory-mapped by default (zero-copy;
-// pages shared with other processes serving the same database), v2 files
-// are copy-loaded. --mmap forces the mapped path (errors on v2 files);
-// --no-mmap forces the copy loader for either version.
+// Index loading: index files are memory-mapped by default (zero-copy;
+// pages shared with other processes serving the same database); --no-mmap
+// copy-loads them instead.
 //
 // Degraded mode (the default; see docs/ROBUSTNESS.md): an index block whose
 // checksum fails is quarantined and the search continues over the surviving
@@ -96,7 +95,6 @@
 #include <omp.h>
 #include <unistd.h>
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -104,9 +102,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
+#include "cli_args.hpp"
 #include "cluster/member_set.hpp"
 #include "common/checkpoint.hpp"
 #include "common/checksum.hpp"
@@ -122,61 +120,12 @@
 namespace {
 
 using namespace mublastp;
+using namespace mublastp::cli;
 using cluster::MemberSet;
 
 /// The most --threads and --time-budget accept.
 constexpr int kMaxThreads = 1024;
 constexpr double kMaxTimeBudgetSeconds = 1e9;
-
-/// The value of the first --key=VALUE, or nullopt when the flag is absent.
-std::optional<std::string> arg_value(int argc, char** argv,
-                                     const std::string& key) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind(prefix, 0) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return std::nullopt;
-}
-
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  return arg_value(argc, argv, key).value_or(fallback);
-}
-
-/// A bad flag value: main prints it and exits 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Reads --key=VALUE as one decimal number (std::from_chars syntax, nothing
-/// around it) within [lo, hi]; `fallback` when the flag is absent.
-template <typename T>
-T arg_number(int argc, char** argv, const std::string& key, T fallback, T lo,
-             T hi) {
-  const std::optional<std::string> v = arg_value(argc, argv, key);
-  if (!v) return fallback;
-  T x{};
-  const char* end = v->data() + v->size();
-  const auto [stop, ec] = std::from_chars(v->data(), end, x);
-  // Written so that a NaN fails too.
-  if (ec != std::errc{} || stop != end || !(x >= lo && x <= hi)) {
-    std::ostringstream msg;
-    msg << "--" << key << " must be a number from " << lo << " to " << hi
-        << " (got '" << *v << "')";
-    throw UsageError(msg.str());
-  }
-  return x;
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string bare = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
 
 /// Renders one query's report in the chosen format against `db`: an index
 /// view or a sequence store, both addressed by original database id.
@@ -317,8 +266,7 @@ int main(int argc, char** argv) {
   const std::string out_path = arg_str(argc, argv, "out", "");
   const std::string checkpoint_path = arg_str(argc, argv, "checkpoint", "");
   const bool strict = arg_flag(argc, argv, "strict");
-  const bool force_mmap = arg_flag(argc, argv, "mmap");
-  const bool force_copy = arg_flag(argc, argv, "no-mmap");
+  const bool copy_load = arg_flag(argc, argv, "no-mmap");
   if ((index_path.empty() == manifest_path.empty()) ||
       query_path.empty()) {
     std::fprintf(stderr,
@@ -327,7 +275,7 @@ int main(int argc, char** argv) {
                  " --query=q.fasta"
                  " [--threads=N] [--outfmt=pairwise|tabular|none]"
                  " [--max-alignments=25] [--stats[=json]]"
-                 " [--mmap|--no-mmap]"
+                 " [--no-mmap]"
                  " [--kernel=auto|scalar|sse42|avx2]"
                  " [--strict] [--inject=site:Nth]"
                  " [--time-budget=SEC] [--mem-budget-mb=N]"
@@ -341,9 +289,6 @@ int main(int argc, char** argv) {
   cluster::MemberSetOptions opts;
   cluster::WorkerMode mode = cluster::WorkerMode::kThread;
   try {
-    if (force_mmap && force_copy) {
-      throw UsageError("--mmap and --no-mmap are exclusive");
-    }
     if (!stats_mode.empty() && stats_mode != "table" && stats_mode != "json") {
       throw UsageError("unknown --stats mode '" + stats_mode +
                        "' (expected --stats or --stats=json)");
@@ -415,9 +360,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const cluster::LoadMode load_mode =
-        force_mmap ? cluster::LoadMode::kMmap
-                   : force_copy ? cluster::LoadMode::kCopy
-                                : cluster::LoadMode::kAuto;
+        copy_load ? cluster::LoadMode::kCopy : cluster::LoadMode::kAuto;
     const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);
 
     Timer t;

@@ -5,37 +5,21 @@
 // Usage:
 //   mublastp_synthgen --preset=sprot|envnr --residues=N --seed=S
 //                     --out=db.fasta [--queries=K --qlen=L --qout=q.fasta]
+//
+// Numeric flags take decimal digits only; a bad value exits 2 naming the
+// flag.
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "cli_args.hpp"
 #include "common/rng.hpp"
 #include "fasta/fasta.hpp"
 #include "synth/synth.hpp"
 
-namespace {
-
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind(prefix, 0) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-std::size_t arg_num(int argc, char** argv, const std::string& key,
-                    std::size_t fallback) {
-  const std::string v = arg_str(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mublastp;
+  using namespace mublastp::cli;
   const std::string out_path = arg_str(argc, argv, "out", "");
   if (out_path.empty()) {
     std::fprintf(stderr,
@@ -45,10 +29,27 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  std::size_t residues = 0;
+  std::uint64_t seed = 0;
+  std::size_t nq = 0;
+  std::size_t qlen = 0;
+  try {
+    residues = arg_number<std::size_t>(argc, argv, "residues", 1 << 22, 1,
+                                       std::size_t{1} << 40);
+    seed = arg_number<std::uint64_t>(
+        argc, argv, "seed", 42, 0,
+        std::numeric_limits<std::uint64_t>::max());
+    nq = arg_number<std::size_t>(argc, argv, "queries", 0, 0,
+                                 std::size_t{1} << 32);
+    qlen = arg_number<std::size_t>(argc, argv, "qlen", 0, 0,
+                                   std::size_t{1} << 32);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+
   try {
     const std::string preset = arg_str(argc, argv, "preset", "sprot");
-    const std::size_t residues = arg_num(argc, argv, "residues", 1 << 22);
-    const std::uint64_t seed = arg_num(argc, argv, "seed", 42);
     const synth::DatabaseSpec spec = preset == "envnr"
                                          ? synth::envnr_like(residues)
                                          : synth::sprot_like(residues);
@@ -57,10 +58,8 @@ int main(int argc, char** argv) {
     std::printf("%s: %zu sequences, %zu residues -> %s\n", spec.name.c_str(),
                 db.size(), db.total_residues(), out_path.c_str());
 
-    const std::size_t nq = arg_num(argc, argv, "queries", 0);
     if (nq > 0) {
       const std::string qout = arg_str(argc, argv, "qout", "queries.fasta");
-      const std::size_t qlen = arg_num(argc, argv, "qlen", 0);
       Rng rng(seed + 1);
       const SequenceStore queries =
           qlen == 0 ? synth::sample_queries_mixed(db, nq, rng)

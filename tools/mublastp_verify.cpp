@@ -25,6 +25,9 @@
 //                   [--stats[=json]] [--kernel=auto|scalar|sse42|avx2]
 //   mublastp_verify --db=db.fasta --query=q.fasta
 //
+// Numeric flags take decimal digits only; a bad value exits 2 naming the
+// flag.
+//
 // Exit code 0 iff every stage of every engine pair matches exactly — both
 // the result lists AND the pipeline counters (hits, two-hit pairs, ungapped
 // alignments, gapped extensions must be identical across engines; ungapped
@@ -41,11 +44,12 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "baseline/interleaved_engine.hpp"
+#include "cli_args.hpp"
 #include "baseline/query_engine.hpp"
 #include "cluster/member_set.hpp"
 #include "common/rng.hpp"
@@ -62,31 +66,7 @@
 namespace {
 
 using namespace mublastp;
-
-std::string arg_str(int argc, char** argv, const std::string& key,
-                    const std::string& fallback) {
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind(prefix, 0) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
-std::size_t arg_num(int argc, char** argv, const std::string& key,
-                    std::size_t fallback) {
-  const std::string v = arg_str(argc, argv, key, "");
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
-
-bool arg_flag(int argc, char** argv, const std::string& key) {
-  const std::string bare = "--" + key;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
+using namespace mublastp::cli;
 
 bool same_ungapped(const QueryResult& a, const QueryResult& b) {
   return a.ungapped == b.ungapped;
@@ -130,19 +110,25 @@ int main(int argc, char** argv) {
                    stats_mode.c_str());
       return 2;
     }
+    const std::uint64_t seed = arg_number<std::uint64_t>(
+        argc, argv, "seed", 515, 0,
+        std::numeric_limits<std::uint64_t>::max());
+    const std::size_t residues = arg_number<std::size_t>(
+        argc, argv, "residues", 1 << 20, 1, std::size_t{1} << 40);
+    const std::size_t num_queries = arg_number<std::size_t>(
+        argc, argv, "queries", 4, 1, std::size_t{1} << 20);
+    const std::size_t qlen = arg_number<std::size_t>(
+        argc, argv, "qlen", 128, 1, std::size_t{1} << 20);
     SequenceStore db;
     SequenceStore queries;
     const std::string db_path = arg_str(argc, argv, "db", "");
-    const std::uint64_t seed = arg_num(argc, argv, "seed", 515);
     if (!db_path.empty()) {
       read_fasta_file(db_path, db);
       read_fasta_file(arg_str(argc, argv, "query", ""), queries);
     } else {
-      const std::size_t residues = arg_num(argc, argv, "residues", 1 << 20);
       db = synth::generate_database(synth::sprot_like(residues), seed);
       Rng rng(seed + 1);
-      queries = synth::sample_queries(db, arg_num(argc, argv, "queries", 4),
-                                      arg_num(argc, argv, "qlen", 128), rng);
+      queries = synth::sample_queries(db, num_queries, qlen, rng);
     }
     std::printf("database: %zu sequences (%zu residues); %zu queries\n",
                 db.size(), db.total_residues(), queries.size());
@@ -446,6 +432,9 @@ int main(int argc, char** argv) {
                               "every stage"
                             : "verification FAILED");
     return all_ok ? 0 : 1;
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -1,12 +1,11 @@
-# One mublastp_search command line that must be refused as a usage error
-# (see tools/CMakeLists.txt): exit 2, with the offending flag named on
-# stderr. BAD is the bad --flag=value; it rides on a checkpointed search so
-# --batch-size reaches the batch runner it sizes.
+# One tool command line that must be refused as a usage error (see
+# tools/CMakeLists.txt): exit 2, with the offending flag named on stderr.
+# TOOL is the binary, ARGS its base command line (one space-separated
+# string) and BAD the bad --flag=value appended to it.
 string(REGEX REPLACE "=.*" "" flag "${BAD}")
+separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
-  COMMAND ${SEARCH} --index=${INDEX} --query=${QUERY} --outfmt=tabular
-          --checkpoint=${WORKDIR}/usage_error.ckpt
-          --out=${WORKDIR}/usage_error.tab ${BAD}
+  COMMAND ${TOOL} ${args} ${BAD}
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "${BAD}: exited ${rc}, not 2:\n${err}")
