@@ -9,6 +9,7 @@
 #include "core/diag_keys.hpp"
 #include "core/fragment_assembly.hpp"
 #include "core/hit_logic.hpp"
+#include "trace/trace.hpp"
 
 namespace mublastp {
 namespace {
@@ -34,7 +35,7 @@ InterleavedDbEngine::InterleavedDbEngine(DbIndexView index,
                  "search matrix must match the index's neighbor matrix");
 }
 
-template <typename Mem, typename Rec>
+template <typename Mem>
 void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                        const DbBlockView& block,
                                        std::uint32_t block_id,
@@ -42,13 +43,11 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
                                        std::vector<UngappedAlignment>& out,
                                        DiagState& state,
                                        const FlatNeighborhood* flat, Mem mem,
-                                       Rec rec) const {
+                                       trace::StageRecorder& rec) const {
   const ScoreMatrix& matrix = *params_.matrix;
   const DbIndexView::Member& db = view_.members()[block.member()];
   const NeighborTable& neighbors = neighbors_;
-  [[maybe_unused]] StageStats before;
-  if constexpr (Rec::kEnabled) before = stats;
-  stats::LapTimer<Rec::kEnabled> lap;
+  const StageStats before = stats;
   rec.mark();
 
   // One diagonal-state slot per (fragment, diagonal) — the "multiple last
@@ -120,17 +119,15 @@ void InterleavedDbEngine::search_block(std::span<const Residue> query,
       }
     }
   }
-  if constexpr (Rec::kEnabled) {
-    // Interleaved scan: detection, pairing and ungapped extension are one
-    // fused loop, so all of it is booked under hit_detect.
-    rec.block_round(block_id, stats::counters_between(stats, before),
-                    lap.lap(), 0.0, 0.0);
-  }
+  // Interleaved scan: detection, pairing and ungapped extension are one
+  // fused loop, so its one mark books all of it under hit_detect.
+  rec.block_round(block_id, stats::counters_between(stats, before));
 }
 
-template <typename Mem, typename Rec>
+template <typename Mem>
 QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
-                                             Mem mem, Rec rec) const {
+                                             Mem mem,
+                                             trace::StageRecorder rec) const {
   MUBLASTP_CHECK(query.size() >= static_cast<std::size_t>(kWordLength),
                  "query shorter than word length");
   // The baseline engines have no degraded mode: an injected fault here
@@ -150,13 +147,10 @@ QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
   const FlatNeighborhood* flatp = nullptr;
   if constexpr (!Mem::kEnabled) {
     if (kernel_ != simd::KernelPath::kScalar) {
-      stats::LapTimer<Rec::kEnabled> flat_lap;
       rec.mark();
       flat.build(query, neighbors_);
       flatp = &flat;
-      if constexpr (Rec::kEnabled) {
-        rec.hit_kernel({1, flat_lap.lap(), 0, 0});
-      }
+      rec.flatten(1);
     }
   }
   std::uint32_t block_id = 0;
@@ -176,29 +170,24 @@ QueryResult InterleavedDbEngine::search_impl(std::span<const Residue> query,
   const SubjectLookup lookup = [this](SeqId original) {
     return view_.sequence(view_.sorted_id(original));
   };
-  [[maybe_unused]] StageStats before;
-  if constexpr (Rec::kEnabled) before = result.stats;
-  stats::LapTimer<Rec::kEnabled> lap;
+  const StageStats before = result.stats;
   rec.mark();
   // Traced runs keep the scalar gapped DP (exact access streams).
   const simd::KernelPath gapped_kernel =
       Mem::kEnabled ? simd::KernelPath::kScalar : kernel_;
   auto gapped = gapped_stage(query, lookup, std::move(ungapped), matrix,
                              params_, &result.stats, gapped_kernel);
-  if constexpr (Rec::kEnabled) {
-    rec.add(stats::counters_between(result.stats, before));
-    rec.stage(stats::Stage::kGapped, lap.lap());
-  }
+  rec.stage(stats::Stage::kGapped,
+            stats::counters_between(result.stats, before));
   result.alignments =
       finalize_stage(query, lookup, std::move(gapped), matrix, params_,
                      karlin_, view_.total_residues());
-  if constexpr (Rec::kEnabled) rec.stage(stats::Stage::kFinalize, lap.lap());
+  rec.stage(stats::Stage::kFinalize, {});
   return result;
 }
 
 QueryResult InterleavedDbEngine::search(std::span<const Residue> query) const {
-  return search_impl(query, memsim::NullMemoryModel{},
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::NullMemoryModel{}, {});
 }
 
 QueryResult InterleavedDbEngine::search(std::span<const Residue> query,
@@ -206,8 +195,8 @@ QueryResult InterleavedDbEngine::search(std::span<const Residue> query,
   ps.begin_run(1, view_.blocks().size(), 1);
   ps.set_kernel(simd::kernel_name(kernel_));
   Timer total;
-  QueryResult result =
-      search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
+  QueryResult result = search_impl(query, memsim::NullMemoryModel{},
+                                   {&ps, 0, nullptr, trace::kNoId});
   ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
@@ -215,8 +204,7 @@ QueryResult InterleavedDbEngine::search(std::span<const Residue> query,
 
 QueryResult InterleavedDbEngine::search_traced(
     std::span<const Residue> query, memsim::MemoryHierarchy& mem) const {
-  return search_impl(query, memsim::TracingMemoryModel(mem),
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::TracingMemoryModel(mem), {});
 }
 
 std::vector<QueryResult> InterleavedDbEngine::search_batch(

@@ -23,6 +23,10 @@
 
 namespace mublastp {
 
+namespace trace {
+class StageRecorder;
+}
+
 /// Interleaved database-indexed engine ("NCBI-db").
 class InterleavedDbEngine {
  public:
@@ -63,16 +67,16 @@ class InterleavedDbEngine {
   /// The per-entry fused hit/extend automaton is identical either way —
   /// the flat path only removes the lookup indirections and prefetches the
   /// next posting list — so results match bit for bit.
-  template <typename Mem, typename Rec>
+  template <typename Mem>
   void search_block(std::span<const Residue> query, const DbBlockView& block,
                     std::uint32_t block_id, StageStats& stats,
                     std::vector<UngappedAlignment>& out, DiagState& state,
                     const FlatNeighborhood* flat, Mem mem,
-                    Rec rec) const;
+                    trace::StageRecorder& rec) const;
 
-  template <typename Mem, typename Rec>
+  template <typename Mem>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
-                          Rec rec) const;
+                          trace::StageRecorder rec) const;
 
   DbIndexView view_;
   NeighborTable neighbors_;  ///< of view_.config()'s matrix and threshold

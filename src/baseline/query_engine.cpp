@@ -9,6 +9,7 @@
 #include "core/hit_logic.hpp"
 #include "index/dfa_index.hpp"
 #include "index/query_index.hpp"
+#include "trace/trace.hpp"
 
 namespace mublastp {
 namespace {
@@ -39,9 +40,10 @@ QueryIndexedEngine::QueryIndexedEngine(const SequenceStore& db,
   }
 }
 
-template <typename Mem, typename Rec>
+template <typename Mem>
 QueryResult QueryIndexedEngine::search_impl(std::span<const Residue> query,
-                                            Mem mem, Rec rec) const {
+                                            Mem mem,
+                                            trace::StageRecorder rec) const {
   MUBLASTP_CHECK(query.size() >= static_cast<std::size_t>(kWordLength),
                  "query shorter than word length");
   // No degraded mode in the baselines: injected faults fail the search
@@ -52,8 +54,6 @@ QueryResult QueryIndexedEngine::search_impl(std::span<const Residue> query,
                       " (alloc.workspace)");
   MUBLASTP_CHECK(!MUBLASTP_FI_FAIL("stage.ungapped"),
                  "injected ungapped-stage failure (stage.ungapped)");
-  [[maybe_unused]] StageStats scan_before;
-  stats::LapTimer<Rec::kEnabled> lap;
   rec.mark();
   QueryResult result;
   // Build only the detector in use; both materialize the same positions.
@@ -120,39 +120,32 @@ QueryResult QueryIndexedEngine::search_impl(std::span<const Residue> query,
     }
   }
 
-  if constexpr (Rec::kEnabled) {
-    // The subject stream (detection + pairing + ungapped extension fused)
-    // is one scan over the whole database: booked as block 0, hit_detect.
-    rec.block_round(0, stats::counters_between(result.stats, scan_before),
-                    lap.lap(), 0.0, 0.0);
-  }
+  // The subject stream (detection + pairing + ungapped extension fused)
+  // is one scan over the whole database: booked as block 0, hit_detect.
+  rec.block_round(0, stats::counters_of(result.stats));
 
   canonicalize_ungapped(ungapped);
   result.ungapped = ungapped;
 
   const SubjectLookup lookup = [this](SeqId id) { return db_->sequence(id); };
-  [[maybe_unused]] StageStats before;
-  if constexpr (Rec::kEnabled) before = result.stats;
+  const StageStats before = result.stats;
   rec.mark();
   // Traced runs keep the scalar gapped DP (exact access streams).
   const simd::KernelPath gapped_kernel =
       Mem::kEnabled ? simd::KernelPath::kScalar : kernel_;
   auto gapped = gapped_stage(query, lookup, std::move(ungapped), matrix,
                              params_, &result.stats, gapped_kernel);
-  if constexpr (Rec::kEnabled) {
-    rec.add(stats::counters_between(result.stats, before));
-    rec.stage(stats::Stage::kGapped, lap.lap());
-  }
+  rec.stage(stats::Stage::kGapped,
+            stats::counters_between(result.stats, before));
   result.alignments =
       finalize_stage(query, lookup, std::move(gapped), matrix, params_,
                      karlin_, db_->total_residues());
-  if constexpr (Rec::kEnabled) rec.stage(stats::Stage::kFinalize, lap.lap());
+  rec.stage(stats::Stage::kFinalize, {});
   return result;
 }
 
 QueryResult QueryIndexedEngine::search(std::span<const Residue> query) const {
-  return search_impl(query, memsim::NullMemoryModel{},
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::NullMemoryModel{}, {});
 }
 
 QueryResult QueryIndexedEngine::search(std::span<const Residue> query,
@@ -160,8 +153,8 @@ QueryResult QueryIndexedEngine::search(std::span<const Residue> query,
   ps.begin_run(1, 1, 1);
   ps.set_kernel(simd::kernel_name(kernel_));
   Timer total;
-  QueryResult result =
-      search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
+  QueryResult result = search_impl(query, memsim::NullMemoryModel{},
+                                   {&ps, 0, nullptr, trace::kNoId});
   ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
@@ -169,8 +162,7 @@ QueryResult QueryIndexedEngine::search(std::span<const Residue> query,
 
 QueryResult QueryIndexedEngine::search_traced(
     std::span<const Residue> query, memsim::MemoryHierarchy& mem) const {
-  return search_impl(query, memsim::TracingMemoryModel(mem),
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::TracingMemoryModel(mem), {});
 }
 
 std::vector<QueryResult> QueryIndexedEngine::search_batch(

@@ -23,6 +23,10 @@
 
 namespace mublastp {
 
+namespace trace {
+class StageRecorder;
+}
+
 /// Query-indexed (NCBI-BLAST style) search engine.
 class QueryIndexedEngine {
  public:
@@ -64,9 +68,9 @@ class QueryIndexedEngine {
   simd::KernelPath kernel() const { return kernel_; }
 
  private:
-  template <typename Mem, typename Rec>
+  template <typename Mem>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
-                          Rec rec) const;
+                          trace::StageRecorder rec) const;
 
   const SequenceStore* db_;
   SearchParams params_;

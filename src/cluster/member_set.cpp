@@ -626,15 +626,7 @@ MemberSearchResult MemberSet::search(const SequenceStore& queries,
     }
   }
 
-  // Over the members that searched: failed and empty ones booked no time.
-  double lo = 0.0;
-  double hi = 0.0;
-  for (const stats::ShardStats& s : out.shards.per_shard) {
-    if (s.seconds == 0.0) continue;
-    lo = hi == 0.0 ? s.seconds : std::min(lo, s.seconds);
-    hi = std::max(hi, s.seconds);
-  }
-  out.shards.imbalance_measured = hi > 0.0 ? (hi - lo) / hi : 0.0;
+  out.shards.measure_imbalance();
   return out;
 }
 
@@ -827,10 +819,9 @@ std::vector<std::string> MemberSet::search_in_children(
     // counters only.
     ps->begin_run(threads, 0, queries.size());
     ps->set_kernel(simd::kernel_name(options_.engine.kernel));
-    stats::PipelineStats::Recorder rec = ps->recorder(0);
     stats::GappedKernelStats gapped;
     for (const QueryResult& r : out.results) {
-      rec.add(stats::counters_of(r.stats));
+      ps->accum(0).extra += stats::counters_of(r.stats);
       gapped += stats::gapped_kernel_of(r.stats);
     }
     ps->set_gapped_kernel(gapped);

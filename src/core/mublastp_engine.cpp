@@ -85,13 +85,13 @@ void MuBlastpEngine::sort_records(std::vector<HitRecord>& records,
   }
 }
 
-template <typename Mem, typename Rec>
+template <typename Mem>
 void MuBlastpEngine::search_block(std::span<const Residue> query,
                                   const DbBlockView& block,
                                   std::uint32_t block_id, StageStats& stats,
                                   std::vector<UngappedAlignment>& out,
                                   Workspace& ws, const FlatNeighborhood* flat,
-                                  Mem mem, Rec prec) const {
+                                  Mem mem, trace::StageRecorder& prec) const {
   const ScoreMatrix& matrix = *params_.matrix;
   // The block's fragments point into its own member's store.
   const DbIndexView::Member& db = view_.members()[block.member()];
@@ -115,9 +115,7 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   if (ws.records.capacity() < ws.records_hwm) {
     ws.records.reserve(ws.records_hwm);
   }
-  [[maybe_unused]] StageStats before;
-  if constexpr (Rec::kEnabled) before = stats;
-  stats::LapTimer<Rec::kEnabled> lap;
+  const StageStats before = stats;
   prec.mark();
 
   // ---- Stage 1: hit detection (+ pre-filter with Algorithm 2). --------
@@ -189,9 +187,7 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
                                ws.records.data() + old, &tallies);
       }
     }
-    if constexpr (Rec::kEnabled) {
-      prec.hit_kernel({0, 0.0, tallies.tiles, tallies.tail_entries});
-    }
+    prec.hit_scan(tallies.tiles, tallies.tail_entries);
   } else {
     for (std::uint32_t qoff = 0; qoff + kWordLength <= query.size(); ++qoff) {
       if constexpr (Mem::kEnabled) {
@@ -238,7 +234,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   }
 
   // ---- Stage 2a: hit reordering. ---------------------------------------
-  const double detect_sec = lap.lap();
   prec.mark();
   ws.records_hwm = std::max(ws.records_hwm, ws.records.size());
   stats.sorted_records += ws.records.size();
@@ -253,7 +248,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
     }
   }
   sort_records(ws.records, key_bits);
-  const double sort_sec = lap.lap();
   prec.mark();
   MUBLASTP_CHECK(!MUBLASTP_FI_FAIL("stage.ungapped"),
                  "injected ungapped-stage failure (stage.ungapped)");
@@ -319,16 +313,14 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       ext_reached = static_cast<std::int32_t>(rec.qoff);
     }
   }
-  if constexpr (Rec::kEnabled) {
-    prec.workspace(ws.footprint_bytes());
-    prec.block_round(block_id, stats::counters_between(stats, before),
-                     detect_sec, sort_sec, lap.lap());
-  }
+  prec.workspace(ws.footprint_bytes());
+  prec.block_round(block_id, stats::counters_between(stats, before));
 }
 
-template <typename Mem, typename Rec>
+template <typename Mem>
 QueryResult MuBlastpEngine::search_impl(std::span<const Residue> query,
-                                        Mem mem, Rec prec) const {
+                                        Mem mem,
+                                        trace::StageRecorder prec) const {
   MUBLASTP_CHECK(query.size() >= static_cast<std::size_t>(kWordLength),
                  "query shorter than word length");
   QueryResult result;
@@ -340,13 +332,10 @@ QueryResult MuBlastpEngine::search_impl(std::span<const Residue> query,
   const FlatNeighborhood* flatp = nullptr;
   if constexpr (!Mem::kEnabled) {
     if (options_.kernel != simd::KernelPath::kScalar) {
-      stats::LapTimer<Rec::kEnabled> flat_lap;
       prec.mark();
       flat.build(query, neighbors_);
       flatp = &flat;
-      if constexpr (Rec::kEnabled) {
-        prec.hit_kernel({1, flat_lap.lap(), 0, 0});
-      }
+      prec.flatten(1);
     }
   }
   std::uint32_t block_id = 0;
@@ -365,9 +354,7 @@ QueryResult MuBlastpEngine::search_impl(std::span<const Residue> query,
   const SubjectLookup lookup = [this](SeqId original) {
     return view_.sequence(view_.sorted_id(original));
   };
-  [[maybe_unused]] StageStats before;
-  if constexpr (Rec::kEnabled) before = result.stats;
-  stats::LapTimer<Rec::kEnabled> lap;
+  const StageStats before = result.stats;
   prec.mark();
   // Traced runs keep the scalar gapped DP (same reasoning as stage 2b:
   // the modeled access stream must be the reference one).
@@ -375,20 +362,17 @@ QueryResult MuBlastpEngine::search_impl(std::span<const Residue> query,
       Mem::kEnabled ? simd::KernelPath::kScalar : options_.kernel;
   auto gapped = gapped_stage(query, lookup, std::move(ungapped), matrix,
                              params_, &result.stats, gapped_kernel);
-  if constexpr (Rec::kEnabled) {
-    prec.add(stats::counters_between(result.stats, before));
-    prec.stage(stats::Stage::kGapped, lap.lap());
-  }
+  prec.stage(stats::Stage::kGapped,
+             stats::counters_between(result.stats, before));
   result.alignments =
       finalize_stage(query, lookup, std::move(gapped), matrix, params_,
                      karlin_, statistical_db_residues());
-  if constexpr (Rec::kEnabled) prec.stage(stats::Stage::kFinalize, lap.lap());
+  prec.stage(stats::Stage::kFinalize, {});
   return result;
 }
 
 QueryResult MuBlastpEngine::search(std::span<const Residue> query) const {
-  return search_impl(query, memsim::NullMemoryModel{},
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::NullMemoryModel{}, {});
 }
 
 QueryResult MuBlastpEngine::search(std::span<const Residue> query,
@@ -396,8 +380,8 @@ QueryResult MuBlastpEngine::search(std::span<const Residue> query,
   ps.begin_run(1, view_.blocks().size(), 1);
   ps.set_kernel(simd::kernel_name(options_.kernel));
   Timer total;
-  QueryResult result =
-      search_impl(query, memsim::NullMemoryModel{}, ps.recorder(0));
+  QueryResult result = search_impl(query, memsim::NullMemoryModel{},
+                                   {&ps, 0, nullptr, trace::kNoId});
   ps.set_gapped_kernel(stats::gapped_kernel_of(result.stats));
   ps.finish_run(total.seconds());
   return result;
@@ -405,43 +389,20 @@ QueryResult MuBlastpEngine::search(std::span<const Residue> query,
 
 QueryResult MuBlastpEngine::search_traced(std::span<const Residue> query,
                                           memsim::MemoryHierarchy& mem) const {
-  return search_impl(query, memsim::TracingMemoryModel(mem),
-                     stats::NullStats::Recorder{});
+  return search_impl(query, memsim::TracingMemoryModel(mem), {});
 }
 
 QueryResult MuBlastpEngine::search(std::span<const Residue> query,
                                    std::uint32_t query_id,
                                    trace::Tracer& tracer) const {
-  return search_impl(
-      query, memsim::NullMemoryModel{},
-      trace::TracingRecorder(stats::NullStats::Recorder{}, &tracer,
-                             query_id));
+  return search_impl(query, memsim::NullMemoryModel{},
+                     {nullptr, 0, &tracer, query_id});
 }
 
-template <typename PS, bool Traced>
-std::vector<QueryResult> MuBlastpEngine::batch_impl(
-    const SequenceStore& queries, int threads, PS* ps,
+std::vector<QueryResult> MuBlastpEngine::search_batch(
+    const SequenceStore& queries, int threads, stats::PipelineStats* ps,
     stats::DegradedStats* degraded, trace::Tracer* tracer) const {
   MUBLASTP_CHECK(threads > 0, "thread count must be positive");
-  // Recorder and tail-timer guards fire when either collector is active;
-  // span recording needs the stage boundaries evaluated even without stats.
-  constexpr bool kObserve = PS::kEnabled || Traced;
-  const auto recorder_for = [&](int tid, std::uint32_t query) {
-    (void)tid;
-    (void)query;
-    if constexpr (Traced) {
-      if constexpr (PS::kEnabled) {
-        return trace::TracingRecorder(ps->recorder(tid), tracer, query);
-      } else {
-        return trace::TracingRecorder(stats::NullStats::Recorder{}, tracer,
-                                      query);
-      }
-    } else if constexpr (PS::kEnabled) {
-      return ps->recorder(tid);
-    } else {
-      return stats::NullStats::Recorder{};
-    }
-  };
   const std::size_t nq = queries.size();
   std::vector<QueryResult> results(nq);
   std::vector<std::vector<UngappedAlignment>> ungapped(nq);
@@ -454,8 +415,8 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
                                        workspaces.size());
     for (Workspace& ws : workspaces) ws.mem_budget = share;
   }
-  [[maybe_unused]] Timer run_timer;
-  if constexpr (PS::kEnabled) {
+  const Timer run_timer;
+  if (ps != nullptr) {
     ps->begin_run(max_threads, view_.blocks().size(), nq);
     ps->set_kernel(simd::kernel_name(options_.kernel));
   }
@@ -466,17 +427,13 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
   // stage 1 runs the classic two-level scan unchanged.
   std::vector<FlatNeighborhood> flats;
   if (options_.kernel != simd::KernelPath::kScalar) {
-    stats::LapTimer<kObserve> flat_lap;
-    auto frec = recorder_for(0, trace::kNoId);
-    frec.mark();
+    trace::StageRecorder prec(ps, 0, tracer, trace::kNoId);
+    prec.mark();
     flats.resize(nq);
     for (std::size_t i = 0; i < nq; ++i) {
       flats[i].build(queries.sequence(static_cast<SeqId>(i)), neighbors_);
     }
-    if constexpr (kObserve) {
-      frec.hit_kernel(
-          {static_cast<std::uint64_t>(nq), flat_lap.lap(), 0, 0});
-    }
+    prec.flatten(nq);
   }
 
   // Degraded-mode bookkeeping. `marks[i]` snapshots ungapped[i].size()
@@ -515,10 +472,11 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
       Timer query_timer;
       try {
         const FlatNeighborhood* flat = flats.empty() ? nullptr : &flats[i];
+        trace::StageRecorder prec(ps, tid, tracer,
+                                  static_cast<std::uint32_t>(i));
         search_block(queries.sequence(static_cast<SeqId>(i)), block,
                      block_id, results[i].stats, ungapped[i], ws, flat,
-                     memsim::NullMemoryModel{},
-                     recorder_for(tid, static_cast<std::uint32_t>(i)));
+                     memsim::NullMemoryModel{}, prec);
       } catch (...) {
 #pragma omp critical(mublastp_batch_error)
         {
@@ -547,8 +505,8 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
       degraded->quarantined.push_back({block_id, std::move(reason)});
       degraded->partial = true;
     }
-    if constexpr (PS::kEnabled) ps->merge_block(block_id);
-    if constexpr (Traced) tracer->flush();
+    if (ps != nullptr) ps->merge_block(block_id);
+    if (tracer != nullptr) tracer->flush();
     if (options_.progress) {
       MuBlastpOptions::BatchProgress p;
       p.blocks_done = block_id + 1;
@@ -599,24 +557,18 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
       if (tripped[i]) continue;
       const std::span<const Residue> query =
           queries.sequence(static_cast<SeqId>(i));
-      [[maybe_unused]] StageStats before;
-      if constexpr (PS::kEnabled) before = results[i].stats;
-      stats::LapTimer<kObserve> lap;
-      auto prec = recorder_for(omp_get_thread_num(),
-                               static_cast<std::uint32_t>(i));
+      const StageStats before = results[i].stats;
+      trace::StageRecorder prec(ps, omp_get_thread_num(), tracer,
+                                static_cast<std::uint32_t>(i));
       prec.mark();
       auto gapped = gapped_stage(query, lookup, std::move(u), matrix,
                                  params_, &results[i].stats, options_.kernel);
-      if constexpr (kObserve) {
-        if constexpr (PS::kEnabled) {
-          prec.add(stats::counters_between(results[i].stats, before));
-        }
-        prec.stage(stats::Stage::kGapped, lap.lap());
-      }
+      prec.stage(stats::Stage::kGapped,
+                 stats::counters_between(results[i].stats, before));
       results[i].alignments =
           finalize_stage(query, lookup, std::move(gapped), matrix, params_,
                          karlin_, statistical_db_residues());
-      if constexpr (kObserve) prec.stage(stats::Stage::kFinalize, lap.lap());
+      prec.stage(stats::Stage::kFinalize, {});
     } catch (...) {
 #pragma omp critical(mublastp_batch_error)
       {
@@ -628,34 +580,14 @@ std::vector<QueryResult> MuBlastpEngine::batch_impl(
   // (the catch above only exists so the exception cannot escape the OpenMP
   // region, which would terminate the process).
   if (tail_error != nullptr) std::rethrow_exception(tail_error);
-  if constexpr (Traced) tracer->flush();
-  if constexpr (PS::kEnabled) {
+  if (tracer != nullptr) tracer->flush();
+  if (ps != nullptr) {
     stats::GappedKernelStats gk;
     for (const QueryResult& r : results) gk += stats::gapped_kernel_of(r.stats);
     ps->set_gapped_kernel(gk);
     ps->finish_run(run_timer.seconds());
   }
   return results;
-}
-
-std::vector<QueryResult> MuBlastpEngine::search_batch(
-    const SequenceStore& queries, int threads, stats::PipelineStats* ps,
-    stats::DegradedStats* degraded, trace::Tracer* tracer) const {
-  stats::NullStats* off = nullptr;
-  if (tracer != nullptr) {
-    if (ps != nullptr) {
-      return batch_impl<stats::PipelineStats, true>(queries, threads, ps,
-                                                    degraded, tracer);
-    }
-    return batch_impl<stats::NullStats, true>(queries, threads, off, degraded,
-                                              tracer);
-  }
-  if (ps != nullptr) {
-    return batch_impl<stats::PipelineStats, false>(queries, threads, ps,
-                                                   degraded, nullptr);
-  }
-  return batch_impl<stats::NullStats, false>(queries, threads, off, degraded,
-                                             nullptr);
 }
 
 }  // namespace mublastp

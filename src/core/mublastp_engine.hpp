@@ -19,6 +19,13 @@
 // tests assert it. Batch mode implements Algorithm 3: the block loop is
 // outermost and an OpenMP dynamic-for parallelizes over queries inside it,
 // so all threads share the block in the LLC.
+//
+// Every stage is timed through one trace::StageRecorder per (thread,
+// query), whichever sinks a search has (stats, trace, both or neither):
+// each boundary is stamped once for stats-v1 and trace-v1, and with no
+// sink it costs one branch and no clock read. The stage code is templated
+// on the memsim memory model only, which touches memory on every hit and
+// so stays compiled out of untraced searches.
 #pragma once
 
 #include <functional>
@@ -40,6 +47,7 @@
 namespace mublastp {
 
 namespace trace {
+class StageRecorder;
 class Tracer;
 }
 
@@ -141,9 +149,9 @@ class MuBlastpEngine {
   /// continues over the remaining blocks. Budget trips
   /// (options().time_budget_seconds / mem_budget_bytes) are reported the
   /// same way.
-  /// When `tracer` is non-null, every stage boundary is additionally
-  /// recorded as a span (per-thread ring buffers, drained at the same
-  /// serial point that merges `ps`).
+  /// When `tracer` is non-null, every stage is also recorded as a span
+  /// (per-thread ring buffers, drained at the same serial point that
+  /// merges `ps`), from the same boundary stamps that time `ps`.
   std::vector<QueryResult> search_batch(const SequenceStore& queries,
                                         int threads,
                                         stats::PipelineStats* ps = nullptr,
@@ -184,21 +192,16 @@ class MuBlastpEngine {
   /// for the classic two-level scan (scalar kernel / traced runs). With a
   /// non-null flat and a vector kernel, stage 1 runs the query-specialized
   /// hit-scan kernels; hits, pairs, and record order are bit-identical.
-  template <typename Mem, typename Rec>
+  template <typename Mem>
   void search_block(std::span<const Residue> query, const DbBlockView& block,
                     std::uint32_t block_id, StageStats& stats,
                     std::vector<UngappedAlignment>& out, Workspace& ws,
-                    const FlatNeighborhood* flat, Mem mem, Rec rec) const;
+                    const FlatNeighborhood* flat, Mem mem,
+                    trace::StageRecorder& prec) const;
 
-  template <typename Mem, typename Rec>
+  template <typename Mem>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,
-                          Rec rec) const;
-
-  template <typename PS, bool Traced>
-  std::vector<QueryResult> batch_impl(const SequenceStore& queries,
-                                      int threads, PS* ps,
-                                      stats::DegradedStats* degraded,
-                                      trace::Tracer* tracer) const;
+                          trace::StageRecorder prec) const;
 
   void sort_records(std::vector<HitRecord>& records, int key_bits) const;
 

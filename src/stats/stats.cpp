@@ -26,6 +26,17 @@ const char* stage_name(Stage s) {
   return "unknown";
 }
 
+void ShardsStats::measure_imbalance() {
+  double lo = 0.0;
+  double hi = 0.0;
+  for (const ShardStats& s : per_shard) {
+    if (s.seconds == 0.0) continue;
+    lo = hi == 0.0 ? s.seconds : std::min(lo, s.seconds);
+    hi = std::max(hi, s.seconds);
+  }
+  imbalance_measured = hi > 0.0 ? (hi - lo) / hi : 0.0;
+}
+
 void PipelineSnapshot::merge(const PipelineSnapshot& o) {
   if (engine.empty()) engine = o.engine;
   if (kernel.empty()) kernel = o.kernel;
@@ -84,14 +95,7 @@ void PipelineSnapshot::merge(const PipelineSnapshot& o) {
         mine->alignments += theirs.alignments;
       }
     }
-    double lo = 0.0, hi = 0.0;
-    bool first = true;
-    for (const ShardStats& sh : shards.per_shard) {
-      lo = first ? sh.seconds : std::min(lo, sh.seconds);
-      hi = first ? sh.seconds : std::max(hi, sh.seconds);
-      first = false;
-    }
-    shards.imbalance_measured = hi == 0.0 ? 0.0 : (hi - lo) / hi;
+    shards.measure_imbalance();
   }
   workspace_peak_bytes = std::max(workspace_peak_bytes,
                                   o.workspace_peak_bytes);

@@ -2,9 +2,6 @@
 // breakdowns of Figure 2, the <5% pre-filter survival ratio of Figure 6,
 // hit/pair/extension/HSP counts) as a runtime-observable subsystem.
 //
-// Mirrors the memsim MemoryModel pattern: engine kernels are templated on a
-// stats policy. The default NullStats compiles to nothing — every hook is a
-// no-op the optimizer removes, so uninstrumented searches pay zero cost.
 // PipelineStats is the runtime collector: per-stage wall time, pipeline
 // counters and per-block aggregates, collected into per-thread accumulators
 // that are merged at block end (the serial point of the Algorithm 3 block
@@ -12,6 +9,12 @@
 // (block, query) round produces the same delta on any thread, the merged
 // counters are bit-identical regardless of thread count or schedule — which
 // is what makes pipeline behaviour assertable in tests.
+//
+// The engines book into it through one runtime recorder,
+// trace::StageRecorder (src/trace/trace.hpp), whose stage-boundary stamps
+// feed both these stage seconds and the trace-v1 spans. A search without a
+// collector or a tracer pays one branch per stage boundary and reads no
+// clock.
 //
 // Granularity note: the recorder hooks fire once per (block, query) round
 // and once per stage-3/4 query, never per hit. Per-hit counting stays in
@@ -24,8 +27,6 @@
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include "common/timer.hpp"
 
 namespace mublastp::stats {
 
@@ -304,6 +305,11 @@ struct ShardsStats {
   double imbalance_measured = 0.0;
   std::vector<ShardStats> per_shard;
 
+  /// Sets imbalance_measured from per_shard: (max - min) / max of the
+  /// seconds of the shards that booked any. Failed and empty shards booked
+  /// none and are skipped; 0 when no shard booked time.
+  void measure_imbalance();
+
   bool recorded() const { return count != 0; }
   friend bool operator==(const ShardsStats&, const ShardsStats&) = default;
 };
@@ -350,52 +356,6 @@ PipelineSnapshot from_json(const std::string& json);
 /// Human-readable table (the --stats output of the tools).
 void print_table(std::FILE* out, const PipelineSnapshot& s);
 
-/// Compile-time-off policy: every hook is an empty inline the optimizer
-/// deletes, so instrumented kernels cost nothing when built with it.
-struct NullStats {
-  static constexpr bool kEnabled = false;
-  struct Recorder {
-    static constexpr bool kEnabled = false;
-    void block_round(std::uint32_t, const StageCounters&, double, double,
-                     double) const {}
-    void stage(Stage, double) const {}
-    void add(const StageCounters&) const {}
-    void workspace(std::uint64_t) const {}
-    void hit_kernel(const HitKernelStats&) const {}
-    /// Stage-boundary timestamp hook; only the tracing recorder wrapper
-    /// (trace::TracingRecorder) gives it a body.
-    void mark() const {}
-  };
-  void begin_run(int, std::size_t, std::uint64_t) const {}
-  Recorder recorder(int) const { return {}; }
-  void merge_block(std::uint32_t) const {}
-  void finish_run(double) const {}
-};
-
-/// Stopwatch that vanishes (no clock reads) when the policy is disabled.
-template <bool Enabled>
-class LapTimer;
-
-template <>
-class LapTimer<false> {
- public:
-  double lap() { return 0.0; }
-};
-
-template <>
-class LapTimer<true> {
- public:
-  /// Seconds since construction or the previous lap; restarts the clock.
-  double lap() {
-    const double s = timer_.seconds();
-    timer_.reset();
-    return s;
-  }
-
- private:
-  Timer timer_;
-};
-
 namespace detail {
 
 /// One thread's private accumulator: per-block rounds plus the stage-3/4
@@ -413,8 +373,8 @@ struct ThreadAccum {
 
 /// Runtime collector. Lifecycle: begin_run sizes one accumulator per
 /// thread; during parallel regions each thread writes only its own
-/// accumulator through its Recorder (no locks, no atomics); merge_block /
-/// finish_run fold accumulators in serial code.
+/// accumulator, through a trace::StageRecorder (no locks, no atomics);
+/// merge_block / finish_run fold accumulators in serial code.
 class PipelineStats {
  public:
   static constexpr bool kEnabled = true;
@@ -426,45 +386,10 @@ class PipelineStats {
   /// accumulators over `blocks` index blocks for `queries` queries.
   void begin_run(int threads, std::size_t blocks, std::uint64_t queries);
 
-  /// Write handle bound to one thread's accumulator. Cheap to copy; must
-  /// only be used by the thread it was requested for.
-  class Recorder {
-   public:
-    static constexpr bool kEnabled = true;
-
-    /// Books one (block, query) round of stages 1-2.
-    void block_round(std::uint32_t block, const StageCounters& c,
-                     double detect_sec, double sort_sec, double extend_sec) {
-      BlockStats& b = accum_->blocks[block];
-      ++b.rounds;
-      b.counters += c;
-      b.seconds[static_cast<int>(Stage::kHitDetect)] += detect_sec;
-      b.seconds[static_cast<int>(Stage::kSort)] += sort_sec;
-      b.seconds[static_cast<int>(Stage::kUngapped)] += extend_sec;
-    }
-    /// Books stage-3/4 wall time (not attributable to one block).
-    void stage(Stage s, double sec) {
-      accum_->extra_seconds[static_cast<int>(s)] += sec;
-    }
-    /// Books stage-3/4 counter deltas.
-    void add(const StageCounters& c) { accum_->extra += c; }
-    /// Books this thread's current workspace footprint (high-water mark).
-    void workspace(std::uint64_t bytes) {
-      if (bytes > accum_->ws_peak) accum_->ws_peak = bytes;
-    }
-    /// Books hit-scan kernel telemetry (flatten builds, tile/tail split).
-    void hit_kernel(const HitKernelStats& d) { accum_->hit_kernel += d; }
-    /// Stage-boundary timestamp hook; a no-op here — only the tracing
-    /// recorder wrapper (trace::TracingRecorder) gives it a body.
-    void mark() const {}
-
-   private:
-    friend class PipelineStats;
-    explicit Recorder(detail::ThreadAccum* a) : accum_(a) {}
-    detail::ThreadAccum* accum_;
-  };
-
-  Recorder recorder(int thread) { return Recorder(&accums_[thread]); }
+  /// Thread `thread`'s private accumulator. Between merges only that
+  /// thread writes it (trace::StageRecorder books the engines' rounds and
+  /// stages into it), so no synchronization is needed.
+  detail::ThreadAccum& accum(int thread) { return accums_[thread]; }
 
   /// The Algorithm 3 barrier merge: folds every thread's accumulator for
   /// `block` into the run aggregate and clears it. Called from the serial

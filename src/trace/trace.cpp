@@ -123,7 +123,7 @@ Tracer::Tracer(TracerOptions opts)
       epoch_raw_ns_(raw_now_ns()),
       id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
 
-Handle Tracer::handle() {
+detail::Lane* Tracer::lane() {
   if (tl_lane.tracer_id != id_) {
     std::lock_guard<std::mutex> lk(mu_);
     auto lane = std::make_unique<detail::Lane>(opts_.ring_capacity);
@@ -137,13 +137,21 @@ Handle Tracer::handle() {
     }
     tl_lane = {id_, lanes_.emplace_back(std::move(lane)).get()};
   }
-  return Handle(this, tl_lane.lane);
+  return tl_lane.lane;
 }
 
 void Tracer::record(SpanKind kind, std::uint64_t begin_ns,
                     std::uint64_t end_ns, std::uint32_t block,
                     std::uint32_t query, std::uint32_t shard) {
-  handle().span_raw(kind, block, query, shard, begin_ns, end_ns);
+  Span s;
+  s.begin_ns = begin_ns;
+  s.end_ns = end_ns;
+  s.block = block;
+  s.query = query;
+  s.shard = shard;
+  s.batch = batch();
+  s.kind = kind;
+  lane()->ring.push(s);
 }
 
 void Tracer::flush() {
@@ -202,44 +210,84 @@ stats::PerfCounterStats Tracer::perf_totals() const {
 }
 
 // ---------------------------------------------------------------------------
-// Handle
+// StageRecorder
 // ---------------------------------------------------------------------------
 
-Handle::Stamp Handle::stamp() const {
+StageRecorder::StageRecorder(stats::PipelineStats* ps, int thread,
+                             Tracer* tracer, std::uint32_t query)
+    : accum_(ps != nullptr ? &ps->accum(thread) : nullptr),
+      tracer_(tracer),
+      lane_(tracer != nullptr ? tracer->lane() : nullptr),
+      query_(query) {}
+
+StageRecorder::Stamp StageRecorder::stamp() const {
   Stamp st;
-  st.t = owner_->now_ns();
-  if (lane_->counters_ok) st.counters = lane_->group.read(&st.c);
+  st.ns = Tracer::raw_now_ns();
+  if (lane_ != nullptr && lane_->counters_ok) {
+    st.counters = lane_->group.read(&st.c);
+  }
   return st;
 }
 
-void Handle::span(SpanKind kind, std::uint32_t block, std::uint32_t query,
-                  const Stamp& begin, const Stamp& end) {
-  Span s;
-  s.begin_ns = begin.t;
-  s.end_ns = end.t;
-  s.block = block;
-  s.query = query;
-  s.batch = owner_->batch();
-  s.kind = kind;
-  if (begin.counters && end.counters) {
-    s.has_counters = 1;
-    s.counters = end.c - begin.c;
+double StageRecorder::span(SpanKind kind, std::uint32_t block,
+                           const Stamp& begin, const Stamp& end) {
+  if (lane_ != nullptr) {
+    Span s;
+    s.begin_ns = begin.ns - tracer_->epoch_raw_ns();
+    s.end_ns = end.ns - tracer_->epoch_raw_ns();
+    s.block = block;
+    s.query = query_;
+    s.batch = tracer_->batch();
+    s.kind = kind;
+    if (begin.counters && end.counters) {
+      s.has_counters = 1;
+      s.counters = end.c - begin.c;
+    }
+    lane_->ring.push(s);
   }
-  lane_->ring.push(s);
+  return static_cast<double>(end.ns - begin.ns) * 1e-9;
 }
 
-void Handle::span_raw(SpanKind kind, std::uint32_t block, std::uint32_t query,
-                      std::uint32_t shard, std::uint64_t begin_ns,
-                      std::uint64_t end_ns) {
-  Span s;
-  s.begin_ns = begin_ns;
-  s.end_ns = end_ns;
-  s.block = block;
-  s.query = query;
-  s.shard = shard;
-  s.batch = owner_->batch();
-  s.kind = kind;
-  lane_->ring.push(s);
+void StageRecorder::close_round(std::uint32_t block,
+                                const stats::StageCounters& c) {
+  const Stamp end = stamp();
+  stats::BlockStats* b =
+      accum_ != nullptr ? &accum_->blocks[block] : nullptr;
+  for (int k = 0; k < n_; ++k) {
+    const double sec = span(static_cast<SpanKind>(k), block, stamps_[k],
+                            k + 1 < n_ ? stamps_[k + 1] : end);
+    if (b != nullptr) b->seconds[k] += sec;
+  }
+  if (b != nullptr) {
+    ++b->rounds;
+    b->counters += c;
+  }
+  n_ = 0;
+}
+
+void StageRecorder::close_stage(stats::Stage s,
+                                const stats::StageCounters& c) {
+  const Stamp end = stamp();
+  const double sec =
+      n_ >= 1 ? span(static_cast<SpanKind>(s), kNoId, stamps_[n_ - 1], end)
+              : 0.0;
+  if (accum_ != nullptr) {
+    accum_->extra_seconds[static_cast<int>(s)] += sec;
+    accum_->extra += c;
+  }
+  stamps_[0] = end;
+  n_ = 1;
+}
+
+void StageRecorder::close_flatten(std::uint64_t builds) {
+  const Stamp end = stamp();
+  const double sec =
+      n_ >= 1 ? span(SpanKind::kFlatten, kNoId, stamps_[n_ - 1], end) : 0.0;
+  if (accum_ != nullptr) {
+    accum_->hit_kernel.flatten_builds += builds;
+    accum_->hit_kernel.flatten_seconds += sec;
+  }
+  n_ = 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,18 +2,19 @@
 // emitted as Chrome trace-event JSON ("mublastp-trace-v1", loadable in
 // Perfetto / chrome://tracing).
 //
-// Follows the NullStats/PipelineStats policy split one level up: engines
-// stay templated on a stats recorder, and tracing rides along as a wrapper
-// recorder (TracingRecorder<Base>) that forwards every hook to the base
-// policy and additionally timestamps stage boundaries via the new mark()
-// hook — which is an empty inline in both stats policies, so untraced
-// builds compile to exactly the code they compiled to before.
+// The engines time their stages through one runtime recorder,
+// StageRecorder, built per (thread, query) from an optional
+// stats::PipelineStats and an optional Tracer. Each stage boundary is
+// stamped once; the same stamps book the stats-v1 stage seconds and the
+// trace-v1 spans, so adjacent stages share one boundary and the two
+// outputs agree to the nanosecond. With neither sink attached a boundary
+// costs one branch and no clock read.
 //
 // Recording is wait-free on the hot path: each thread owns a lock-free
 // SPSC ring (a "lane") and pushes fixed-size Span records into it; the
 // serial point of the block loop drains every lane into the run's span
-// list (flush()). Overflowing a lane drops the span and bumps a counter —
-// tracing never blocks or reallocates inside a parallel region.
+// list (flush()). A full lane drops the span being pushed and bumps a
+// counter — tracing never blocks or reallocates inside a parallel region.
 //
 // Distributed timelines: an in-process search of any database layout is
 // one engine pass recording straight into the run's tracer; fork-process
@@ -117,43 +118,7 @@ struct TracerOptions {
   bool counters = false;  ///< open a perf counter group per lane
 };
 
-class Tracer;
-
-/// A thread's write handle into a tracer — one thread-local lane lookup at
-/// construction, then wait-free stamping/pushing. Cheap to copy.
-class Handle {
- public:
-  Handle() = default;
-
-  bool enabled() const { return lane_ != nullptr; }
-
-  /// A stage-boundary timestamp, optionally with a counter sample.
-  struct Stamp {
-    std::uint64_t t = 0;  ///< ns since the tracer's epoch
-    perfctr::PerfCounts c;
-    bool counters = false;
-  };
-  Stamp stamp() const;
-
-  /// Records [begin, end] with counter deltas when both stamps carry them.
-  void span(SpanKind kind, std::uint32_t block, std::uint32_t query,
-            const Stamp& begin, const Stamp& end);
-
-  /// Records a bare interval (no counters), optionally shard-attributed.
-  void span_raw(SpanKind kind, std::uint32_t block, std::uint32_t query,
-                std::uint32_t shard, std::uint64_t begin_ns,
-                std::uint64_t end_ns);
-
- private:
-  friend class Tracer;
-  Handle(Tracer* owner, detail::Lane* lane) : owner_(owner), lane_(lane) {}
-  Tracer* owner_ = nullptr;
-  detail::Lane* lane_ = nullptr;
-};
-
-/// The per-run span collector ("RingTrace" of the design: the compile-to-
-/// nothing "NullTrace" counterpart is simply the engines' untraced template
-/// instantiation, where mark() is the stats policies' empty inline).
+/// The per-run span collector.
 class Tracer {
  public:
   explicit Tracer(TracerOptions opts = {});
@@ -176,10 +141,6 @@ class Tracer {
   std::uint32_t batch() const {
     return batch_.load(std::memory_order_relaxed);
   }
-
-  /// The calling thread's write handle; allocates its lane (and counter
-  /// group, if enabled) on first use per thread.
-  Handle handle();
 
   /// Records one span from the calling thread (serial bookkeeping spans:
   /// index load, shard workers, merges). Timestamps are now_ns() values.
@@ -217,7 +178,11 @@ class Tracer {
   stats::PerfCounterStats perf_totals() const;
 
  private:
-  friend class Handle;
+  friend class StageRecorder;
+
+  /// The calling thread's lane; allocated (with its counter group, if
+  /// enabled) on first use per thread.
+  detail::Lane* lane();
 
   TracerOptions opts_;
   std::uint64_t epoch_raw_ns_;
@@ -245,78 +210,83 @@ struct TraceMeta {
 /// deltas in args. Deterministically ordered (sorted by begin time).
 std::string to_chrome_json(Tracer& tracer, const TraceMeta& meta);
 
-/// Recorder wrapper that adds span recording to any stats recorder policy.
-/// Satisfies the same interface the engines are templated on; mark() (a
-/// no-op on the base policies) stamps stage boundaries here, and the
-/// existing book-keeping hooks close the spans those stamps opened:
-///   - block_round() with three prior stamps emits the decoupled
-///     hit_detect / sort / ungapped spans (mublastp engine); with one
-///     prior stamp it emits a single fused hit_detect span (the
-///     interleaved engines, mirroring their stats booking).
-///   - stage() closes [last stamp, now] as the corresponding stage span
-///     and re-stamps, so gapped.end == finalize.begin exactly.
-///   - hit_kernel() with flatten_builds != 0 closes a flatten span.
-template <typename Base>
-class TracingRecorder {
+/// The engines' one stage recorder, built per (thread, query). mark()
+/// stamps a stage boundary: one steady-clock read, plus the lane's counter
+/// group when the tracer samples counters. block_round(), stage() and
+/// flatten() close the stages those stamps opened, booking stats-v1
+/// seconds into the thread's accumulator and pushing trace-v1 spans from
+/// the same stamps. With both sinks null every hook is one branch and reads
+/// no clock.
+class StageRecorder {
  public:
-  /// Forces the engines' recorder-guarded bookkeeping on even when the
-  /// base policy is NullStats (spans need the stage boundaries evaluated).
-  static constexpr bool kEnabled = true;
+  /// Records nothing.
+  StageRecorder() = default;
+  /// Books into `ps`'s accumulator of `thread` and pushes spans attributed
+  /// to `query` into the calling thread's lane of `tracer`; either sink may
+  /// be null.
+  StageRecorder(stats::PipelineStats* ps, int thread, Tracer* tracer,
+                std::uint32_t query);
 
-  TracingRecorder(Base base, Tracer* tracer, std::uint32_t query)
-      : base_(base), h_(tracer->handle()), query_(query) {}
-
+  /// Opens the next stage at the current time.
   void mark() {
-    if (n_ < kMaxStamps) stamps_[n_++] = h_.stamp();
+    if (on() && n_ < kMaxStamps) stamps_[n_++] = stamp();
   }
 
-  void block_round(std::uint32_t block, const stats::StageCounters& c,
-                   double detect_sec, double sort_sec, double extend_sec) {
-    base_.block_round(block, c, detect_sec, sort_sec, extend_sec);
-    const Handle::Stamp end = h_.stamp();
-    if (n_ >= 3) {
-      h_.span(SpanKind::kHitDetect, block, query_, stamps_[n_ - 3],
-              stamps_[n_ - 2]);
-      h_.span(SpanKind::kSort, block, query_, stamps_[n_ - 2],
-              stamps_[n_ - 1]);
-      h_.span(SpanKind::kUngapped, block, query_, stamps_[n_ - 1], end);
-    } else if (n_ >= 1) {
-      h_.span(SpanKind::kHitDetect, block, query_, stamps_[n_ - 1], end);
-    }
-    n_ = 0;
+  /// Closes one (block, query) round of stages 1-2 and books its counter
+  /// delta. The marks since the last close opened consecutive stages from
+  /// hit_detect on: three give the decoupled hit_detect, sort and ungapped
+  /// stages (muBLASTP), one gives the interleaved engines' fused scan,
+  /// booked whole under hit_detect.
+  void block_round(std::uint32_t block, const stats::StageCounters& c) {
+    if (on()) close_round(block, c);
   }
 
-  void stage(stats::Stage s, double sec) {
-    base_.stage(s, sec);
-    const Handle::Stamp end = h_.stamp();
-    if (n_ >= 1) {
-      h_.span(static_cast<SpanKind>(s), kNoId, query_, stamps_[n_ - 1], end);
-    }
-    stamps_[0] = end;  // chain: this stage's end opens the next stage
-    n_ = 1;
+  /// Closes stage 3 or 4 (from the last mark, or the previous stage's end)
+  /// and books its counter delta; its end opens the next stage.
+  void stage(stats::Stage s, const stats::StageCounters& c) {
+    if (on()) close_stage(s, c);
   }
 
-  void add(const stats::StageCounters& c) { base_.add(c); }
-  void workspace(std::uint64_t bytes) { base_.workspace(bytes); }
+  /// Closes a FlatNeighborhood build of `builds` queries opened by mark().
+  void flatten(std::uint64_t builds) {
+    if (on()) close_flatten(builds);
+  }
 
-  void hit_kernel(const stats::HitKernelStats& d) {
-    base_.hit_kernel(d);
-    if (d.flatten_builds != 0) {
-      const Handle::Stamp end = h_.stamp();
-      if (n_ >= 1) {
-        h_.span(SpanKind::kFlatten, kNoId, query_, stamps_[n_ - 1], end);
-      }
-      n_ = 0;
-    }
+  /// Books the hit-scan kernels' vector-tile / scalar-tail split.
+  void hit_scan(std::uint64_t tiles, std::uint64_t tail_entries) {
+    if (accum_ == nullptr) return;
+    accum_->hit_kernel.tiles += tiles;
+    accum_->hit_kernel.tail_entries += tail_entries;
+  }
+
+  /// Books this thread's current workspace footprint (high-water mark).
+  void workspace(std::uint64_t bytes) {
+    if (accum_ != nullptr && bytes > accum_->ws_peak) accum_->ws_peak = bytes;
   }
 
  private:
-  static constexpr int kMaxStamps = 4;
-  Base base_;
-  Handle h_;
-  std::uint32_t query_;
-  Handle::Stamp stamps_[kMaxStamps];
-  int n_ = 0;
+  struct Stamp {
+    std::uint64_t ns = 0;  ///< raw steady-clock ns (Tracer::raw_now_ns)
+    perfctr::PerfCounts c;
+    bool counters = false;
+  };
+  static constexpr int kMaxStamps = 3;
+
+  bool on() const { return accum_ != nullptr || lane_ != nullptr; }
+  Stamp stamp() const;
+  /// Pushes [begin, end] as a span when tracing; returns its seconds.
+  double span(SpanKind kind, std::uint32_t block, const Stamp& begin,
+              const Stamp& end);
+  void close_round(std::uint32_t block, const stats::StageCounters& c);
+  void close_stage(stats::Stage s, const stats::StageCounters& c);
+  void close_flatten(std::uint64_t builds);
+
+  stats::detail::ThreadAccum* accum_ = nullptr;
+  Tracer* tracer_ = nullptr;
+  detail::Lane* lane_ = nullptr;
+  std::uint32_t query_ = kNoId;
+  int n_ = 0;  ///< stamps opened since the last close
+  Stamp stamps_[kMaxStamps];
 };
 
 }  // namespace mublastp::trace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -270,6 +271,38 @@ TEST_F(ShardCampaign, EmptyShardsAreHarmless) {
       set.search(queries, 2, WorkerMode::kThread);
   EXPECT_FALSE(res.degraded.any());
   expect_same_results(res.results, want);
+}
+
+// One measured-imbalance rule: an empty shard books no time, whether the
+// run is one batch or several folded together.
+TEST_F(ShardCampaign, MeasuredImbalanceSkipsEmptyShardsAcrossBatches) {
+  SequenceStore two;
+  for (SeqId g = 0; g < 2; ++g) two.add(db_->sequence(g), db_->name(g));
+  const MemberSet set = MemberSet::partition(
+      two, 3, PartitionStrategy::kRoundRobinSorted, test_config(),
+      {test_params(), {}, false});
+  ASSERT_FALSE(set.live(2));
+
+  // Two batches folded the way mublastp_search folds its checkpoint batches.
+  stats::PipelineSnapshot run;
+  for (SeqId q = 0; q < 2; ++q) {
+    SequenceStore batch;
+    batch.add(queries_->sequence(q), queries_->name(q));
+    stats::PipelineStats ps;
+    const MemberSearchResult res =
+        set.search(batch, 2, WorkerMode::kThread, nullptr, &ps);
+    stats::PipelineSnapshot snap = ps.snapshot();
+    snap.shards = res.shards;
+    run.merge(snap);
+  }
+  ASSERT_EQ(run.shards.per_shard.size(), 3u);
+  const double a = run.shards.per_shard[0].seconds;
+  const double b = run.shards.per_shard[1].seconds;
+  ASSERT_GT(a, 0.0);
+  ASSERT_GT(b, 0.0);
+  EXPECT_EQ(run.shards.per_shard[2].seconds, 0.0);
+  EXPECT_DOUBLE_EQ(run.shards.imbalance_measured,
+                   (std::max(a, b) - std::min(a, b)) / std::max(a, b));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@
 namespace mublastp {
 namespace {
 
-static_assert(!stats::NullStats::kEnabled);
-static_assert(!stats::NullStats::Recorder::kEnabled);
 static_assert(stats::PipelineStats::kEnabled);
 
 class StatsPipeline : public ::testing::Test {

@@ -274,30 +274,42 @@ TEST_F(TraceBattery, StageSpanSumsAgreeWithStatsSeconds) {
   const std::vector<trace::Span> spans = traced_batch(4, &ps);
   const stats::PipelineSnapshot snap = ps.snapshot();
   double span_sec[stats::kNumStages] = {};
+  int span_count[stats::kNumStages] = {};
+  double flatten_sec = 0;
+  int flatten_count = 0;
   for (const trace::Span& s : spans) {
+    const double sec = static_cast<double>(s.end_ns - s.begin_ns) * 1e-9;
     const int k = static_cast<int>(s.kind);
     if (k < stats::kNumStages) {
-      span_sec[k] += static_cast<double>(s.end_ns - s.begin_ns) * 1e-9;
+      span_sec[k] += sec;
+      ++span_count[k];
+    } else if (s.kind == trace::SpanKind::kFlatten) {
+      flatten_sec += sec;
+      ++flatten_count;
     }
   }
+  // One recorder stamps every stage boundary once for both outputs, so
+  // each sum agrees to within rounding: 1 ns per span.
   for (int st = 0; st < stats::kNumStages; ++st) {
-    const double stats_sec = snap.stage_seconds[st];
-    // Only stages with enough absolute time to measure meaningfully; the
-    // spans close over the same LapTimer boundaries, so agreement should
-    // be far inside 5%.
-    if (stats_sec < 100e-6) continue;
-    EXPECT_NEAR(span_sec[st], stats_sec, stats_sec * 0.05)
+    EXPECT_GT(span_count[st], 0);
+    EXPECT_NEAR(span_sec[st], snap.stage_seconds[st], span_count[st] * 1e-9)
         << "stage " << stats::stage_name(static_cast<stats::Stage>(st));
   }
   // The whole pipeline is covered: every per-stage second the snapshot
   // booked has a span accounting for it.
   double total_spans = 0;
   double total_stats = 0;
+  int total_count = 0;
   for (int st = 0; st < stats::kNumStages; ++st) {
     total_spans += span_sec[st];
     total_stats += snap.stage_seconds[st];
+    total_count += span_count[st];
   }
-  EXPECT_NEAR(total_spans, total_stats, total_stats * 0.05 + 50e-6);
+  EXPECT_NEAR(total_spans, total_stats, total_count * 1e-9);
+  // Scalar-kernel batches build no flattened lookups.
+  EXPECT_EQ(flatten_count != 0, snap.hit_kernel.flatten_builds != 0);
+  EXPECT_NEAR(flatten_sec, snap.hit_kernel.flatten_seconds,
+              flatten_count * 1e-9);
 }
 
 // ---------------------------------------------------------------------------

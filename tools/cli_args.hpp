@@ -1,13 +1,17 @@
 // Command-line flags of the mublastp_* tools: --key=VALUE and bare --key.
-// A bad value is a UsageError, which each tool prints as "error: ..." and
-// exits 2 on.
+// An unknown flag or a bad value is a usage error: the tool prints
+// "error: ..." naming the flag and exits 2.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mublastp::cli {
 
@@ -15,6 +19,27 @@ namespace mublastp::cli {
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+/// Checks every argument against the forms a tool reads: "key" for a bare
+/// --key, "key=" for --key=VALUE. Anything else (a typo, a retired flag, a
+/// value on a bare flag) is printed as "error: unknown flag ..." and
+/// returns false; main then exits 2. Each tool's main calls it first.
+inline bool known_flags(int argc, char** argv,
+                        std::initializer_list<std::string_view> forms) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string_view form =
+        arg.substr(0, eq == std::string_view::npos ? eq : eq + 1);
+    if (!form.starts_with("--") ||
+        std::find(forms.begin(), forms.end(), form.substr(2)) ==
+            forms.end()) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
 
 /// The value of the first --key=VALUE, or nullopt when the flag is absent.
 inline std::optional<std::string> arg_value(int argc, char** argv,

@@ -139,6 +139,7 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags(argc, argv, {"index=", "threads=", "l3-mb="})) return 2;
   const std::string path = arg_str(argc, argv, "index", "");
   if (path.empty()) {
     std::fprintf(stderr,

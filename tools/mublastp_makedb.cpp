@@ -180,6 +180,13 @@ mublastp::stats::BuildStats build_stats_of(
 
 int main(int argc, char** argv) {
   using namespace mublastp;
+  if (!known_flags(argc, argv,
+                   {"in=", "synth=", "out=", "append=", "compact", "stats",
+                    "stats=", "shards=", "strategy=", "build-threads=",
+                    "residues=", "seed=", "block-kb=", "threshold=",
+                    "long-limit=", "inject="})) {
+    return 2;
+  }
   const std::string in_path = arg_str(argc, argv, "in", "");
   const std::string synth_preset = arg_str(argc, argv, "synth", "");
   const std::string out_path = arg_str(argc, argv, "out", "");

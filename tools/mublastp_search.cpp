@@ -48,10 +48,11 @@
 // 1..1024 (default: the OpenMP thread pool size, omp_get_max_threads),
 // --max-alignments and --batch-size at least 1, --mem-budget-mb small
 // enough that its bytes fit 64 bits, and --time-budget a finite number
-// >= 0. A bad value exits 2 naming the flag. --kernel selects the kernel
-// ("auto" = best the CPU supports, the default) used by hit detection and
-// the banded gapped extension; ungapped extension is scalar on every
-// kernel. Results are bit-identical for every kernel.
+// >= 0. A bad value, or a flag the tool does not take, exits 2 naming the
+// flag. --kernel selects the kernel ("auto" = best the CPU supports, the
+// default) used by hit detection and the banded gapped extension;
+// ungapped extension is scalar on every kernel. Results are bit-identical
+// for every kernel.
 //
 // Index loading: index files are memory-mapped by default (zero-copy;
 // pages shared with other processes serving the same database); --no-mmap
@@ -254,6 +255,15 @@ struct OutFile {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags(argc, argv,
+                   {"index=", "shards-manifest=", "shard-mode=", "query=",
+                    "threads=", "outfmt=", "max-alignments=", "stats",
+                    "stats=", "no-mmap", "kernel=", "strict", "inject=",
+                    "time-budget=", "mem-budget-mb=", "out=", "checkpoint=",
+                    "batch-size=", "trace=", "trace-counters", "progress",
+                    "progress="})) {
+    return 2;
+  }
   const std::string index_path = arg_str(argc, argv, "index", "");
   const std::string manifest_path =
       arg_str(argc, argv, "shards-manifest", "");

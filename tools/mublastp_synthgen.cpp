@@ -6,8 +6,8 @@
 //   mublastp_synthgen --preset=sprot|envnr --residues=N --seed=S
 //                     --out=db.fasta [--queries=K --qlen=L --qout=q.fasta]
 //
-// Numeric flags take decimal digits only; a bad value exits 2 naming the
-// flag.
+// Numeric flags take decimal digits only; a bad value, or a flag the tool
+// does not take, exits 2 naming the flag.
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -20,6 +20,11 @@
 int main(int argc, char** argv) {
   using namespace mublastp;
   using namespace mublastp::cli;
+  if (!known_flags(argc, argv,
+                   {"preset=", "residues=", "seed=", "out=", "queries=",
+                    "qlen=", "qout="})) {
+    return 2;
+  }
   const std::string out_path = arg_str(argc, argv, "out", "");
   if (out_path.empty()) {
     std::fprintf(stderr,

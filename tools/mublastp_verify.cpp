@@ -25,8 +25,8 @@
 //                   [--stats[=json]] [--kernel=auto|scalar|sse42|avx2]
 //   mublastp_verify --db=db.fasta --query=q.fasta
 //
-// Numeric flags take decimal digits only; a bad value exits 2 naming the
-// flag.
+// Numeric flags take decimal digits only; a bad value, or a flag the tool
+// does not take, exits 2 naming the flag.
 //
 // Exit code 0 iff every stage of every engine pair matches exactly — both
 // the result lists AND the pipeline counters (hits, two-hit pairs, ungapped
@@ -100,6 +100,11 @@ bool same_final(const QueryResult& a, const QueryResult& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!known_flags(argc, argv,
+                   {"residues=", "queries=", "qlen=", "seed=", "stats",
+                    "stats=", "kernel=", "db=", "query="})) {
+    return 2;
+  }
   try {
     const std::string stats_mode =
         arg_flag(argc, argv, "stats") ? "table"
