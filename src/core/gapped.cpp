@@ -282,7 +282,8 @@ GappedAlignment gapped_align(std::span<const Residue> query,
                              const ScoreMatrix& matrix,
                              const SearchParams& params, bool traceback,
                              simd::KernelPath kernel,
-                             simd::GappedKernelCounters* counters) {
+                             simd::GappedKernelCounters* counters,
+                             std::span<const Residue> query_reversed) {
   MUBLASTP_CHECK(ungapped.q_end > ungapped.q_start,
                  "cannot seed from an empty ungapped segment");
   // Anchor at the midpoint of the ungapped segment. All engines share this
@@ -290,8 +291,9 @@ GappedAlignment gapped_align(std::span<const Residue> query,
   const std::uint32_t mid = (ungapped.q_end - ungapped.q_start - 1) / 2;
   const std::uint32_t qm = ungapped.q_start + mid;
   const std::uint32_t sm = ungapped.s_start + mid;
-  GappedAlignment aln = gapped_align_at_anchor(
-      query, subject, qm, sm, matrix, params, traceback, kernel, counters);
+  GappedAlignment aln =
+      gapped_align_at_anchor(query, subject, qm, sm, matrix, params,
+                             traceback, kernel, counters, query_reversed);
   aln.subject = ungapped.subject;
   return aln;
 }
@@ -312,15 +314,26 @@ GappedAlignment gapped_align_at_anchor(std::span<const Residue> query,
                                        const ScoreMatrix& matrix,
                                        const SearchParams& params,
                                        bool traceback, simd::KernelPath kernel,
-                                       simd::GappedKernelCounters* counters) {
+                                       simd::GappedKernelCounters* counters,
+                                       std::span<const Residue>
+                                           query_reversed) {
   MUBLASTP_CHECK(qm < query.size() && sm < subject.size(),
                  "anchor outside the sequences");
-  // Left half runs on reversed prefixes; lengths are protein-scale so the
-  // copies are cheap relative to the DP.
-  std::vector<Residue> qrev(query.begin(), query.begin() + qm);
-  std::vector<Residue> srev(subject.begin(), subject.begin() + sm);
-  std::reverse(qrev.begin(), qrev.end());
-  std::reverse(srev.begin(), srev.end());
+  MUBLASTP_CHECK(query_reversed.empty() ||
+                     query_reversed.size() == query.size(),
+                 "reversed query differs in length from the query");
+  // Left half runs on reversed prefixes. The query's is a suffix of the
+  // reversed query when the caller built one; a query can be titin-long,
+  // so copying its prefix per extension would cost more than many DPs.
+  std::vector<Residue> qcopy;
+  std::span<const Residue> qrev;
+  if (query_reversed.empty()) {
+    qcopy.assign(query.rend() - qm, query.rend());
+    qrev = qcopy;
+  } else {
+    qrev = query_reversed.last(qm);
+  }
+  const std::vector<Residue> srev(subject.rend() - sm, subject.rend());
 
   const GappedHalf left =
       xdrop_extend(qrev, srev, matrix, params.gap_open, params.gap_extend,

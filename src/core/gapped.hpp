@@ -60,14 +60,16 @@ GappedAlignment gapped_align(std::span<const Residue> query,
                              const SearchParams& params, bool traceback);
 
 /// Kernel-dispatched variant of gapped_align; see the xdrop_extend
-/// overload for the dispatch rules.
+/// overload for the dispatch rules. `query_reversed`, when not empty, is
+/// the whole query reversed: see gapped_align_at_anchor.
 GappedAlignment gapped_align(std::span<const Residue> query,
                              std::span<const Residue> subject,
                              const UngappedAlignment& ungapped,
                              const ScoreMatrix& matrix,
                              const SearchParams& params, bool traceback,
                              simd::KernelPath kernel,
-                             simd::GappedKernelCounters* counters = nullptr);
+                             simd::GappedKernelCounters* counters = nullptr,
+                             std::span<const Residue> query_reversed = {});
 
 /// Runs the two-way X-drop extension from an explicit anchor pair (qm, sm).
 /// Stage 4 uses this with the anchor recorded by gapped_align so traceback
@@ -80,7 +82,11 @@ GappedAlignment gapped_align_at_anchor(std::span<const Residue> query,
                                        bool traceback);
 
 /// Kernel-dispatched variant of gapped_align_at_anchor; see the
-/// xdrop_extend overload for the dispatch rules.
+/// xdrop_extend overload for the dispatch rules. The left half extends
+/// over the reversed query prefix [0, qm): with `query_reversed` (the
+/// whole query reversed, built once by a caller that extends many anchors
+/// on one query) that prefix is its last qm residues; without it the
+/// prefix is copied and reversed per call. Results are identical.
 GappedAlignment gapped_align_at_anchor(std::span<const Residue> query,
                                        std::span<const Residue> subject,
                                        std::uint32_t qm, std::uint32_t sm,
@@ -88,7 +94,9 @@ GappedAlignment gapped_align_at_anchor(std::span<const Residue> query,
                                        const SearchParams& params,
                                        bool traceback, simd::KernelPath kernel,
                                        simd::GappedKernelCounters* counters
-                                       = nullptr);
+                                       = nullptr,
+                                       std::span<const Residue> query_reversed
+                                       = {});
 
 /// Recomputes the raw score of a traceback transcript against the sequences
 /// (verification helper used by tests and the output formatter).

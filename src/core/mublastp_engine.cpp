@@ -26,6 +26,47 @@ const SearchParams& checked_params(const SearchParams& p) {
   return p;
 }
 
+// Runs body(t) for every t in [0, n) as one OpenMP dynamic loop on
+// `threads` threads. An exception must not escape an OpenMP region (that
+// terminates the process), so the first one is kept and returned, and the
+// tasks not yet started are skipped.
+template <typename Body>
+std::exception_ptr parallel_tasks(int threads, std::size_t n,
+                                  const Body& body) {
+  std::exception_ptr error = nullptr;
+  std::atomic<bool> failed{false};
+#pragma omp parallel for schedule(dynamic) num_threads(threads)
+  for (std::size_t t = 0; t < n; ++t) {
+    if (failed.load(std::memory_order_relaxed)) continue;
+    try {
+      body(t);
+    } catch (...) {
+#pragma omp critical(mublastp_batch_error)
+      {
+        if (error == nullptr) error = std::current_exception();
+      }
+      failed.store(true, std::memory_order_relaxed);
+    }
+  }
+  return error;
+}
+
+// Cuts `items`, sorted by `key`, into `parts` ranges of about equal length
+// (cuts[c] to cuts[c + 1]), each cut moved forward to the next change of
+// key so that all items of one key fall in one range. Ranges may be empty.
+template <typename T, typename Key>
+void cut_at_key_changes(std::span<const T> items, std::size_t parts,
+                        const Key& key, std::vector<std::size_t>& cuts) {
+  const std::size_t n = items.size();
+  cuts.assign(parts + 1, n);
+  cuts[0] = 0;
+  for (std::size_t c = 1; c < parts; ++c) {
+    std::size_t p = std::max(cuts[c - 1], n * c / parts);
+    while (p > 0 && p < n && key(items[p]) == key(items[p - 1])) ++p;
+    cuts[c] = p;
+  }
+}
+
 }  // namespace
 
 std::uint64_t MuBlastpEngine::Workspace::footprint_bytes() const {
@@ -86,17 +127,11 @@ void MuBlastpEngine::sort_records(std::vector<HitRecord>& records,
 }
 
 template <typename Mem>
-void MuBlastpEngine::search_block(std::span<const Residue> query,
-                                  const DbBlockView& block,
-                                  std::uint32_t block_id, StageStats& stats,
-                                  std::vector<UngappedAlignment>& out,
-                                  Workspace& ws, const FlatNeighborhood* flat,
-                                  Mem mem, trace::StageRecorder& prec) const {
-  const ScoreMatrix& matrix = *params_.matrix;
-  // The block's fragments point into its own member's store.
-  const DbIndexView::Member& db = view_.members()[block.member()];
-  const NeighborTable& neighbors = neighbors_;
-
+void MuBlastpEngine::detect_and_sort(std::span<const Residue> query,
+                                     const DbBlockView& block,
+                                     StageStats& stats, Workspace& ws,
+                                     const FlatNeighborhood* flat, Mem mem,
+                                     trace::StageRecorder& prec) const {
   // Dense per-block diagonal keys (core/diag_keys.hpp): compact keys mean
   // fewer radix passes and a last-hit array of ~2x the block's position
   // bytes, the footprint Section V-B budgets for.
@@ -115,7 +150,6 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
   if (ws.records.capacity() < ws.records_hwm) {
     ws.records.reserve(ws.records_hwm);
   }
-  const StageStats before = stats;
   prec.mark();
 
   // ---- Stage 1: hit detection (+ pre-filter with Algorithm 2). --------
@@ -194,7 +228,7 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
         mem.touch(query.data() + qoff, kWordLength);
       }
       const std::uint32_t w = word_key(query.data() + qoff);
-      const auto nbs = neighbors.neighbors(w);
+      const auto nbs = neighbors_.neighbors(w);
       if constexpr (Mem::kEnabled) {
         mem.touch(nbs.data(), nbs.size_bytes());
       }
@@ -248,21 +282,39 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
     }
   }
   sort_records(ws.records, key_bits);
-  prec.mark();
   MUBLASTP_CHECK(!MUBLASTP_FI_FAIL("stage.ungapped"),
                  "injected ungapped-stage failure (stage.ungapped)");
+}
+
+template <typename Mem>
+void MuBlastpEngine::ungapped_sweep(std::span<const Residue> query,
+                                    const DbBlockView& block,
+                                    std::span<const HitRecord> records,
+                                    std::span<const std::uint32_t> bases,
+                                    StageStats& stats,
+                                    std::vector<UngappedAlignment>& out,
+                                    Mem mem) const {
+  if (records.empty()) return;
+  const ScoreMatrix& matrix = *params_.matrix;
+  // The block's fragments point into its own member's store.
+  const DbIndexView::Member& db = view_.members()[block.member()];
+  const std::uint32_t qlen = static_cast<std::uint32_t>(query.size());
 
   // ---- Stage 2b: (post-)filter + ungapped extension in sorted order. ---
   // Without the pre-filter this is Algorithm 1: pair detection runs here,
   // over the sorted stream, with plain scalars instead of arrays. Keys are
-  // ascending, so the owning fragment is recovered with a monotone cursor.
-  std::uint32_t frag_cursor = 0;
+  // ascending, so the owning fragment is recovered with a monotone cursor,
+  // started by binary search so that a chunk of a split round (which
+  // starts at a key change) sweeps exactly as the whole stream would.
+  std::uint32_t frag_cursor = static_cast<std::uint32_t>(
+      std::upper_bound(bases.begin(), bases.end(), records.front().key) -
+      bases.begin() - 1);
   std::uint32_t pair_key = ~std::uint32_t{0};
   std::int32_t pair_last = DiagState::kNone;
   std::uint32_t ext_key = ~std::uint32_t{0};
   std::int32_t ext_reached = DiagState::kNone;
 
-  for (const HitRecord& rec : ws.records) {
+  for (const HitRecord& rec : records) {
     if constexpr (Mem::kEnabled) {
       mem.touch(&rec, sizeof(HitRecord));
     }
@@ -292,8 +344,8 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       continue;
     }
 
-    while (rec.key >= ws.bases[frag_cursor + 1]) ++frag_cursor;
-    const std::uint32_t diag_idx = rec.key - ws.bases[frag_cursor];
+    while (rec.key >= bases[frag_cursor + 1]) ++frag_cursor;
+    const std::uint32_t diag_idx = rec.key - bases[frag_cursor];
     const std::uint32_t soff = diag_idx + rec.qoff - qlen;
 
     ++stats.extensions;
@@ -313,6 +365,19 @@ void MuBlastpEngine::search_block(std::span<const Residue> query,
       ext_reached = static_cast<std::int32_t>(rec.qoff);
     }
   }
+}
+
+template <typename Mem>
+void MuBlastpEngine::search_block(std::span<const Residue> query,
+                                  const DbBlockView& block,
+                                  std::uint32_t block_id, StageStats& stats,
+                                  std::vector<UngappedAlignment>& out,
+                                  Workspace& ws, const FlatNeighborhood* flat,
+                                  Mem mem, trace::StageRecorder& prec) const {
+  const StageStats before = stats;
+  detect_and_sort(query, block, stats, ws, flat, mem, prec);
+  prec.mark();
+  ungapped_sweep(query, block, ws.records, ws.bases, stats, out, mem);
   prec.workspace(ws.footprint_bytes());
   prec.block_round(block_id, stats::counters_between(stats, before));
 }
@@ -406,9 +471,24 @@ std::vector<QueryResult> MuBlastpEngine::search_batch(
   const std::size_t nq = queries.size();
   std::vector<QueryResult> results(nq);
   std::vector<std::vector<UngappedAlignment>> ungapped(nq);
+  const auto query_of = [&queries](std::size_t i) {
+    return queries.sequence(static_cast<SeqId>(i));
+  };
 
-  const int max_threads = std::max(threads, 1);
-  std::vector<Workspace> workspaces(static_cast<std::size_t>(max_threads));
+  // A batch with fewer queries than threads splits each query into
+  // `parts` = ceil(threads / queries) parts so that every thread has work:
+  // chunks of each round's sorted records for stage 2b, runs of whole
+  // subjects for stage 3. With parts = 1 each query is one task per stage
+  // region, as in Algorithm 3.
+  const std::size_t parts =
+      nq == 0 ? 1 : (static_cast<std::size_t>(threads) + nq - 1) / nq;
+  const bool split = parts > 1;
+
+  // One workspace per thread. A split batch gives each query its own
+  // instead: its chunks read the round's records after the round's task
+  // has ended, and only as many DiagStates grow as there are queries.
+  std::vector<Workspace> workspaces(split ? nq
+                                          : static_cast<std::size_t>(threads));
   if (options_.mem_budget_bytes != 0) {
     const std::uint64_t share =
         std::max<std::uint64_t>(1, options_.mem_budget_bytes /
@@ -417,7 +497,7 @@ std::vector<QueryResult> MuBlastpEngine::search_batch(
   }
   const Timer run_timer;
   if (ps != nullptr) {
-    ps->begin_run(max_threads, view_.blocks().size(), nq);
+    ps->begin_run(threads, view_.blocks().size(), nq);
     ps->set_kernel(simd::kernel_name(options_.kernel));
   }
 
@@ -431,62 +511,111 @@ std::vector<QueryResult> MuBlastpEngine::search_batch(
     prec.mark();
     flats.resize(nq);
     for (std::size_t i = 0; i < nq; ++i) {
-      flats[i].build(queries.sequence(static_cast<SeqId>(i)), neighbors_);
+      flats[i].build(query_of(i), neighbors_);
     }
     prec.flatten(nq);
   }
 
   // Degraded-mode bookkeeping. `marks[i]` snapshots ungapped[i].size()
-  // before each block so a failing block's partial contributions can be
-  // purged (blocks run serially; appends are contiguous tails). `tripped`
-  // marks queries cut off by the per-query time budget; each slot is only
-  // written by the thread that owns query i for the current block.
+  // before each block so a failing block's contributions can be purged
+  // (blocks run serially; a block's hits are a contiguous tail). `tripped`
+  // marks queries cut off by the per-query time budget, which charges each
+  // round from the start of its hit detection (`round_begin[i]`) to the end
+  // of its last sweep (`part_end[i * parts + c]`), in run seconds read only
+  // when there is a budget.
   const double time_budget = options_.time_budget_seconds;
   std::vector<std::size_t> marks(nq, 0);
   std::vector<double> elapsed(nq, 0.0);
   std::vector<char> tripped(nq, 0);
+  std::vector<double> round_begin(nq, 0.0);
+  std::vector<double> part_end(nq * parts, 0.0);
+
+  // A split query's cut positions (chunks of its records, then runs of its
+  // subjects), and each part's output and counters, folded into the
+  // query's at a serial point so that no two tasks write one query's
+  // state. Reused across blocks.
+  std::vector<std::vector<std::size_t>> cuts(split ? nq : 0);
+  std::vector<std::vector<UngappedAlignment>> chunk_out(split ? nq * parts
+                                                              : 0);
+  std::vector<StageStats> part_stats(split ? nq * parts : 0);
 
   // Algorithm 3, first parallel region: stages 1-2, block loop outermost so
-  // the block's index is shared in cache across threads. Each query is one
-  // dynamic task; a query's accumulator is only ever touched by the thread
-  // that owns it for the current block, and blocks are processed serially,
-  // so no synchronization is needed. Telemetry follows the same discipline:
-  // threads write private accumulators, merged at each block's end.
-  //
-  // Exceptions must not escape an OpenMP region (that terminates the
-  // process), so the loop body catches everything; the first exception is
-  // kept and the region drains. Afterwards: strict mode rethrows, degraded
-  // mode quarantines the block and keeps going.
+  // the block's index is shared in cache across threads. Each (block,
+  // query) round is one dynamic task, and a split round's chunks are one
+  // task each once every round of the block is sorted. Tasks write only
+  // their own query's or part's state and their thread's telemetry
+  // accumulator, which is merged at the block's end, so no synchronization
+  // is needed. A task that throws fails its block: strict mode rethrows,
+  // degraded mode quarantines the block and keeps going.
   std::uint32_t block_id = 0;
   for (const DbBlockView& block : view_.blocks()) {
     for (std::size_t i = 0; i < nq; ++i) marks[i] = ungapped[i].size();
-    std::exception_ptr block_error = nullptr;
-    std::atomic<bool> block_failed{false};
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-    for (std::size_t i = 0; i < nq; ++i) {
-      if (tripped[i] || block_failed.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      const int tid = omp_get_thread_num();
-      Workspace& ws = workspaces[static_cast<std::size_t>(tid)];
-      Timer query_timer;
-      try {
-        const FlatNeighborhood* flat = flats.empty() ? nullptr : &flats[i];
-        trace::StageRecorder prec(ps, tid, tracer,
+    if (time_budget > 0.0) std::fill(part_end.begin(), part_end.end(), 0.0);
+    std::exception_ptr block_error =
+        parallel_tasks(threads, nq, [&](std::size_t i) {
+          if (tripped[i]) return;
+          const int tid = omp_get_thread_num();
+          Workspace& ws =
+              workspaces[split ? i : static_cast<std::size_t>(tid)];
+          if (time_budget > 0.0) round_begin[i] = run_timer.seconds();
+          const FlatNeighborhood* flat = flats.empty() ? nullptr : &flats[i];
+          trace::StageRecorder prec(ps, tid, tracer,
+                                    static_cast<std::uint32_t>(i));
+          StageStats& stats = results[i].stats;
+          if (!split) {
+            search_block(query_of(i), block, block_id, stats, ungapped[i], ws,
+                         flat, memsim::NullMemoryModel{}, prec);
+            ws.enforce_budget();
+            if (time_budget > 0.0) part_end[i] = run_timer.seconds();
+            return;
+          }
+          const StageStats before = stats;
+          detect_and_sort(query_of(i), block, stats, ws, flat,
+                          memsim::NullMemoryModel{}, prec);
+          cut_at_key_changes(std::span<const HitRecord>(ws.records), parts,
+                             [](const HitRecord& r) { return r.key; },
+                             cuts[i]);
+          prec.workspace(ws.footprint_bytes());
+          prec.block_round(block_id, stats::counters_between(stats, before));
+        });
+    if (split && block_error == nullptr) {
+      block_error = parallel_tasks(threads, nq * parts, [&](std::size_t t) {
+        const std::size_t i = t / parts;
+        if (tripped[i]) return;
+        const std::size_t c = t % parts;
+        const Workspace& ws = workspaces[i];
+        trace::StageRecorder prec(ps, omp_get_thread_num(), tracer,
                                   static_cast<std::uint32_t>(i));
-        search_block(queries.sequence(static_cast<SeqId>(i)), block,
-                     block_id, results[i].stats, ungapped[i], ws, flat,
-                     memsim::NullMemoryModel{}, prec);
-      } catch (...) {
-#pragma omp critical(mublastp_batch_error)
-        {
-          if (block_error == nullptr) block_error = std::current_exception();
-        }
-        block_failed.store(true, std::memory_order_relaxed);
+        prec.mark();
+        ungapped_sweep(query_of(i), block,
+                       std::span<const HitRecord>(ws.records)
+                           .subspan(cuts[i][c], cuts[i][c + 1] - cuts[i][c]),
+                       ws.bases, part_stats[t], chunk_out[t],
+                       memsim::NullMemoryModel{});
+        prec.block_chunk(block_id, stats::counters_of(part_stats[t]));
+        if (time_budget > 0.0) part_end[t] = run_timer.seconds();
+      });
+    }
+    if (split) {
+      // Chunks join their query's list in chunk order: the order of one
+      // sweep over the whole record stream.
+      for (std::size_t t = 0; t < nq * parts; ++t) {
+        std::vector<UngappedAlignment>& u = ungapped[t / parts];
+        u.insert(u.end(), chunk_out[t].begin(), chunk_out[t].end());
+        chunk_out[t].clear();
+        results[t / parts].stats += part_stats[t];
+        part_stats[t] = {};
       }
-      ws.enforce_budget();
-      if (time_budget > 0.0) {
-        elapsed[i] += query_timer.seconds();
+      for (Workspace& ws : workspaces) ws.enforce_budget();
+    }
+    if (time_budget > 0.0) {
+      for (std::size_t i = 0; i < nq; ++i) {
+        if (tripped[i]) continue;
+        double end = round_begin[i];
+        for (std::size_t t = i * parts; t < (i + 1) * parts; ++t) {
+          end = std::max(end, part_end[t]);
+        }
+        elapsed[i] += end - round_begin[i];
         if (elapsed[i] > time_budget) tripped[i] = 1;
       }
     }
@@ -537,48 +666,85 @@ std::vector<QueryResult> MuBlastpEngine::search_batch(
   }
 
   // Algorithm 3, second parallel region: stages 3-4 per query (gapped
-  // extension, merge, sort, traceback).
+  // extension, merge, sort, traceback). A split query's canonical ungapped
+  // list is cut into `parts` runs of whole subjects, balanced by segment
+  // count; each run's gapped stage is a task, and finalize runs once per
+  // query over all its runs' outputs. Stage 3's redundancy skip and stage
+  // 4's culling compare alignments of one subject only, and stage 4 ranks
+  // by a total order, so the runs finalize to the unsplit result.
   const ScoreMatrix& matrix = *params_.matrix;
   const SubjectLookup lookup = [this](SeqId original) {
     return view_.sequence(view_.sorted_id(original));
   };
-  std::exception_ptr tail_error = nullptr;
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t i = 0; i < nq; ++i) {
-    try {
-      auto& u = ungapped[i];
-      for (UngappedAlignment& seg : u) {
-        seg.subject = view_.original_id(seg.subject);
-      }
-      canonicalize_ungapped(u);
-      results[i].ungapped = u;
-      // A time-tripped query stops after stages 1-2: its ungapped hits are
-      // reported, the gapped stage is skipped (that is the cut-off).
-      if (tripped[i]) continue;
-      const std::span<const Residue> query =
-          queries.sequence(static_cast<SeqId>(i));
-      const StageStats before = results[i].stats;
+  const auto finalize = [&](std::size_t i,
+                            std::vector<GappedAlignment> gapped,
+                            trace::StageRecorder& prec) {
+    results[i].alignments =
+        finalize_stage(query_of(i), lookup, std::move(gapped), matrix,
+                       params_, karlin_, statistical_db_residues());
+    prec.stage(stats::Stage::kFinalize, {});
+  };
+  std::vector<std::vector<GappedAlignment>> run_out(split ? nq * parts : 0);
+  std::exception_ptr tail_error =
+      parallel_tasks(threads, nq, [&](std::size_t i) {
+        auto& u = ungapped[i];
+        for (UngappedAlignment& seg : u) {
+          seg.subject = view_.original_id(seg.subject);
+        }
+        canonicalize_ungapped(u);
+        results[i].ungapped = u;
+        // A time-tripped query stops after stages 1-2: its ungapped hits are
+        // reported, the gapped stage is skipped (that is the cut-off).
+        if (tripped[i]) return;
+        if (split) {
+          cut_at_key_changes(
+              std::span<const UngappedAlignment>(u), parts,
+              [](const UngappedAlignment& a) { return a.subject; }, cuts[i]);
+          return;
+        }
+        const StageStats before = results[i].stats;
+        trace::StageRecorder prec(ps, omp_get_thread_num(), tracer,
+                                  static_cast<std::uint32_t>(i));
+        prec.mark();
+        auto gapped = gapped_stage(query_of(i), lookup, std::move(u), matrix,
+                                   params_, &results[i].stats, options_.kernel);
+        prec.stage(stats::Stage::kGapped,
+                   stats::counters_between(results[i].stats, before));
+        finalize(i, std::move(gapped), prec);
+      });
+  if (split && tail_error == nullptr) {
+    tail_error = parallel_tasks(threads, nq * parts, [&](std::size_t t) {
+      const std::size_t i = t / parts;
+      if (tripped[i]) return;
+      const std::size_t r = t % parts;
+      const auto first = ungapped[i].begin();
       trace::StageRecorder prec(ps, omp_get_thread_num(), tracer,
                                 static_cast<std::uint32_t>(i));
       prec.mark();
-      auto gapped = gapped_stage(query, lookup, std::move(u), matrix,
-                                 params_, &results[i].stats, options_.kernel);
-      prec.stage(stats::Stage::kGapped,
-                 stats::counters_between(results[i].stats, before));
-      results[i].alignments =
-          finalize_stage(query, lookup, std::move(gapped), matrix, params_,
-                         karlin_, statistical_db_residues());
-      prec.stage(stats::Stage::kFinalize, {});
-    } catch (...) {
-#pragma omp critical(mublastp_batch_error)
-      {
-        if (tail_error == nullptr) tail_error = std::current_exception();
-      }
-    }
+      run_out[t] = gapped_stage(
+          query_of(i), lookup,
+          std::vector<UngappedAlignment>(
+              first + static_cast<std::ptrdiff_t>(cuts[i][r]),
+              first + static_cast<std::ptrdiff_t>(cuts[i][r + 1])),
+          matrix, params_, &part_stats[t], options_.kernel);
+      prec.stage(stats::Stage::kGapped, stats::counters_of(part_stats[t]));
+    });
   }
-  // Stage-3/4 failures have no block to quarantine; fail the batch cleanly
-  // (the catch above only exists so the exception cannot escape the OpenMP
-  // region, which would terminate the process).
+  if (split && tail_error == nullptr) {
+    tail_error = parallel_tasks(threads, nq, [&](std::size_t i) {
+      if (tripped[i]) return;
+      std::vector<GappedAlignment> gapped;
+      for (std::size_t t = i * parts; t < (i + 1) * parts; ++t) {
+        results[i].stats += part_stats[t];
+        gapped.insert(gapped.end(), run_out[t].begin(), run_out[t].end());
+      }
+      trace::StageRecorder prec(ps, omp_get_thread_num(), tracer,
+                                static_cast<std::uint32_t>(i));
+      prec.mark();
+      finalize(i, std::move(gapped), prec);
+    });
+  }
+  // Stage-3/4 failures have no block to quarantine; fail the batch cleanly.
   if (tail_error != nullptr) std::rethrow_exception(tail_error);
   if (tracer != nullptr) tracer->flush();
   if (ps != nullptr) {

@@ -18,7 +18,9 @@
 // Stage outputs are identical to the interleaved engines by construction;
 // tests assert it. Batch mode implements Algorithm 3: the block loop is
 // outermost and an OpenMP dynamic-for parallelizes over queries inside it,
-// so all threads share the block in the LLC.
+// so all threads share the block in the LLC. A batch with fewer queries
+// than threads also splits each query: its ungapped sweeps into chunks of
+// the sorted records, its gapped stage into runs of whole subjects.
 //
 // Every stage is timed through one trace::StageRecorder per (thread,
 // query), whichever sinks a search has (stats, trace, both or neither):
@@ -88,10 +90,12 @@ struct MuBlastpOptions {
   std::uint64_t effective_db_residues = 0;
 
   /// Whole-batch workspace budget (bytes; 0 = none), split evenly across
-  /// worker threads. A workspace whose retained footprint exceeds its share
-  /// after a round releases its buffers (capacities regrow on demand), so
-  /// results are unchanged — only the high-water retention is bounded. Each
-  /// release counts one mem_budget_trip in DegradedStats.
+  /// the batch's workspaces: one per worker thread, or one per query when
+  /// a batch has fewer queries than threads. A workspace whose retained
+  /// footprint exceeds its share after a round releases its buffers
+  /// (capacities regrow on demand), so results are unchanged — only the
+  /// high-water retention is bounded. Each release counts one
+  /// mem_budget_trip in DegradedStats.
   std::uint64_t mem_budget_bytes = 0;
 
   /// Fired at each block's serial point during search_batch (the same
@@ -136,9 +140,16 @@ class MuBlastpEngine {
 
   /// Algorithm 3: block loop outermost, OpenMP dynamic-for over queries for
   /// stages 1-2, then a second dynamic-for over queries for stages 3-4.
+  /// With fewer queries than threads, each query gets ceil(threads /
+  /// queries) parts: a round's hit detection and sort stay one task, its
+  /// ungapped sweep runs as one task per chunk of the sorted records (cut
+  /// where the diagonal key changes), and its gapped stage as one task per
+  /// run of whole subjects; finalize runs once per query. Results are the
+  /// same at every thread count.
   /// When `ps` is non-null, telemetry is collected into it: per-thread
   /// accumulators are merged at each block's end, so all counters are
-  /// identical for any thread count.
+  /// identical for any thread count; a block's `rounds` counts (block,
+  /// query) pairs, not chunks.
   ///
   /// Error containment: a worker exception inside a block's parallel region
   /// never escapes the region. With `degraded` null (strict mode) it is
@@ -165,10 +176,11 @@ class MuBlastpEngine {
   const MuBlastpOptions& options() const { return options_; }
 
  private:
-  /// Per-thread scratch reused across (block, query) rounds. Vector
-  /// capacities (and the DiagState backing array) are deliberately carried
-  /// across blocks; records_hwm keeps the hit buffer reservation at its
-  /// high-water mark so later blocks never regrow it incrementally.
+  /// Per-thread (or, in a split batch, per-query) scratch reused across
+  /// (block, query) rounds. Vector capacities (and the DiagState backing
+  /// array) are deliberately carried across blocks; records_hwm keeps the
+  /// hit buffer reservation at its high-water mark so later blocks never
+  /// regrow it incrementally.
   struct Workspace {
     DiagState state;
     std::vector<HitRecord> records;
@@ -188,16 +200,37 @@ class MuBlastpEngine {
     bool enforce_budget();
   };
 
-  /// `flat` is the query's pre-built flattened neighbor table, or nullptr
-  /// for the classic two-level scan (scalar kernel / traced runs). With a
-  /// non-null flat and a vector kernel, stage 1 runs the query-specialized
-  /// hit-scan kernels; hits, pairs, and record order are bit-identical.
+  /// One (block, query) round of stages 1-2: detect_and_sort, then one
+  /// ungapped_sweep over all the sorted records into `out`, booked as one
+  /// round.
   template <typename Mem>
   void search_block(std::span<const Residue> query, const DbBlockView& block,
                     std::uint32_t block_id, StageStats& stats,
                     std::vector<UngappedAlignment>& out, Workspace& ws,
                     const FlatNeighborhood* flat, Mem mem,
                     trace::StageRecorder& prec) const;
+
+  /// Stages 1 and 2a of a round: fills ws.bases and leaves ws.records
+  /// sorted by diagonal key. `flat` is the query's pre-built flattened
+  /// neighbor table, or nullptr for the classic two-level scan (scalar
+  /// kernel / traced runs). With a non-null flat and a vector kernel, stage
+  /// 1 runs the query-specialized hit-scan kernels; hits, pairs, and record
+  /// order are bit-identical. Marks the start of both stages on `prec`.
+  template <typename Mem>
+  void detect_and_sort(std::span<const Residue> query,
+                       const DbBlockView& block, StageStats& stats,
+                       Workspace& ws, const FlatNeighborhood* flat, Mem mem,
+                       trace::StageRecorder& prec) const;
+
+  /// Stage 2b over `records`, a key-sorted run of a round's records that
+  /// starts at a key change (all of them, or one chunk of a split round),
+  /// with the round's key `bases`. Appends to `out` what the same records
+  /// give in one sweep over the round.
+  template <typename Mem>
+  void ungapped_sweep(std::span<const Residue> query, const DbBlockView& block,
+                      std::span<const HitRecord> records,
+                      std::span<const std::uint32_t> bases, StageStats& stats,
+                      std::vector<UngappedAlignment>& out, Mem mem) const;
 
   template <typename Mem>
   QueryResult search_impl(std::span<const Residue> query, Mem mem,

@@ -57,6 +57,7 @@ std::vector<GappedAlignment> gapped_stage(std::span<const Residue> query,
               return ungapped_less(a, b);
             });
 
+  const std::vector<Residue> query_reversed(query.rbegin(), query.rend());
   std::vector<GappedAlignment> out;
   simd::GappedKernelCounters kc;
   for (const UngappedAlignment& seg : ungapped) {
@@ -73,8 +74,9 @@ std::vector<GappedAlignment> gapped_stage(std::span<const Residue> query,
     if (covered) continue;
 
     const std::span<const Residue> subject = subjects(seg.subject);
-    GappedAlignment aln = gapped_align(query, subject, seg, matrix, params,
-                                       /*traceback=*/false, kernel, &kc);
+    GappedAlignment aln =
+        gapped_align(query, subject, seg, matrix, params,
+                     /*traceback=*/false, kernel, &kc, query_reversed);
     if (stats != nullptr) ++stats->gapped_extensions;
     if (aln.score >= params.gapped_cutoff) {
       out.push_back(aln);
@@ -130,6 +132,7 @@ std::vector<GappedAlignment> finalize_stage(std::span<const Residue> query,
 
   // Traceback pass (stage 4 proper): realign the survivors recording ops,
   // and attach statistics.
+  const std::vector<Residue> query_reversed(query.rbegin(), query.rend());
   for (GappedAlignment& g : kept) {
     const std::span<const Residue> subject = subjects(g.subject);
     // Re-run the identical X-drop DP from the recorded anchor, this time
@@ -137,7 +140,8 @@ std::vector<GappedAlignment> finalize_stage(std::span<const Residue> query,
     // alignment, now with its transcript.
     GappedAlignment with_tb = gapped_align_at_anchor(
         query, subject, g.anchor_q, g.anchor_s, matrix, params,
-        /*traceback=*/true);
+        /*traceback=*/true, simd::KernelPath::kScalar, nullptr,
+        query_reversed);
     with_tb.subject = g.subject;
     MUBLASTP_CHECK(with_tb.score == g.score,
                    "traceback pass diverged from score-only pass");

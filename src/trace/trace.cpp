@@ -248,18 +248,20 @@ double StageRecorder::span(SpanKind kind, std::uint32_t block,
   return static_cast<double>(end.ns - begin.ns) * 1e-9;
 }
 
-void StageRecorder::close_round(std::uint32_t block,
+void StageRecorder::close_round(std::uint32_t block, stats::Stage first,
+                                std::uint64_t rounds,
                                 const stats::StageCounters& c) {
   const Stamp end = stamp();
   stats::BlockStats* b =
       accum_ != nullptr ? &accum_->blocks[block] : nullptr;
   for (int k = 0; k < n_; ++k) {
-    const double sec = span(static_cast<SpanKind>(k), block, stamps_[k],
+    const int st = static_cast<int>(first) + k;
+    const double sec = span(static_cast<SpanKind>(st), block, stamps_[k],
                             k + 1 < n_ ? stamps_[k + 1] : end);
-    if (b != nullptr) b->seconds[k] += sec;
+    if (b != nullptr) b->seconds[st] += sec;
   }
   if (b != nullptr) {
-    ++b->rounds;
+    b->rounds += rounds;
     b->counters += c;
   }
   n_ = 0;

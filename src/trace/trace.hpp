@@ -212,11 +212,11 @@ std::string to_chrome_json(Tracer& tracer, const TraceMeta& meta);
 
 /// The engines' one stage recorder, built per (thread, query). mark()
 /// stamps a stage boundary: one steady-clock read, plus the lane's counter
-/// group when the tracer samples counters. block_round(), stage() and
-/// flatten() close the stages those stamps opened, booking stats-v1
-/// seconds into the thread's accumulator and pushing trace-v1 spans from
-/// the same stamps. With both sinks null every hook is one branch and reads
-/// no clock.
+/// group when the tracer samples counters. block_round(), block_chunk(),
+/// stage() and flatten() close the stages those stamps opened, booking
+/// stats-v1 seconds into the thread's accumulator and pushing trace-v1
+/// spans from the same stamps. With both sinks null every hook is one
+/// branch and reads no clock.
 class StageRecorder {
  public:
   /// Records nothing.
@@ -235,10 +235,19 @@ class StageRecorder {
   /// Closes one (block, query) round of stages 1-2 and books its counter
   /// delta. The marks since the last close opened consecutive stages from
   /// hit_detect on: three give the decoupled hit_detect, sort and ungapped
-  /// stages (muBLASTP), one gives the interleaved engines' fused scan,
-  /// booked whole under hit_detect.
+  /// stages (muBLASTP), two give a split round's hit_detect and sort, one
+  /// gives the interleaved engines' fused scan, booked whole under
+  /// hit_detect.
   void block_round(std::uint32_t block, const stats::StageCounters& c) {
-    if (on()) close_round(block, c);
+    if (on()) close_round(block, stats::Stage::kHitDetect, 1, c);
+  }
+
+  /// Closes the ungapped sweep of one chunk of a split round, opened by
+  /// mark(), and books its seconds and counter delta into the same
+  /// per-block row; the block_round that closed the round's hit_detect and
+  /// sort counted the round.
+  void block_chunk(std::uint32_t block, const stats::StageCounters& c) {
+    if (on()) close_round(block, stats::Stage::kUngapped, 0, c);
   }
 
   /// Closes stage 3 or 4 (from the last mark, or the previous stage's end)
@@ -277,7 +286,8 @@ class StageRecorder {
   /// Pushes [begin, end] as a span when tracing; returns its seconds.
   double span(SpanKind kind, std::uint32_t block, const Stamp& begin,
               const Stamp& end);
-  void close_round(std::uint32_t block, const stats::StageCounters& c);
+  void close_round(std::uint32_t block, stats::Stage first,
+                   std::uint64_t rounds, const stats::StageCounters& c);
   void close_stage(stats::Stage s, const stats::StageCounters& c);
   void close_flatten(std::uint64_t builds);
 

@@ -491,8 +491,10 @@ int main(int argc, char** argv) {
         for (SeqId q = begin; q < end; ++q) {
           batch.add(queries.sequence(q), queries.name(q));
         }
+        std::uint64_t batch_begin = 0;
         if (tracer != nullptr) {
           tracer->set_batch(static_cast<std::uint32_t>(b));
+          batch_begin = tracer->now_ns();
         }
         const std::vector<QueryResult> results = search(batch);
 
@@ -511,6 +513,11 @@ int main(int argc, char** argv) {
                             "fsync failure on output file: " + out_path);
         offset += bytes.size();
         journal.append(b, offset);
+        if (tracer != nullptr) {
+          // One span per batch, from its search to its journal commit.
+          tracer->record(trace::SpanKind::kBatch, batch_begin,
+                         tracer->now_ns());
+        }
       }
       std::fprintf(stderr, "searched in %.2fs (%d thread(s))\n", t.seconds(),
                    threads);
