@@ -1,10 +1,12 @@
 #include "baseline/interleaved_engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "core/diag_keys.hpp"
 #include "core/fragment_assembly.hpp"
@@ -211,10 +213,15 @@ std::vector<QueryResult> InterleavedDbEngine::search_batch(
     const SequenceStore& queries, int threads) const {
   MUBLASTP_CHECK(threads > 0, "thread count must be positive");
   std::vector<QueryResult> results(queries.size());
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    results[i] = search(queries.sequence(static_cast<SeqId>(i)));
-  }
+  const std::exception_ptr error =
+      parallel_tasks(threads, queries.size(), [&](std::size_t i) {
+        const auto query = queries.sequence(static_cast<SeqId>(i));
+        // A query too short for one word has no hits: an empty result, as
+        // in the muBLASTP batch (search(q) rejects it).
+        if (query.size() < static_cast<std::size_t>(kWordLength)) return;
+        results[i] = search(query);
+      });
+  if (error != nullptr) std::rethrow_exception(error);
   return results;
 }
 

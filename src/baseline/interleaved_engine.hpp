@@ -54,6 +54,8 @@ class InterleavedDbEngine {
                             memsim::MemoryHierarchy& mem) const;
 
   /// OpenMP batch over queries; results do not depend on the thread count.
+  /// A query shorter than one word gets an empty result; the first error
+  /// of any other query is rethrown after the loop.
   std::vector<QueryResult> search_batch(const SequenceStore& queries,
                                         int threads) const;
 

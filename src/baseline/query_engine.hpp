@@ -59,6 +59,8 @@ class QueryIndexedEngine {
                             memsim::MemoryHierarchy& mem) const;
 
   /// Searches a batch with OpenMP over queries ("-num_threads" behaviour).
+  /// A query shorter than one word gets an empty result; the first error
+  /// of any other query is rethrown after the loop.
   std::vector<QueryResult> search_batch(const SequenceStore& queries,
                                         int threads) const;
 

@@ -2,8 +2,11 @@
 
 #include <array>
 #include <charconv>
+#include <cstdarg>
 #include <cstddef>
-#include <cstring>
+#include <cstdio>
+
+#include "common/error.hpp"
 
 namespace mublastp::jsonw {
 namespace {
@@ -48,10 +51,38 @@ void append_fixed(std::string& out, double v, int precision) {
   out.append(buf.data(), res.ptr);
 }
 
-double parse_double(std::string_view token) {
-  double v = 0.0;
-  std::from_chars(token.data(), token.data() + token.size(), v);
-  return v;
+void append_string(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+}
+
+void append_f(std::string& out, const char* fmt, ...) {
+  char buf[256];
+  va_list ap;
+  va_start(ap, fmt);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  MUBLASTP_CHECK(n >= 0 && n < static_cast<int>(sizeof(buf)),
+                 "append_f output does not fit 255 bytes");
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
 }  // namespace mublastp::jsonw

@@ -3,13 +3,13 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <exception>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/faultinject.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "core/diag_keys.hpp"
 #include "core/fragment_assembly.hpp"
@@ -24,31 +24,6 @@ namespace {
 const SearchParams& checked_params(const SearchParams& p) {
   p.validate();
   return p;
-}
-
-// Runs body(t) for every t in [0, n) as one OpenMP dynamic loop on
-// `threads` threads. An exception must not escape an OpenMP region (that
-// terminates the process), so the first one is kept and returned, and the
-// tasks not yet started are skipped.
-template <typename Body>
-std::exception_ptr parallel_tasks(int threads, std::size_t n,
-                                  const Body& body) {
-  std::exception_ptr error = nullptr;
-  std::atomic<bool> failed{false};
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t t = 0; t < n; ++t) {
-    if (failed.load(std::memory_order_relaxed)) continue;
-    try {
-      body(t);
-    } catch (...) {
-#pragma omp critical(mublastp_batch_error)
-      {
-        if (error == nullptr) error = std::current_exception();
-      }
-      failed.store(true, std::memory_order_relaxed);
-    }
-  }
-  return error;
 }
 
 // Cuts `items`, sorted by `key`, into `parts` ranges of about equal length

@@ -145,7 +145,8 @@ class MuBlastpEngine {
   /// ungapped sweep runs as one task per chunk of the sorted records (cut
   /// where the diagonal key changes), and its gapped stage as one task per
   /// run of whole subjects; finalize runs once per query. Results are the
-  /// same at every thread count.
+  /// same at every thread count. A query shorter than one word finds no
+  /// hits and gets an empty result (search() rejects it).
   /// When `ps` is non-null, telemetry is collected into it: per-thread
   /// accumulators are merged at each block's end, so all counters are
   /// identical for any thread count; a block's `rounds` counts (block,

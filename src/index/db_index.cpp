@@ -7,6 +7,7 @@
 #include <bit>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace mublastp {
 namespace {
@@ -98,13 +99,8 @@ DbIndex DbIndex::build(const SequenceStore& db, const DbIndexConfig& config,
                                                : omp_get_max_threads();
   const double t_plan = omp_get_wtime();
   std::vector<double> block_seconds(telemetry != nullptr ? ranges.size() : 0);
-  // Exceptions must not escape the parallel region (that would terminate);
-  // capture the first one and rethrow afterwards.
-  std::exception_ptr build_error = nullptr;
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-  for (std::size_t b = 0; b < ranges.size(); ++b) {
+  const auto build_block = [&](std::size_t b) {
     const double t_block = telemetry != nullptr ? omp_get_wtime() : 0.0;
-    try {
     DbIndexBlock& block = index.blocks_[b];
     block.fragments_.assign(all_frags.begin() + ranges[b].first,
                             all_frags.begin() + ranges[b].second);
@@ -153,13 +149,11 @@ DbIndex DbIndex::build(const SequenceStore& db, const DbIndexConfig& config,
             (local << block.offset_bits_) | static_cast<std::uint32_t>(p);
       }
     }
-    } catch (...) {
-#pragma omp critical(mublastp_index_build_error)
-      if (!build_error) build_error = std::current_exception();
-    }
     if (telemetry != nullptr) block_seconds[b] = omp_get_wtime() - t_block;
-  }
-  if (build_error) std::rethrow_exception(build_error);
+  };
+  const std::exception_ptr build_error =
+      parallel_tasks(threads, ranges.size(), build_block);
+  if (build_error != nullptr) std::rethrow_exception(build_error);
 
   if (telemetry != nullptr) {
     telemetry->total_seconds = omp_get_wtime() - t_start;

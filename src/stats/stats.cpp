@@ -1,9 +1,7 @@
 #include "stats/stats.hpp"
 
+#include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "common/json_writer.hpp"
@@ -190,42 +188,14 @@ PipelineSnapshot PipelineStats::snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// JSON schema "mublastp-stats-v1" (documented in docs/ALGORITHMS.md).
+// JSON "mublastp-stats-v1": docs/mublastp-stats-v1.schema.json is the
+// contract, docs/ALGORITHMS.md describes the fields.
 // ---------------------------------------------------------------------------
 namespace {
 
-void append_f(std::string& out, const char* fmt, ...) {
-  char buf[128];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-// Round-trip precision, locale-independent (byte-identical to the C-locale
-// "%.17g" this schema was originally emitted with).
-void append_double(std::string& out, double v) {
-  jsonw::append_double(out, v);
-}
-
-// Quarantine reasons are produced from our own error messages, but they
-// flow into a JSON string and our minimal reader supports no escapes, so
-// scrub anything that would break the framing.
-std::string json_safe(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\'';
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
+using jsonw::append_double;
+using jsonw::append_f;
+using jsonw::append_string;
 
 void append_counters(std::string& out, const StageCounters& c,
                      const char* indent) {
@@ -240,15 +210,13 @@ void append_counters(std::string& out, const StageCounters& c,
            c.gapped_extensions, indent);
 }
 
-void append_seconds(std::string& out, const StageSeconds& sec,
-                    const char* indent) {
+void append_seconds(std::string& out, const StageSeconds& sec) {
   out += "{";
   for (int s = 0; s < kNumStages; ++s) {
     append_f(out, "%s\"%s\": ", s == 0 ? "" : ", ",
              stage_name(static_cast<Stage>(s)));
     append_double(out, sec[s]);
   }
-  (void)indent;
   out += "}";
 }
 
@@ -267,12 +235,13 @@ void append_u64_stages(std::string& out,
 std::string to_json(const PipelineSnapshot& s) {
   std::string out;
   out.reserve(1024 + 256 * s.per_block.size());
-  out += "{\n  \"schema\": \"mublastp-stats-v1\",\n";
-  append_f(out, "  \"engine\": \"%s\",\n", s.engine.c_str());
+  out += "{\n  \"schema\": \"mublastp-stats-v1\",\n  \"engine\": ";
+  append_string(out, s.engine);
   if (!s.kernel.empty()) {
-    append_f(out, "  \"kernel\": \"%s\",\n", s.kernel.c_str());
+    out += ",\n  \"kernel\": ";
+    append_string(out, s.kernel);
   }
-  append_f(out, "  \"threads\": %d,\n", s.threads);
+  append_f(out, ",\n  \"threads\": %d,\n", s.threads);
   append_f(out, "  \"queries\": %" PRIu64 ",\n", s.queries);
   append_f(out, "  \"blocks\": %zu,\n", s.per_block.size());
   out += "  \"counters\": ";
@@ -280,7 +249,7 @@ std::string to_json(const PipelineSnapshot& s) {
   out += ",\n  \"survival_ratio\": ";
   append_double(out, s.survival_ratio());
   out += ",\n  \"stage_seconds\": ";
-  append_seconds(out, s.stage_seconds, "  ");
+  append_seconds(out, s.stage_seconds);
   out += ",\n  \"total_seconds\": ";
   append_double(out, s.total_seconds);
   if (s.workspace_peak_bytes != 0) {
@@ -288,8 +257,9 @@ std::string to_json(const PipelineSnapshot& s) {
              s.workspace_peak_bytes);
   }
   if (s.index_load.recorded()) {
-    append_f(out, ",\n  \"index\": {\"mode\": \"%s\", \"load_seconds\": ",
-             s.index_load.mode.c_str());
+    out += ",\n  \"index\": {\"mode\": ";
+    append_string(out, s.index_load.mode);
+    out += ", \"load_seconds\": ";
     append_double(out, s.index_load.load_seconds);
     append_f(out, ", \"file_bytes\": %" PRIu64
                   ", \"resident_bytes\": %" PRIu64 "}",
@@ -325,10 +295,12 @@ std::string to_json(const PipelineSnapshot& s) {
     out += "}";
   }
   if (s.shards.recorded()) {
-    append_f(out, ",\n  \"shards\": {\"count\": %u, \"mode\": \"%s\","
-                  " \"strategy\": \"%s\", \"imbalance_predicted\": ",
-             s.shards.count, s.shards.mode.c_str(),
-             s.shards.strategy.c_str());
+    append_f(out, ",\n  \"shards\": {\"count\": %u, \"mode\": ",
+             s.shards.count);
+    append_string(out, s.shards.mode);
+    out += ", \"strategy\": ";
+    append_string(out, s.shards.strategy);
+    out += ", \"imbalance_predicted\": ";
     append_double(out, s.shards.imbalance_predicted);
     out += ", \"imbalance_measured\": ";
     append_double(out, s.shards.imbalance_measured);
@@ -370,9 +342,9 @@ std::string to_json(const PipelineSnapshot& s) {
     for (std::size_t i = 0; i < s.degraded.quarantined.size(); ++i) {
       const QuarantinedBlock& q = s.degraded.quarantined[i];
       if (i != 0) out += ", ";
-      append_f(out, "{\"block\": %u, \"reason\": \"", q.block);
-      out += json_safe(q.reason);
-      out += "\"}";
+      append_f(out, "{\"block\": %u, \"reason\": ", q.block);
+      append_string(out, q.reason);
+      out += "}";
     }
     out += "]";
     // Emitted only when present so pre-sharding degraded snapshots stay
@@ -382,9 +354,9 @@ std::string to_json(const PipelineSnapshot& s) {
       for (std::size_t i = 0; i < s.degraded.quarantined_shards.size(); ++i) {
         const QuarantinedShard& q = s.degraded.quarantined_shards[i];
         if (i != 0) out += ", ";
-        append_f(out, "{\"shard\": %u, \"reason\": \"", q.shard);
-        out += json_safe(q.reason);
-        out += "\"}";
+        append_f(out, "{\"shard\": %u, \"reason\": ", q.shard);
+        append_string(out, q.reason);
+        out += "}";
       }
       out += "]";
     }
@@ -399,370 +371,11 @@ std::string to_json(const PipelineSnapshot& s) {
              b.block, b.rounds);
     append_counters(out, b.counters, "    ");
     out += ", \"seconds\": ";
-    append_seconds(out, b.seconds, "    ");
+    append_seconds(out, b.seconds);
     out += "}";
   }
   out += s.per_block.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for the schema above (objects, arrays,
-// strings without escapes, integer and floating-point numbers). Exists so
-// tests can assert the emitted JSON round-trips without an external dep.
-// ---------------------------------------------------------------------------
-namespace {
-
-struct Parser {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const char* what) const {
-    throw Error(std::string("stats JSON: ") + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  char peek() {
-    skip_ws();
-    if (p >= end) fail("unexpected end of input");
-    return *p;
-  }
-  void expect(char c) {
-    if (peek() != c) fail("unexpected token");
-    ++p;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-  std::string string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escapes not supported");
-      s += *p++;
-    }
-    if (p >= end) fail("unterminated string");
-    ++p;
-    return s;
-  }
-  // Numbers are returned as their source token; callers convert.
-  std::string number() {
-    skip_ws();
-    const char* start = p;
-    while (p < end && *p != '\0' &&
-           (std::strchr("+-.eE", *p) != nullptr || (*p >= '0' && *p <= '9'))) {
-      ++p;
-    }
-    if (p == start) fail("expected a number");
-    return std::string(start, p);
-  }
-  double number_double() { return jsonw::parse_double(number()); }
-  std::uint64_t number_u64() {
-    return std::strtoull(number().c_str(), nullptr, 10);
-  }
-  bool boolean() {
-    skip_ws();
-    if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-      p += 5;
-      return false;
-    }
-    fail("expected a boolean");
-  }
-  void skip_value();
-  /// Walks an object, invoking fn(key) positioned at each value. fn must
-  /// consume the value (or call skip_value()).
-  template <typename Fn>
-  void object(Fn&& fn) {
-    expect('{');
-    if (consume('}')) return;
-    do {
-      const std::string key = string();
-      expect(':');
-      fn(key);
-    } while (consume(','));
-    expect('}');
-  }
-  template <typename Fn>
-  void array(Fn&& fn) {
-    expect('[');
-    if (consume(']')) return;
-    do {
-      fn();
-    } while (consume(','));
-    expect(']');
-  }
-};
-
-void Parser::skip_value() {
-  switch (peek()) {
-    case '{':
-      object([&](const std::string&) { skip_value(); });
-      break;
-    case '[':
-      array([&] { skip_value(); });
-      break;
-    case '"':
-      string();
-      break;
-    case 't':
-    case 'f':
-      boolean();
-      break;
-    default:
-      number();
-      break;
-  }
-}
-
-StageCounters parse_counters(Parser& ps) {
-  StageCounters c;
-  ps.object([&](const std::string& key) {
-    if (key == "hits") c.hits = ps.number_u64();
-    else if (key == "hit_pairs") c.hit_pairs = ps.number_u64();
-    else if (key == "sorted_records") c.sorted_records = ps.number_u64();
-    else if (key == "extensions") c.extensions = ps.number_u64();
-    else if (key == "ungapped_alignments") c.ungapped_alignments = ps.number_u64();
-    else if (key == "gapped_extensions") c.gapped_extensions = ps.number_u64();
-    else ps.skip_value();
-  });
-  return c;
-}
-
-StageSeconds parse_seconds(Parser& ps) {
-  StageSeconds sec{};
-  ps.object([&](const std::string& key) {
-    for (int s = 0; s < kNumStages; ++s) {
-      if (key == stage_name(static_cast<Stage>(s))) {
-        sec[s] = ps.number_double();
-        return;
-      }
-    }
-    ps.skip_value();
-  });
-  return sec;
-}
-
-std::array<std::uint64_t, kNumStages> parse_u64_stages(Parser& ps) {
-  std::array<std::uint64_t, kNumStages> v{};
-  ps.object([&](const std::string& key) {
-    for (int s = 0; s < kNumStages; ++s) {
-      if (key == stage_name(static_cast<Stage>(s))) {
-        v[s] = ps.number_u64();
-        return;
-      }
-    }
-    ps.skip_value();
-  });
-  return v;
-}
-
-}  // namespace
-
-PipelineSnapshot from_json(const std::string& json) {
-  Parser ps{json.data(), json.data() + json.size()};
-  PipelineSnapshot s;
-  bool schema_ok = false;
-  ps.object([&](const std::string& key) {
-    if (key == "schema") {
-      schema_ok = ps.string() == "mublastp-stats-v1";
-    } else if (key == "engine") {
-      s.engine = ps.string();
-    } else if (key == "kernel") {
-      s.kernel = ps.string();
-    } else if (key == "workspace_peak_bytes") {
-      s.workspace_peak_bytes = ps.number_u64();
-    } else if (key == "threads") {
-      s.threads = static_cast<int>(ps.number_u64());
-    } else if (key == "queries") {
-      s.queries = ps.number_u64();
-    } else if (key == "counters") {
-      s.totals = parse_counters(ps);
-    } else if (key == "stage_seconds") {
-      s.stage_seconds = parse_seconds(ps);
-    } else if (key == "total_seconds") {
-      s.total_seconds = ps.number_double();
-    } else if (key == "index") {
-      ps.object([&](const std::string& ikey) {
-        if (ikey == "mode") s.index_load.mode = ps.string();
-        else if (ikey == "load_seconds") s.index_load.load_seconds = ps.number_double();
-        else if (ikey == "file_bytes") s.index_load.file_bytes = ps.number_u64();
-        else if (ikey == "resident_bytes") s.index_load.resident_bytes = ps.number_u64();
-        else ps.skip_value();
-      });
-    } else if (key == "gapped_kernel") {
-      ps.object([&](const std::string& gkey) {
-        if (gkey == "int8_runs") {
-          s.gapped_kernel.int8_runs = ps.number_u64();
-        } else if (gkey == "int16_reruns") {
-          s.gapped_kernel.int16_reruns = ps.number_u64();
-        } else if (gkey == "scalar_fallbacks") {
-          s.gapped_kernel.scalar_fallbacks = ps.number_u64();
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "hit_kernel") {
-      ps.object([&](const std::string& hkey) {
-        if (hkey == "flatten_builds") {
-          s.hit_kernel.flatten_builds = ps.number_u64();
-        } else if (hkey == "flatten_seconds") {
-          s.hit_kernel.flatten_seconds = ps.number_double();
-        } else if (hkey == "tiles") {
-          s.hit_kernel.tiles = ps.number_u64();
-        } else if (hkey == "tail_entries") {
-          s.hit_kernel.tail_entries = ps.number_u64();
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "perf_counters") {
-      ps.object([&](const std::string& pkey) {
-        if (pkey == "sampled_spans") {
-          s.perf_counters.sampled_spans = ps.number_u64();
-        } else if (pkey == "cycles") {
-          s.perf_counters.cycles = parse_u64_stages(ps);
-        } else if (pkey == "instructions") {
-          s.perf_counters.instructions = parse_u64_stages(ps);
-        } else if (pkey == "llc_misses") {
-          s.perf_counters.llc_misses = parse_u64_stages(ps);
-        } else if (pkey == "branch_misses") {
-          s.perf_counters.branch_misses = parse_u64_stages(ps);
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "build") {
-      ps.object([&](const std::string& bkey) {
-        if (bkey == "generation") {
-          s.build.generation = static_cast<std::uint32_t>(ps.number_u64());
-        } else if (bkey == "chain_length") {
-          s.build.chain_length = static_cast<std::uint32_t>(ps.number_u64());
-        } else if (bkey == "sequences") {
-          s.build.sequences = ps.number_u64();
-        } else if (bkey == "residues") {
-          s.build.residues = ps.number_u64();
-        } else if (bkey == "threads") {
-          s.build.threads = static_cast<int>(ps.number_u64());
-        } else if (bkey == "plan_seconds") {
-          s.build.plan_seconds = ps.number_double();
-        } else if (bkey == "total_seconds") {
-          s.build.total_seconds = ps.number_double();
-        } else if (bkey == "block_seconds") {
-          ps.array([&] { s.build.block_seconds.push_back(ps.number_double()); });
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "degraded") {
-      ps.object([&](const std::string& dkey) {
-        if (dkey == "partial") {
-          s.degraded.partial = ps.boolean();
-        } else if (dkey == "load_retries") {
-          s.degraded.load_retries = ps.number_u64();
-        } else if (dkey == "time_budget_trips") {
-          s.degraded.time_budget_trips = ps.number_u64();
-        } else if (dkey == "mem_budget_trips") {
-          s.degraded.mem_budget_trips = ps.number_u64();
-        } else if (dkey == "quarantined") {
-          ps.array([&] {
-            QuarantinedBlock q;
-            ps.object([&](const std::string& qkey) {
-              if (qkey == "block") {
-                q.block = static_cast<std::uint32_t>(ps.number_u64());
-              } else if (qkey == "reason") {
-                q.reason = ps.string();
-              } else {
-                ps.skip_value();
-              }
-            });
-            s.degraded.quarantined.push_back(std::move(q));
-          });
-        } else if (dkey == "quarantined_shards") {
-          ps.array([&] {
-            QuarantinedShard q;
-            ps.object([&](const std::string& qkey) {
-              if (qkey == "shard") {
-                q.shard = static_cast<std::uint32_t>(ps.number_u64());
-              } else if (qkey == "reason") {
-                q.reason = ps.string();
-              } else {
-                ps.skip_value();
-              }
-            });
-            s.degraded.quarantined_shards.push_back(std::move(q));
-          });
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "shards") {
-      ps.object([&](const std::string& skey) {
-        if (skey == "count") {
-          s.shards.count = static_cast<std::uint32_t>(ps.number_u64());
-        } else if (skey == "mode") {
-          s.shards.mode = ps.string();
-        } else if (skey == "strategy") {
-          s.shards.strategy = ps.string();
-        } else if (skey == "imbalance_predicted") {
-          s.shards.imbalance_predicted = ps.number_double();
-        } else if (skey == "imbalance_measured") {
-          s.shards.imbalance_measured = ps.number_double();
-        } else if (skey == "per_shard") {
-          ps.array([&] {
-            ShardStats sh;
-            ps.object([&](const std::string& shkey) {
-              if (shkey == "shard") {
-                sh.shard = static_cast<std::uint32_t>(ps.number_u64());
-              } else if (shkey == "seconds") {
-                sh.seconds = ps.number_double();
-              } else if (shkey == "hits") {
-                sh.hits = ps.number_u64();
-              } else if (shkey == "alignments") {
-                sh.alignments = ps.number_u64();
-              } else {
-                ps.skip_value();
-              }
-            });
-            s.shards.per_shard.push_back(sh);
-          });
-        } else {
-          ps.skip_value();
-        }
-      });
-    } else if (key == "per_block") {
-      ps.array([&] {
-        BlockStats b;
-        ps.object([&](const std::string& bkey) {
-          if (bkey == "block") b.block = static_cast<std::uint32_t>(ps.number_u64());
-          else if (bkey == "rounds") b.rounds = ps.number_u64();
-          else if (bkey == "counters") b.counters = parse_counters(ps);
-          else if (bkey == "seconds") b.seconds = parse_seconds(ps);
-          else ps.skip_value();
-        });
-        s.per_block.push_back(std::move(b));
-      });
-    } else {
-      // "blocks" and "survival_ratio" are derived; tolerate unknown keys so
-      // minor-version additions stay readable.
-      ps.skip_value();
-    }
-  });
-  ps.skip_ws();
-  MUBLASTP_CHECK(ps.p == ps.end, "trailing garbage after stats JSON");
-  MUBLASTP_CHECK(schema_ok, "missing or unsupported stats JSON schema");
-  return s;
 }
 
 void print_table(std::FILE* out, const PipelineSnapshot& s) {

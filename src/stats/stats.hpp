@@ -314,8 +314,8 @@ struct ShardsStats {
   friend bool operator==(const ShardsStats&, const ShardsStats&) = default;
 };
 
-/// Immutable result of one collection run — exactly what the JSON schema
-/// (docs/ALGORITHMS.md "Telemetry") serializes.
+/// Immutable result of one collection run — exactly what to_json
+/// serializes (docs/mublastp-stats-v1.schema.json).
 struct PipelineSnapshot {
   std::string engine;          ///< "mublastp", "ncbi-db", "ncbi"
   std::string kernel;          ///< "" (unset), "scalar", "sse42", "avx2"
@@ -344,14 +344,10 @@ struct PipelineSnapshot {
   void merge(const PipelineSnapshot& o);
 };
 
-/// Serializes a snapshot to the stable "mublastp-stats-v1" JSON schema.
-/// Doubles are printed with round-trip precision, so
-/// to_json(from_json(s)) == s for any s this function produced.
+/// Serializes a snapshot to the stable "mublastp-stats-v1" JSON, whose
+/// contract is docs/mublastp-stats-v1.schema.json. Doubles are printed with
+/// round-trip precision and strings are JSON-escaped, never altered.
 std::string to_json(const PipelineSnapshot& s);
-
-/// Parses a snapshot back. Accepts exactly the schema to_json emits (field
-/// order-insensitive); throws mublastp::Error on malformed input.
-PipelineSnapshot from_json(const std::string& json);
 
 /// Human-readable table (the --stats output of the tools).
 void print_table(std::FILE* out, const PipelineSnapshot& s);
@@ -377,8 +373,6 @@ struct ThreadAccum {
 /// merge_block / finish_run fold accumulators in serial code.
 class PipelineStats {
  public:
-  static constexpr bool kEnabled = true;
-
   explicit PipelineStats(std::string engine = "mublastp")
       : engine_(std::move(engine)) {}
 

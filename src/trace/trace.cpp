@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "common/json_writer.hpp"
 
@@ -298,18 +296,11 @@ void StageRecorder::close_flatten(std::uint64_t builds) {
 
 namespace {
 
+using jsonw::append_f;
+
 // ts/dur are microseconds; three decimals keep full ns precision.
 void append_us(std::string& out, std::uint64_t ns) {
   jsonw::append_fixed(out, static_cast<double>(ns) / 1000.0, 3);
-}
-
-void append_f(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  out += buf;
 }
 
 // pid 0 is the main process / unsharded run; shard k maps to pid k + 1.

@@ -151,9 +151,13 @@ TEST_F(EdgeCases, AllAmbiguityQueryWithStatsYieldsZeroRatioAndValidJson) {
   EXPECT_EQ(snap.totals.hits, 0u);
   EXPECT_EQ(snap.survival_ratio(), 0.0);
   const std::string json = stats::to_json(snap);
-  const stats::PipelineSnapshot back = stats::from_json(json);
-  EXPECT_EQ(back.totals, snap.totals);
-  EXPECT_EQ(back.survival_ratio(), 0.0);
+  EXPECT_NE(json.find("  \"counters\": {\n    \"hits\": 0,\n"
+                      "    \"hit_pairs\": 0,\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(",\n  \"survival_ratio\": 0,\n"), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos);
 }
 
 TEST_F(EdgeCases, StopCodonResiduesAreSearchable) {

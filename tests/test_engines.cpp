@@ -40,6 +40,60 @@ TEST_F(EngineFixture, RejectsTooShortQuery) {
   EXPECT_THROW(idb.search(tiny), Error);
 }
 
+void expect_same_result(const QueryResult& got, const QueryResult& want) {
+  ASSERT_EQ(got.alignments.size(), want.alignments.size());
+  for (std::size_t i = 0; i < got.alignments.size(); ++i) {
+    const GappedAlignment& a = got.alignments[i];
+    const GappedAlignment& b = want.alignments[i];
+    EXPECT_EQ(a.subject, b.subject) << i;
+    EXPECT_EQ(a.q_start, b.q_start) << i;
+    EXPECT_EQ(a.q_end, b.q_end) << i;
+    EXPECT_EQ(a.s_start, b.s_start) << i;
+    EXPECT_EQ(a.s_end, b.s_end) << i;
+    EXPECT_EQ(a.score, b.score) << i;
+    EXPECT_EQ(a.evalue, b.evalue) << i;
+    EXPECT_EQ(a.ops, b.ops) << i;
+  }
+  EXPECT_EQ(got.ungapped, want.ungapped);
+  EXPECT_EQ(got.stats, want.stats);
+}
+
+// In a batch, a query too short for one word is not an error: every engine
+// gives it an empty result, at every thread count, and the rest of the
+// batch is unaffected. Each baseline batch used to terminate the process
+// here, because the single-query check threw inside the OpenMP loop.
+TEST_F(EngineFixture, BatchGivesTooShortQueryAnEmptyResult) {
+  constexpr SeqId kTiny = 2;
+  const std::vector<Residue> tiny{0, 1};
+  SequenceStore batch;
+  for (SeqId q = 0; q < queries_.size(); ++q) {
+    if (q == kTiny) batch.add(tiny, "tiny");
+    batch.add(queries_.sequence(q), queries_.name(q));
+  }
+  const MuBlastpEngine mu(*index_);
+  const QueryIndexedEngine ncbi(db_);
+  const InterleavedDbEngine idb(*index_);
+  const auto check = [&](const auto& engine, const char* name) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string(name) + " at " + std::to_string(threads) +
+                   " threads");
+      const std::vector<QueryResult> got = engine.search_batch(batch, threads);
+      ASSERT_EQ(got.size(), batch.size());
+      for (SeqId q = 0; q < batch.size(); ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        if (q == kTiny) {
+          expect_same_result(got[q], QueryResult{});
+        } else {
+          expect_same_result(got[q], engine.search(batch.sequence(q)));
+        }
+      }
+    }
+  };
+  check(mu, "mublastp");
+  check(ncbi, "ncbi");
+  check(idb, "ncbi-db");
+}
+
 TEST_F(EngineFixture, QueryEngineRejectsEmptyDb) {
   SequenceStore empty;
   EXPECT_THROW(QueryIndexedEngine{empty}, Error);

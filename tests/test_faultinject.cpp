@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json_writer.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_io.hpp"
 #include "index/mapped_db_index.hpp"
@@ -331,7 +332,7 @@ TEST_F(FaultInjectPipeline, IoReadOnIndexStreamFailsIo) {
 }
 
 // Degraded runs surface in the stats-v1 snapshot: the "degraded" object
-// round-trips through to_json/from_json with the quarantine intact.
+// carries the quarantined block, its reason and the partial flag.
 TEST_F(FaultInjectPipeline, DegradedStatsReflectedInJson) {
   const MuBlastpEngine engine{DbIndexView(index())};
   fi::arm("stage.ungapped", 1);
@@ -344,23 +345,20 @@ TEST_F(FaultInjectPipeline, DegradedStatsReflectedInJson) {
   const stats::PipelineSnapshot snap = ps.snapshot();
   EXPECT_EQ(snap.degraded, degraded);
   const std::string json = stats::to_json(snap);
-  EXPECT_NE(json.find("\"degraded\""), std::string::npos);
-  EXPECT_NE(json.find("\"quarantined\""), std::string::npos);
-  EXPECT_NE(json.find("\"partial\": true"), std::string::npos);
-
-  // Reason strings are scrubbed for JSON safety (quotes become '), so the
-  // round-trip contract is on the JSON side: parse-back preserves the
-  // structure, and a second round-trip is byte-stable.
-  const stats::PipelineSnapshot back = stats::from_json(json);
-  ASSERT_EQ(back.degraded.quarantined.size(), snap.degraded.quarantined.size());
-  EXPECT_EQ(back.degraded.quarantined[0].block,
-            snap.degraded.quarantined[0].block);
-  EXPECT_FALSE(back.degraded.quarantined[0].reason.empty());
-  EXPECT_EQ(back.degraded.partial, snap.degraded.partial);
-  EXPECT_EQ(back.degraded.time_budget_trips, snap.degraded.time_budget_trips);
-  EXPECT_EQ(back.degraded.mem_budget_trips, snap.degraded.mem_budget_trips);
-  EXPECT_EQ(back.degraded.load_retries, snap.degraded.load_retries);
-  EXPECT_EQ(stats::to_json(back), json);
+  // The reason quotes the failed check's source text, quotes included;
+  // stats-v1 carries it escaped, not altered.
+  const stats::QuarantinedBlock& q = degraded.quarantined[0];
+  EXPECT_NE(q.reason.find('"'), std::string::npos);
+  std::string row =
+      "{\"block\": " + std::to_string(q.block) + ", \"reason\": ";
+  jsonw::append_string(row, q.reason);
+  EXPECT_NE(json.find("\n  \"degraded\": {\"partial\": true,"
+                      " \"load_retries\": 0, \"time_budget_trips\": 0,"
+                      " \"mem_budget_trips\": 0, \"quarantined\": [" +
+                      row + "}]}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("quarantined_shards"), std::string::npos);
 }
 
 // A clean run's snapshot has no "degraded" object at all — degraded-mode

@@ -362,7 +362,7 @@ TEST_F(TraceBattery, PerfctrOpenFailureDegradesToPlainTimestamps) {
 }
 
 // ---------------------------------------------------------------------------
-// Emission + stats-v1 perf_counters round trip
+// Emission + stats-v1 perf_counters
 // ---------------------------------------------------------------------------
 
 TEST_F(TraceBattery, ChromeJsonEmissionIsSaneAndDeterministic) {
@@ -385,13 +385,12 @@ TEST_F(TraceBattery, ChromeJsonEmissionIsSaneAndDeterministic) {
   EXPECT_EQ(json, trace::to_chrome_json(again, meta));
 }
 
-TEST(PerfCounterStatsJson, RoundTripsAndIsOmittedWhenUnused) {
+TEST(PerfCounterStatsJson, PrintedOnlyWhenSampled) {
   stats::PipelineStats ps;
   ps.begin_run(1, 1, 1);
   ps.finish_run(0.5);
   const std::string without = stats::to_json(ps.snapshot());
   EXPECT_EQ(without.find("perf_counters"), std::string::npos);
-  EXPECT_EQ(stats::to_json(stats::from_json(without)), without);
 
   stats::PerfCounterStats pc;
   pc.sampled_spans = 12;
@@ -403,10 +402,18 @@ TEST(PerfCounterStatsJson, RoundTripsAndIsOmittedWhenUnused) {
   }
   ps.set_perf_counters(pc);
   const std::string with = stats::to_json(ps.snapshot());
-  EXPECT_NE(with.find("\"perf_counters\""), std::string::npos);
-  const stats::PipelineSnapshot back = stats::from_json(with);
-  EXPECT_EQ(back.perf_counters, pc);
-  EXPECT_EQ(stats::to_json(back), with);
+  // The object's bytes are pinned by StatsJson.GoldenSnapshotBytes; here
+  // it is the only difference from the unsampled run.
+  const std::size_t at =
+      with.find(",\n  \"perf_counters\": {\"sampled_spans\": 12, ");
+  ASSERT_NE(at, std::string::npos) << with;
+  const std::size_t end =
+      with.find("\"branch_misses\": {\"hit_detect\": 40, \"sort\": 41,"
+                " \"ungapped\": 42, \"gapped\": 43, \"finalize\": 44}}",
+                at);
+  ASSERT_NE(end, std::string::npos) << with;
+  EXPECT_EQ(with.substr(0, at) + with.substr(with.find("}}", end) + 2),
+            without);
 }
 
 }  // namespace

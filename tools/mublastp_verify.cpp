@@ -413,8 +413,8 @@ int main(int argc, char** argv) {
       for (int i = 0; i < kRuns; ++i) {
         if (stats_mode == "json") {
           // One snapshot per line (JSONL): collapse the pretty-printed form
-          // by dropping newlines and their indentation (no string in the
-          // schema contains either).
+          // by dropping newlines and their indentation. No raw newline can
+          // sit inside a string, because to_json escapes strings.
           const std::string json = stats::to_json(agg[i]);
           std::string line;
           line.reserve(json.size());

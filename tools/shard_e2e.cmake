@@ -17,6 +17,9 @@
 #     their --stats=json must print the single index's counters, nonzero
 #     stage seconds, and a "blocks" count above 0 with that many per_block
 #     rows.
+# The chain's --append build and both checks' searches write their stats-v1
+# to WORKDIR/e2e_<CHECK>_<makedb|layout>.json for the tool_stats_schema_*
+# tests, which validate them against docs/mublastp-stats-v1.schema.json.
 foreach(var CHECK SEARCH MAKEDB SYNTHGEN DB_FASTA INDEX MANIFEST QUERY
             WORKDIR)
   if(NOT DEFINED ${var})
@@ -24,18 +27,19 @@ foreach(var CHECK SEARCH MAKEDB SYNTHGEN DB_FASTA INDEX MANIFEST QUERY
   endif()
 endforeach()
 
-function(run)
+# Runs a command that must exit 0 and leaves its stdout in `out`.
+macro(run)
   execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${ARGN}\nfailed (exit ${rc}):\n${err}")
   endif()
-endfunction()
+endmacro()
 
 # A fresh chain per check, so concurrent checks and re-runs never append to
-# an earlier one.
+# an earlier one, and no stats-v1 file left by an earlier run.
 set(stem ${WORKDIR}/e2e_${CHECK})
-file(GLOB stale ${stem}_chain.mbi*)
+file(GLOB stale ${stem}_chain.mbi* ${stem}_*.json)
 if(stale)
   file(REMOVE ${stale})
 endif()
@@ -53,7 +57,9 @@ string(SUBSTRING "${fasta}" ${cut} -1 delta)
 file(WRITE ${stem}_base.fasta "${base}")
 file(WRITE ${stem}_delta.fasta "${delta}")
 run(${MAKEDB} --in=${stem}_base.fasta --out=${stem}_chain.mbi --block-kb=64)
-run(${MAKEDB} --append=${stem}_delta.fasta --out=${stem}_chain.mbi)
+run(${MAKEDB} --append=${stem}_delta.fasta --out=${stem}_chain.mbi
+    --stats=json)
+file(WRITE ${stem}_makedb.json "${out}")
 
 set(layouts single shards_thread shards_process chain)
 set(single_args --index=${INDEX})
@@ -97,6 +103,7 @@ elseif(CHECK STREQUAL "budget" OR CHECK STREQUAL "stats")
     if(NOT rc EQUAL want_rc)
       message(FATAL_ERROR "${layout}: exited ${rc}, not ${want_rc}:\n${err}")
     endif()
+    file(WRITE ${stem}_${layout}.json "${stats}")
     if(CHECK STREQUAL "budget")
       if(NOT stats MATCHES "\"time_budget_trips\": [1-9]")
         message(FATAL_ERROR "${layout}: no time_budget_trips in:\n${stats}")

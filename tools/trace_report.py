@@ -3,6 +3,7 @@
 
 Usage:
   trace_report.py TRACE.json [--schema=FILE] [--diff=OTHER.json] [--top=N]
+  trace_report.py DOC.json --schema=FILE
 
 Reads the Chrome trace-event JSON written by `mublastp_search --trace=FILE`
 and prints:
@@ -14,10 +15,12 @@ and prints:
   * the critical path over the shard fan-out: index load -> slowest shard
     worker -> merge, with the measured shard imbalance.
 
---schema=FILE validates the trace against the checked-in JSON Schema
-(docs/mublastp-trace-v1.schema.json) before reporting, using the embedded
-subset validator below (type, properties, required, items, enum, const,
-minimum, anyOf) — no third-party jsonschema dependency.
+--schema=FILE validates the document against a checked-in JSON Schema
+(docs/mublastp-trace-v1.schema.json, docs/mublastp-stats-v1.schema.json)
+using the embedded subset validator below (type, properties, required,
+items, enum, const, minimum, anyOf) — no third-party jsonschema
+dependency. A trace is then reported; any other document (a stats-v1
+snapshot from --stats=json) stops after validation.
 
 --diff=OTHER.json compares per-stage totals between two traces (e.g. two
 kernels, or traced runs before and after a change) and prints the deltas.
@@ -106,10 +109,10 @@ def validate(value, schema, path="$"):
 # Rollups
 # ---------------------------------------------------------------------------
 
-def load_trace(path):
+def load_trace(path, any_schema=False):
     with open(path, "r", encoding="utf-8") as f:
         trace = json.load(f)
-    if trace.get("schema") != "mublastp-trace-v1":
+    if not any_schema and trace.get("schema") != "mublastp-trace-v1":
         raise ValueError("%s: not a mublastp-trace-v1 file (schema=%r)"
                          % (path, trace.get("schema")))
     return trace
@@ -267,12 +270,14 @@ def main(argv):
             return 2
     if trace_path is None:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: trace_report.py TRACE.json [--schema=FILE]"
+        print("usage: trace_report.py DOC.json [--schema=FILE]"
               " [--diff=OTHER.json] [--top=N]", file=sys.stderr)
         return 2
 
     try:
-        trace = load_trace(trace_path)
+        # With --schema (and no --diff) any document is validated.
+        trace = load_trace(trace_path, any_schema=schema_path is not None
+                           and diff_path is None)
     except (OSError, ValueError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
@@ -292,6 +297,8 @@ def main(argv):
                 print("  %s" % err, file=sys.stderr)
             return 3
         print("schema validation OK (%s)" % schema_path)
+        if trace.get("schema") != "mublastp-trace-v1":
+            return 0
 
     print_report(trace, top)
 
