@@ -30,8 +30,8 @@ class StageRecorder;
 /// Interleaved database-indexed engine ("NCBI-db").
 class InterleavedDbEngine {
  public:
-  /// The index behind `index` (owned DbIndex or MappedDbIndex — both
-  /// convert implicitly) must outlive the engine. `kernel` selects the
+  /// The index behind `index` (a DbIndex converts implicitly, or a joined
+  /// view) must outlive the engine. `kernel` selects the
   /// hit-lookup and banded gapped-extension kernels. Results are
   /// bit-identical for every path, and traced runs always use the scalar
   /// kernel. The engine builds its neighbor table from the index's matrix

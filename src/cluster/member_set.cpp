@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -345,7 +344,7 @@ MemberSet MemberSet::partition(const SequenceStore& db, int shards,
       slice.add(db.sequence(g), db.name(g));
       m.num_residues += db.length(g);
     }
-    m.owned = std::make_unique<DbIndex>(DbIndex::build(slice, config));
+    m.index = DbIndex::build(slice, config);
   }
   set.engine_ = set.make_engine({});
   return set;
@@ -369,35 +368,27 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
     if (plan.path.empty()) continue;
     try {
       const Timer t;
-      std::vector<BlockQuarantine> quarantined;
-      const auto open_mapped = [&] {
-        MappedDbIndexOptions o;
+      const auto open = [&](bool mmap) {
+        DbIndexOpenOptions o;
+        o.mmap = mmap;
         o.tolerate_block_corruption = !strict;
         // Prefault under the SIGBUS guard so a file truncated after the
         // mmap becomes a catchable Error(kIo) feeding the retry below.
         o.prefault = !strict;
-        m.mapped = std::make_unique<MappedDbIndex>(plan.path, o);
-        quarantined = m.mapped->quarantined();
-        m.load.mode = "mmap";
-      };
-      const auto open_copy = [&] {
-        IndexLoadOptions o;
-        o.tolerate_block_corruption = !strict;
-        o.quarantined = &quarantined;
-        m.owned = std::make_unique<DbIndex>(load_db_index_file(plan.path, o));
-        m.load.mode = "copy";
+        m.index.emplace(plan.path, o);
+        m.load.mode = mmap ? "mmap" : "copy";
       };
       if (mode == LoadMode::kCopy) {
-        open_copy();
+        open(/*mmap=*/false);
       } else if (strict) {
-        open_mapped();
+        open(/*mmap=*/true);
       } else {
         // Transient map failures (ENOMEM under pressure, a racing writer)
-        // get one more try; persistent ones get the copy loader, which has
-        // no address-space or SIGBUS exposure. A corrupt file gets neither:
-        // the copy loader parses the same bytes.
+        // get one more try; persistent ones read the file instead, which
+        // has no address-space or SIGBUS exposure. A corrupt file gets
+        // neither: a read parses the same bytes.
         try {
-          open_mapped();
+          open(/*mmap=*/true);
         } catch (const Error& first) {
           if (first.kind() == ErrorKind::kCorrupt) throw;
           std::fprintf(stderr, "warning: mmap load failed (%s); retrying\n",
@@ -405,50 +396,46 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
           ++degraded->load_retries;
           sleep_ms(50);
           try {
-            open_mapped();
+            open(/*mmap=*/true);
           } catch (const Error& second) {
             std::fprintf(stderr,
                          "warning: mmap load failed again (%s);"
-                         " falling back to copy load\n",
+                         " falling back to reading the file\n",
                          second.what());
             ++degraded->load_retries;
-            open_copy();
+            open(/*mmap=*/false);
           }
         }
       }
+      const DbIndex& index = *m.index;
       if (plan.check_crc) {
-        // Over the mapping the open just verified; only a copy load reads
-        // the file a second time.
-        const std::uint32_t crc = m.mapped ? crc32(m.mapped->image())
-                                           : file_crc32(plan.path);
+        // Over the image the open just verified: each file is read once.
+        const std::uint32_t crc = crc32(index.image());
         MUBLASTP_CHECK_KIND(crc == plan.crc, ErrorKind::kCorrupt,
                             "index checksum mismatch (manifest says " +
                                 std::to_string(plan.crc) + ", file has " +
                                 std::to_string(crc) + ")");
       }
       m.load.load_seconds = t.seconds();
-      std::error_code ec;
-      m.load.file_bytes = m.mapped ? m.mapped->file_bytes()
-                                   : std::filesystem::file_size(plan.path, ec);
-      m.load.resident_bytes = m.mapped ? m.mapped->resident_bytes() : 0;
+      m.load.file_bytes = index.image().size();
+      m.load.resident_bytes = index.resident_bytes();
 
       // The member must describe the slice its manifest promised (block
       // quarantine never touches the sequence sections, so this holds in
       // degraded mode too).
-      const DbIndexView view = m.view();
       if (plan.promised) {
-        MUBLASTP_CHECK_KIND(view.num_sequences() == plan.num_sequences &&
-                                view.total_residues() == plan.num_residues,
+        MUBLASTP_CHECK_KIND(index.num_sequences() == plan.num_sequences &&
+                                index.total_residues() == plan.num_residues,
                             ErrorKind::kCorrupt,
                             label(k) + " index does not match its manifest"
                                        " entry");
       } else {
-        m.to_global = id_range(0, view.num_sequences());
-        m.num_residues = view.total_residues();
-        total_sequences_ += view.num_sequences();
-        total_residues_ += view.total_residues();
+        m.to_global = id_range(0, index.num_sequences());
+        m.num_residues = index.total_residues();
+        total_sequences_ += index.num_sequences();
+        total_residues_ += index.total_residues();
       }
-      for (const BlockQuarantine& q : quarantined) {
+      for (const BlockQuarantine& q : index.quarantined()) {
         degraded->quarantined.push_back(
             {first_block + q.block,
              layout_ == Layout::kSingle
@@ -456,7 +443,7 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
                  : label(k) + " (" + plan.path + "): " + q.reason});
         degraded->partial = true;
       }
-      first_block += static_cast<std::uint32_t>(view.blocks().size());
+      first_block += static_cast<std::uint32_t>(index.blocks().size());
     } catch (const Error& e) {
       if (layout_ == Layout::kSingle) throw;
       // Name the member, whichever check failed.
@@ -464,8 +451,7 @@ void MemberSet::open_members(const std::vector<Plan>& plans, LoadMode mode,
       if (strict) throw Error(reason, e.kind());
       degraded->quarantined_shards.push_back({k, reason});
       degraded->partial = true;
-      m.mapped.reset();
-      m.owned.reset();
+      m.index.reset();
       m.load = {};
     }
   }
@@ -476,7 +462,7 @@ std::unique_ptr<MuBlastpEngine> MemberSet::make_engine(
   std::vector<DbIndexPart> parts;
   for (std::uint32_t k = 0; k < member_count(); ++k) {
     if (live(k) && (skip.empty() || !skip[k])) {
-      parts.push_back({members_[k].view(), members_[k].to_global});
+      parts.push_back({*members_[k].index, members_[k].to_global});
     }
   }
   if (parts.empty()) return nullptr;
@@ -677,7 +663,7 @@ std::vector<std::string> MemberSet::search_in_children(
           child_tracer = std::make_unique<trace::Tracer>(tracer->options());
         }
         const Timer timer;
-        const MuBlastpEngine engine(members_[k].view(), options_.params,
+        const MuBlastpEngine engine(*members_[k].index, options_.params,
                                     engine_->options());
         std::vector<QueryResult> results;
         results.reserve(queries.size());

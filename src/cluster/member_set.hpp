@@ -24,13 +24,14 @@
 // tests/test_shards.cpp and tests/test_incremental.cpp prove this
 // differentially, and mublastp_verify re-proves it on every CI build.
 //
-// Every member opens the way a single index does: mapped (MappedDbIndex),
-// or copy-loaded under --no-mmap; in degraded mode a failed map is retried
-// once and then copy-loaded, and damaged blocks are quarantined. On top of
-// the section checksums every open verifies, a shard is checked whole
-// against its manifest CRC in both modes, over the mapping the open holds,
-// so a rotted shard is quarantined whole; a chain member is checked whole
-// under strict mode. Every error of a multi-member open names the member.
+// Every member opens the way a single index does: a DbIndex over the
+// mapped file, or over the file read into memory under --no-mmap; in
+// degraded mode a failed map is retried once and then the file is read,
+// and damaged blocks are quarantined. On top of the section checksums
+// every open verifies, a shard is checked whole against its manifest CRC,
+// over the image the open holds (so each member file is read once), and a
+// rotted shard is quarantined whole; a chain member is checked whole under
+// strict mode. Every error of a multi-member open names the member.
 //
 // A member that fails (load damage, a worker crash, an injected fault) is
 // quarantined: it contributes no blocks, it lands in
@@ -41,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -49,7 +51,6 @@
 #include "cluster/partition.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index.hpp"
-#include "index/mapped_db_index.hpp"
 #include "stats/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -74,8 +75,8 @@ WorkerMode parse_worker_mode(std::string_view spec);
 
 /// How member index files are opened.
 enum class LoadMode {
-  kAuto,  ///< map (degraded mode falls back to a copy load)
-  kCopy,  ///< copy-load every member (--no-mmap)
+  kAuto,  ///< map (degraded mode falls back to reading the file)
+  kCopy,  ///< read every member file into memory (--no-mmap)
 };
 
 /// Engine configuration plus the failure policy.
@@ -207,13 +208,9 @@ class MemberSet {
     std::vector<SeqId> to_global;
     std::uint64_t num_residues = 0;
     stats::IndexLoadStats load;
-    std::unique_ptr<MappedDbIndex> mapped;  ///< mapped member
-    std::unique_ptr<DbIndex> owned;         ///< copy-loaded or built
+    std::optional<DbIndex> index;  ///< opened or built; empty if not live
 
-    bool live() const { return mapped != nullptr || owned != nullptr; }
-    DbIndexView view() const {
-      return mapped ? DbIndexView(*mapped) : DbIndexView(*owned);
-    }
+    bool live() const { return index.has_value(); }
   };
   /// What the layout's manifest promises about one member.
   struct Plan;

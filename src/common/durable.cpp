@@ -68,7 +68,7 @@ void fsync_parent_dir(const std::string& path, const char* site) {
   ::close(fd);
 }
 
-void write_file_durable(const std::string& path, const std::string& bytes,
+void write_file_durable(const std::string& path, std::string_view bytes,
                         const char* write_site, const char* fsync_site) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) throw_io("cannot create", path);

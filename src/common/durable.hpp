@@ -22,6 +22,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace mublastp::durable {
 
@@ -46,7 +47,7 @@ void fsync_parent_dir(const std::string& path, const char* site = nullptr);
 /// directory — callers publishing via rename sync the directory after the
 /// rename instead). `write_site` fires on the write, `fsync_site` on the
 /// flush. Throws Error(kIo) on any failure.
-void write_file_durable(const std::string& path, const std::string& bytes,
+void write_file_durable(const std::string& path, std::string_view bytes,
                         const char* write_site = nullptr,
                         const char* fsync_site = nullptr);
 

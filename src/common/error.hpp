@@ -52,23 +52,25 @@ namespace detail {
 
 /// Validates a precondition; throws mublastp::Error with location info on
 /// failure. Always active (not compiled out in release builds): the checks
-/// guard API boundaries, not inner loops.
-#define MUBLASTP_CHECK(expr, msg)                                         \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      ::mublastp::detail::throw_check_failure(#expr, __FILE__, __LINE__,  \
-                                              (msg));                     \
-    }                                                                     \
+/// guard API boundaries, not inner loops. The location is the source file's
+/// name without its directory, so a message (and the stats-v1 reason that
+/// quotes it) is the same from every checkout.
+#define MUBLASTP_CHECK(expr, msg)                                        \
+  do {                                                                   \
+    if (!(expr)) {                                                       \
+      ::mublastp::detail::throw_check_failure(#expr, __FILE_NAME__,      \
+                                              __LINE__, (msg));          \
+    }                                                                    \
   } while (false)
 
 /// Same as MUBLASTP_CHECK but tags the thrown Error with an ErrorKind so
 /// callers (and the tools' exit-code mapping) can branch on the category.
-#define MUBLASTP_CHECK_KIND(expr, kind, msg)                              \
-  do {                                                                    \
-    if (!(expr)) {                                                        \
-      ::mublastp::detail::throw_check_failure(#expr, __FILE__, __LINE__,  \
-                                              (msg), (kind));             \
-    }                                                                     \
+#define MUBLASTP_CHECK_KIND(expr, kind, msg)                             \
+  do {                                                                   \
+    if (!(expr)) {                                                       \
+      ::mublastp::detail::throw_check_failure(#expr, __FILE_NAME__,      \
+                                              __LINE__, (msg), (kind));  \
+    }                                                                    \
   } while (false)
 
 }  // namespace mublastp

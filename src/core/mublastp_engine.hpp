@@ -114,9 +114,9 @@ struct MuBlastpOptions {
 /// The muBLASTP engine.
 class MuBlastpEngine {
  public:
-  /// The index behind `index` (owned DbIndex or MappedDbIndex — both
-  /// convert implicitly) must outlive the engine. The engine builds its
-  /// neighbor table from the index's matrix and threshold.
+  /// The index behind `index` (a DbIndex converts implicitly, or a joined
+  /// view) must outlive the engine. The engine builds its neighbor table
+  /// from the index's matrix and threshold.
   explicit MuBlastpEngine(DbIndexView index, SearchParams params = {},
                           MuBlastpOptions options = {});
 

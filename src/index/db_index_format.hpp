@@ -62,7 +62,7 @@ static_assert(sizeof(FragmentRef) == 12,
 
 /// Typed, validated view over a complete v3 file image (a read-only mmap or
 /// a heap buffer — the parser does not care). Spans point INTO the image;
-/// the image must outlive them.
+/// the image must outlive them. DbIndex::carve serves them.
 struct ParsedIndexFile {
   DbIndexConfig config;  ///< matrix resolved via matrix_by_name
   std::uint64_t num_seqs = 0;
@@ -77,16 +77,6 @@ struct ParsedIndexFile {
   std::span<const FragmentRef> fragments;       ///< all blocks, concatenated
   std::span<const std::uint32_t> csr_offsets;   ///< all blocks, concatenated
   std::span<const std::uint32_t> entries;       ///< all blocks, concatenated
-};
-
-/// One block set aside by a degraded-mode load: its data failed validation
-/// but the rest of the index is intact and searchable.
-struct BlockQuarantine {
-  std::uint32_t block = 0;
-  std::string reason;
-
-  friend bool operator==(const BlockQuarantine&,
-                         const BlockQuarantine&) = default;
 };
 
 /// Controls how strictly parse_db_index_v3 treats damage.
@@ -120,12 +110,40 @@ struct IndexParseOptions {
 ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
                                   const IndexParseOptions& options);
 
-/// Back-compat overload: strict parse with checksums on/off.
-inline ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
-                                         bool verify_checksums = true) {
-  IndexParseOptions options;
-  options.verify_checksums = verify_checksums;
-  return parse_db_index_v3(image, options);
-}
+/// One block as DbIndex::build makes it, before it is serialized.
+struct BuiltBlock {
+  std::vector<std::uint32_t> offsets;  ///< kNumWords + 1
+  std::vector<std::uint32_t> entries;
+  std::vector<FragmentRef> fragments;
+  std::size_t max_fragment_len = 0;
+  std::size_t total_chars = 0;
+  int offset_bits = 0;
+};
+
+/// The v3 image of a built index: `sorted` is the length-sorted store,
+/// `order` maps its ids to the input's and `inverse` back.
+std::string write_db_index_v3(const DbIndexConfig& config,
+                              const SequenceStore& sorted,
+                              std::span<const SeqId> order,
+                              std::span<const SeqId> inverse,
+                              std::span<const BuiltBlock> blocks);
+
+/// An index file open for reading, checked with one fstat to be a
+/// non-empty regular file. Throws Error(kIo) for a path that cannot be
+/// opened or is not a regular file and Error(kCorrupt) for an empty file.
+/// Injection site "index.open".
+struct IndexFile {
+  std::string path;
+  int fd = -1;
+  std::size_t size = 0;
+
+  explicit IndexFile(std::string path);
+  ~IndexFile();
+  IndexFile(const IndexFile&) = delete;
+  IndexFile& operator=(const IndexFile&) = delete;
+
+  /// `n` bytes at `offset`. A short read is Error(kIo).
+  std::string read(std::uint64_t offset, std::size_t n) const;
+};
 
 }  // namespace mublastp

@@ -1,12 +1,13 @@
 #include "index/db_index_io.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <istream>
-#include <iterator>
-#include <ostream>
 
 #include "common/checksum.hpp"
 #include "common/durable.hpp"
@@ -134,8 +135,11 @@ std::string_view section_name(SectionId id) {
 // writer
 // ---------------------------------------------------------------------------
 
-std::string db_index_image(const DbIndex& index) {
-  const SequenceStore& db = index.db_;
+std::string write_db_index_v3(const DbIndexConfig& config,
+                              const SequenceStore& sorted,
+                              std::span<const SeqId> order,
+                              std::span<const SeqId> inverse,
+                              std::span<const BuiltBlock> blocks) {
   std::vector<sectioned::Payload> sections;
   sections.reserve(std::size(kSections));  // keeps add()'s references valid
   const auto add = [&](SectionId id) -> std::string& {
@@ -145,86 +149,87 @@ std::string db_index_image(const DbIndex& index) {
 
   {
     std::string& cfg = add(SectionId::kConfig);
-    append_pod<std::uint64_t>(cfg, index.config_.block_bytes);
-    append_pod<std::int32_t>(cfg, index.config_.neighbor_threshold);
-    const std::string matrix_name(index.config_.matrix->name());
+    append_pod<std::uint64_t>(cfg, config.block_bytes);
+    append_pod<std::int32_t>(cfg, config.neighbor_threshold);
+    const std::string matrix_name(config.matrix->name());
     append_pod<std::uint32_t>(cfg,
                               static_cast<std::uint32_t>(matrix_name.size()));
     cfg += matrix_name;
-    append_pod<std::uint64_t>(cfg, index.config_.long_seq_limit);
-    append_pod<std::uint64_t>(cfg, index.config_.long_seq_overlap);
-    append_pod<std::uint64_t>(cfg, db.size());
-    append_pod<std::uint64_t>(cfg, index.blocks_.size());
+    append_pod<std::uint64_t>(cfg, config.long_seq_limit);
+    append_pod<std::uint64_t>(cfg, config.long_seq_overlap);
+    append_pod<std::uint64_t>(cfg, sorted.size());
+    append_pod<std::uint64_t>(cfg, blocks.size());
   }
   static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
-  append_span<std::size_t>(add(SectionId::kSeqOffsets), db.arena_offsets());
-  append_span<Residue>(add(SectionId::kArena), db.arena());
+  append_span<std::size_t>(add(SectionId::kSeqOffsets),
+                           sorted.arena_offsets());
+  append_span<Residue>(add(SectionId::kArena), sorted.arena());
   {
     std::string& offs = add(SectionId::kNameOffsets);
     std::string& blob = add(SectionId::kNameBlob);
     std::uint64_t cursor = 0;
     append_pod<std::uint64_t>(offs, cursor);
-    for (SeqId i = 0; i < db.size(); ++i) {
-      blob += db.name(i);
-      cursor += db.name(i).size();
+    for (SeqId i = 0; i < sorted.size(); ++i) {
+      blob += sorted.name(i);
+      cursor += sorted.name(i).size();
       append_pod<std::uint64_t>(offs, cursor);
     }
   }
-  append_span<SeqId>(add(SectionId::kOrder), index.order_);
-  append_span<SeqId>(add(SectionId::kInverse), index.inverse_);
+  append_span<SeqId>(add(SectionId::kOrder), order);
+  append_span<SeqId>(add(SectionId::kInverse), inverse);
   {
     std::string& meta = add(SectionId::kBlockMeta);
     std::string& frags = add(SectionId::kFragments);
     std::string& csr = add(SectionId::kCsrOffsets);
     std::string& entries = add(SectionId::kEntries);
-    for (const DbIndexBlock& b : index.blocks_) {
+    for (const BuiltBlock& b : blocks) {
       // Per-block CRC over the block's slice of the three per-block
       // sections, in section order; a degraded loader uses it to pin a
       // failed section checksum on the block(s) that actually rotted.
       std::uint32_t bcrc =
-          crc32(b.fragments_.data(), b.fragments_.size() * sizeof(FragmentRef));
-      bcrc = crc32(b.offsets_.data(),
-                   b.offsets_.size() * sizeof(std::uint32_t), bcrc);
-      bcrc = crc32(b.entries_.data(),
-                   b.entries_.size() * sizeof(std::uint32_t), bcrc);
-      const BlockMetaRecord m{b.fragments_.size(), b.entries_.size(),
-                              b.max_fragment_len_, b.total_chars_,
-                              b.offset_bits_, bcrc};
+          crc32(b.fragments.data(), b.fragments.size() * sizeof(FragmentRef));
+      bcrc = crc32(b.offsets.data(), b.offsets.size() * sizeof(std::uint32_t),
+                   bcrc);
+      bcrc = crc32(b.entries.data(), b.entries.size() * sizeof(std::uint32_t),
+                   bcrc);
+      const BlockMetaRecord m{b.fragments.size(), b.entries.size(),
+                              b.max_fragment_len, b.total_chars,
+                              b.offset_bits, bcrc};
       append_pod(meta, m);
-      append_span<FragmentRef>(frags, b.fragments_);
-      append_span<std::uint32_t>(csr, b.offsets_);
-      append_span<std::uint32_t>(entries, b.entries_);
+      append_span<FragmentRef>(frags, b.fragments);
+      append_span<std::uint32_t>(csr, b.offsets);
+      append_span<std::uint32_t>(entries, b.entries);
     }
   }
   return sectioned::write(kFormat, sections);
 }
 
-void save_db_index(std::ostream& out, const DbIndex& index) {
-  const std::string image = db_index_image(index);
-  out.write(image.data(), static_cast<std::streamsize>(image.size()));
-  MUBLASTP_CHECK(out.good(), "write failure while saving index");
-}
-
 void save_db_index_file(const std::string& path, const DbIndex& index) {
   std::ofstream out(path, std::ios::binary);
   MUBLASTP_CHECK(out.good(), "cannot open for writing: " + path);
-  save_db_index(out, index);
+  const std::span<const std::byte> image = index.image();
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+  MUBLASTP_CHECK(out.good(), "write failure while saving index");
 }
 
 std::uint32_t save_db_index_file_durable(const std::string& path,
                                          const DbIndex& index) {
-  // Serialize in memory, then follow the publish protocol (temp → fsync →
-  // rename → dir fsync) so a crash at any instant leaves either no trace
-  // (plus an orphaned .tmp) or the complete file under its final name.
-  const std::string image = db_index_image(index);
+  // Follow the publish protocol (temp → fsync → rename → dir fsync) so a
+  // crash at any instant leaves either no trace (plus an orphaned .tmp) or
+  // the complete file under its final name.
+  const std::span<const std::byte> image = index.image();
   const std::string tmp = durable::temp_path_for(path);
-  durable::write_file_durable(tmp, image, "build.block_write", "build.fsync");
+  durable::write_file_durable(
+      tmp,
+      {reinterpret_cast<const char*>(image.data()), image.size()},
+      "build.block_write", "build.fsync");
   durable::publish_rename(tmp, path, "build.publish_rename", "build.fsync");
-  return crc32(image.data(), image.size());
+  return crc32(image);
 }
 
 // ---------------------------------------------------------------------------
-// parser (shared by the copy loader and MappedDbIndex)
+// parser
 // ---------------------------------------------------------------------------
 
 ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
@@ -477,131 +482,65 @@ ParsedIndexFile parse_db_index_v3(std::span<const std::byte> image,
 }
 
 // ---------------------------------------------------------------------------
-// copy loader
+// file access
 // ---------------------------------------------------------------------------
 
-DbIndex load_db_index(std::istream& in, const IndexLoadOptions& options) {
-  MUBLASTP_CHECK_KIND(!MUBLASTP_FI_FAIL("io.read"), ErrorKind::kIo,
-                      "injected read failure (io.read) while loading index");
-  // Slurp the stream and reuse the section parser, then copy the parsed
-  // spans into an owned DbIndex. mmap loading (MappedDbIndex) skips this
-  // copy entirely; this path exists for stream sources and callers that
-  // want an owned index.
-  const std::string image((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
-                      "read failure while loading index");
-  IndexParseOptions parse_options;
-  parse_options.tolerate_block_corruption = options.tolerate_block_corruption;
-  parse_options.quarantined = options.quarantined;
-  const ParsedIndexFile p = parse_db_index_v3(
-      {reinterpret_cast<const std::byte*>(image.data()), image.size()},
-      parse_options);
-  std::vector<char> block_bad(p.num_blocks, 0);
-  if (options.quarantined != nullptr) {
-    for (const BlockQuarantine& q : *options.quarantined) {
-      if (q.block < block_bad.size()) block_bad[q.block] = 1;
-    }
-  }
+IndexFile::IndexFile(std::string path_in) : path(std::move(path_in)) {
+  MUBLASTP_CHECK_KIND(!MUBLASTP_FI_FAIL("index.open"), ErrorKind::kIo,
+                      "injected open failure (index.open): " + path);
+  // O_NONBLOCK: a FIFO at the path must not block the open before the
+  // fstat below refuses it. Reads of a regular file ignore the flag.
+  fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  MUBLASTP_CHECK_KIND(fd >= 0, ErrorKind::kIo,
+                      "cannot open index file: " + path);
+  struct stat st{};
+  MUBLASTP_CHECK_KIND(::fstat(fd, &st) == 0, ErrorKind::kIo,
+                      "cannot stat index file: " + path);
+  MUBLASTP_CHECK_KIND(!S_ISDIR(st.st_mode), ErrorKind::kIo,
+                      "index path is a directory, not a file: " + path);
+  MUBLASTP_CHECK_KIND(S_ISREG(st.st_mode), ErrorKind::kIo,
+                      "index path is not a regular file: " + path);
+  MUBLASTP_CHECK_KIND(st.st_size > 0, ErrorKind::kCorrupt,
+                      "empty index file: " + path);
+  size = static_cast<std::size_t>(st.st_size);
+}
 
-  SequenceStore db;
-  for (std::uint64_t i = 0; i < p.num_seqs; ++i) {
-    const auto seq = p.arena.subspan(p.seq_offsets[i],
-                                     p.seq_offsets[i + 1] - p.seq_offsets[i]);
-    db.add(seq, std::string(p.name_blob.substr(
-                    p.name_offsets[i],
-                    p.name_offsets[i + 1] - p.name_offsets[i])));
-  }
-  std::vector<SeqId> order(p.order.begin(), p.order.end());
-  DbIndex index(std::move(db), std::move(order), p.config);
-  index.inverse_.assign(p.inverse.begin(), p.inverse.end());
+IndexFile::~IndexFile() {
+  if (fd >= 0) ::close(fd);
+}
 
-  constexpr std::size_t kCsrLen = static_cast<std::size_t>(kNumWords) + 1;
-  index.blocks_.resize(p.num_blocks);
-  std::size_t frag_cursor = 0;
-  std::size_t entry_cursor = 0;
-  for (std::size_t b = 0; b < p.num_blocks; ++b) {
-    const BlockMetaRecord& m = p.block_meta[b];
-    DbIndexBlock& block = index.blocks_[b];
-    if (block_bad[b]) {
-      // Quarantined: an empty block (all-zero CSR, no fragments or
-      // entries) contributes no hits, so the engine skips it naturally.
-      block.fragments_.clear();
-      block.offsets_.assign(kCsrLen, 0);
-      block.entries_.clear();
-      block.max_fragment_len_ = 0;
-      block.total_chars_ = 0;
-      block.offset_bits_ = 1;
-    } else {
-      const auto frags = p.fragments.subspan(frag_cursor, m.num_fragments);
-      const auto csr = p.csr_offsets.subspan(b * kCsrLen, kCsrLen);
-      const auto entries = p.entries.subspan(entry_cursor, m.num_entries);
-      block.fragments_.assign(frags.begin(), frags.end());
-      block.offsets_.assign(csr.begin(), csr.end());
-      block.entries_.assign(entries.begin(), entries.end());
-      block.max_fragment_len_ = m.max_fragment_len;
-      block.total_chars_ = m.total_chars;
-      block.offset_bits_ = m.offset_bits;
-    }
-    frag_cursor += m.num_fragments;
-    entry_cursor += m.num_entries;
+std::string IndexFile::read(std::uint64_t offset, std::size_t n) const {
+  std::string out(n, '\0');
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t got = ::pread(fd, out.data() + done, n - done,
+                                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    // 0 bytes before `n`: the file shrank under us.
+    MUBLASTP_CHECK_KIND(got > 0, ErrorKind::kIo,
+                        "read failure on index file: " + path);
+    done += static_cast<std::size_t>(got);
   }
-  return index;
+  return out;
 }
 
 namespace {
 
-// Path-level preconditions shared by the copy loader and describe. The
-// stream API cannot distinguish "directory" from "garbage", so check the
-// filesystem first and fail with a message that names the actual problem.
-void check_index_path(const std::string& path) {
-  MUBLASTP_CHECK_KIND(!MUBLASTP_FI_FAIL("index.open"), ErrorKind::kIo,
-                      "injected open failure (index.open): " + path);
-  std::error_code ec;
-  const auto status = std::filesystem::status(path, ec);
-  MUBLASTP_CHECK_KIND(!ec && std::filesystem::exists(status), ErrorKind::kIo,
-                      "cannot open index file: " + path);
-  MUBLASTP_CHECK_KIND(!std::filesystem::is_directory(status), ErrorKind::kIo,
-                      "index path is a directory, not a file: " + path);
-  MUBLASTP_CHECK_KIND(std::filesystem::is_regular_file(status),
-                      ErrorKind::kIo,
-                      "index path is not a regular file: " + path);
-  const auto size = std::filesystem::file_size(path, ec);
-  MUBLASTP_CHECK_KIND(!ec, ErrorKind::kIo, "cannot stat index file: " + path);
-  MUBLASTP_CHECK_KIND(size > 0, ErrorKind::kCorrupt,
-                      "empty index file: " + path);
+// The validated section table of an open index file.
+std::vector<SectionRecord> read_table(const IndexFile& file) {
+  const std::string head = file.read(
+      0, std::min<std::size_t>(sectioned::head_bytes(kFormat), file.size));
+  return sectioned::read_table(
+      kFormat, {reinterpret_cast<const std::byte*>(head.data()), head.size()},
+      file.size);
 }
 
 }  // namespace
 
-DbIndex load_db_index(std::istream& in) {
-  return load_db_index(in, IndexLoadOptions{});
-}
-
-DbIndex load_db_index_file(const std::string& path,
-                           const IndexLoadOptions& options) {
-  check_index_path(path);
-  std::ifstream in(path, std::ios::binary);
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
-                      "cannot open index file: " + path);
-  return load_db_index(in, options);
-}
-
-DbIndex load_db_index_file(const std::string& path) {
-  return load_db_index_file(path, IndexLoadOptions{});
-}
-
 IndexConfigSummary read_index_config_file(const std::string& path) {
-  const DbIndexFileInfo info = describe_db_index_file(path);
-  const IndexSectionInfo& cfg = info.sections[raw(SectionId::kConfig) - 1];
-  std::ifstream in(path, std::ios::binary);
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
-                      "cannot open index file: " + path);
-  in.seekg(static_cast<std::streamoff>(cfg.offset));
-  std::string payload(cfg.length, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload.size()));
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
-                      "read failure on index file: " + path);
+  const IndexFile file(path);
+  const SectionRecord cfg = read_table(file)[raw(SectionId::kConfig) - 1];
+  const std::string payload = file.read(cfg.offset, cfg.length);
   if (crc32(payload.data(), payload.size()) != cfg.crc32) {
     fail_section(SectionId::kConfig, "checksum mismatch (corrupt file)");
   }
@@ -610,22 +549,10 @@ IndexConfigSummary read_index_config_file(const std::string& path) {
 }
 
 DbIndexFileInfo describe_db_index_file(const std::string& path) {
-  check_index_path(path);
-  std::ifstream in(path, std::ios::binary);
-  MUBLASTP_CHECK_KIND(in.good(), ErrorKind::kIo,
-                      "cannot open index file: " + path);
+  const IndexFile file(path);
   DbIndexFileInfo info;
-  std::error_code ec;
-  info.file_bytes = std::filesystem::file_size(path, ec);
-  std::string head(sectioned::head_bytes(kFormat), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  MUBLASTP_CHECK_KIND(!in.bad(), ErrorKind::kIo,
-                      "read failure on index file: " + path);
-  head.resize(static_cast<std::size_t>(in.gcount()));
-  for (const SectionRecord& r : sectioned::read_table(
-           kFormat,
-           {reinterpret_cast<const std::byte*>(head.data()), head.size()},
-           info.file_bytes)) {
+  info.file_bytes = file.size;
+  for (const SectionRecord& r : read_table(file)) {
     info.sections.push_back({std::string(section_name(
                                  static_cast<SectionId>(r.id))),
                              r.id, r.offset, r.length,

@@ -1,12 +1,13 @@
-// Binary serialization of the database index.
+// Saving and inspecting database index files.
 //
 // The whole point of a database index is "build once, search many times"
 // (paper Section V-A explicitly excludes index build time because "the
-// index only need to be built once for a given database"). This module
-// persists a DbIndex as index format v3: a sectioned file (see
-// db_index_format.hpp and common/sectioned_file.hpp) whose raw sections
-// are readable by both the copy loader here and the zero-copy
-// MappedDbIndex.
+// index only need to be built once for a given database"). An index is
+// persisted as format v3: a sectioned file (see db_index_format.hpp and
+// common/sectioned_file.hpp) whose sections hold the index's arrays as
+// they are served, so DbIndex can search the file's image in place. A
+// DbIndex already holds that image, so saving it writes DbIndex::image();
+// opening a file is DbIndex's own constructor.
 //
 // The neighbor table is not serialized: it is a pure function of (matrix,
 // threshold) that each search engine builds in milliseconds, while storing
@@ -14,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -22,59 +22,21 @@
 
 namespace mublastp {
 
-struct BlockQuarantine;  // db_index_format.hpp
-
-/// Controls degraded-mode loading (see IndexParseOptions for the parse-level
-/// semantics). With tolerate_block_corruption set, a v3 file whose damage is
-/// confined to individual blocks loads with those blocks replaced by EMPTY
-/// blocks (zero fragments/entries, so they contribute no hits) and their ids
-/// + reasons appended to `quarantined`.
-struct IndexLoadOptions {
-  bool tolerate_block_corruption = false;
-  std::vector<BlockQuarantine>* quarantined = nullptr;
-};
-
-/// The file-format version every save writes and every loader accepts.
+/// The file-format version every save writes and every open accepts.
 inline constexpr std::uint32_t kDbIndexFormatVersion = 3;
 
-/// The file image of `index`: the bytes every save below writes.
-std::string db_index_image(const DbIndex& index);
-
-/// Writes `index` as format v3. Throws mublastp::Error on I/O errors.
-void save_db_index(std::ostream& out, const DbIndex& index);
-
-/// Writes `index` to a file (format v3).
+/// Writes `index.image()` to a file. Throws mublastp::Error on I/O errors.
 void save_db_index_file(const std::string& path, const DbIndex& index);
 
-/// Writes `index` to a file (format v3) with crash-safe publication:
-/// serialize to `path + ".tmp"`, fsync it, atomically rename() onto `path`,
-/// fsync the parent directory. A crash at any instant leaves `path` either
+/// Writes `index.image()` to a file with crash-safe publication: write to
+/// `path + ".tmp"`, fsync it, atomically rename() onto `path`, fsync the
+/// parent directory. A crash at any instant leaves `path` either
 /// absent/old or complete — never torn. Injection sites:
 /// "build.block_write" (data write), "build.fsync" (file/dir fsync),
 /// "build.publish_rename" (the atomic rename). Returns the CRC32 of the
 /// bytes written, the whole-file checksum manifests record.
 std::uint32_t save_db_index_file_durable(const std::string& path,
                                          const DbIndex& index);
-
-/// Reads an index back. Throws
-/// mublastp::Error with a typed kind (kCorrupt for malformed or truncated
-/// input, bad magic, checksum mismatches, unsupported versions) — never
-/// returns a partial index except as allowed by `options` (quarantined
-/// blocks come back empty).
-DbIndex load_db_index(std::istream& in, const IndexLoadOptions& options);
-
-/// Strict-load convenience overload.
-DbIndex load_db_index(std::istream& in);
-
-/// Reads an index from a file. Rejects non-regular files (directories,
-/// sockets) and zero-byte files with a clear Error (kIo for path problems,
-/// kCorrupt for an empty file) before touching the stream. Injection sites:
-/// "index.open" (open fails), "io.read" (read fails mid-stream).
-DbIndex load_db_index_file(const std::string& path,
-                           const IndexLoadOptions& options);
-
-/// Strict-load convenience overload.
-DbIndex load_db_index_file(const std::string& path);
 
 /// One section-table row as reported by describe_db_index_file.
 struct IndexSectionInfo {

@@ -1,46 +1,16 @@
 #include "index/db_index_view.hpp"
 
 #include "common/error.hpp"
-#include "index/mapped_db_index.hpp"
 
 namespace mublastp {
 
-static_assert(sizeof(std::size_t) == sizeof(std::uint64_t),
-              "index views require 64-bit size_t (arena offsets are stored "
-              "as u64 on disk and viewed as size_t in memory)");
-
 DbIndexView::DbIndexView(const DbIndex& index)
-    : order_(index.order_),
+    : blocks_(index.blocks_.begin(), index.blocks_.end()),
+      members_{Member{index.store_}},
+      order_(index.order_),
       inverse_(index.inverse_),
       config_(index.config_),
-      total_residues_(index.db_.total_residues()) {
-  Member m;
-  m.arena = index.db_.arena();
-  m.seq_offsets = index.db_.arena_offsets();
-  m.owned_names = &index.db_;
-  members_.push_back(m);
-  blocks_.reserve(index.blocks_.size());
-  for (const DbIndexBlock& b : index.blocks_) {
-    blocks_.emplace_back(b.offsets_, b.entries_, b.fragments_,
-                         b.max_fragment_len_, b.total_chars_, b.offset_bits_);
-  }
-}
-
-DbIndexView::DbIndexView(const MappedDbIndex& mapped)
-    : blocks_(mapped.blocks().begin(), mapped.blocks().end()),
-      order_(mapped.order()),
-      inverse_(mapped.inverse()),
-      config_(mapped.config()),
-      total_residues_(mapped.total_residues()) {
-  Member m;
-  m.arena = mapped.arena();
-  m.seq_offsets = {reinterpret_cast<const std::size_t*>(
-                       mapped.seq_offsets().data()),
-                   mapped.seq_offsets().size()};
-  m.name_offsets = mapped.name_offsets();
-  m.name_blob = mapped.name_blob().data();
-  members_.push_back(m);
-}
+      total_residues_(index.total_residues()) {}
 
 DbIndexView DbIndexView::join(std::span<const DbIndexPart> parts,
                               std::size_t num_global_ids) {
@@ -93,12 +63,6 @@ DbIndexView DbIndexView::join(std::span<const DbIndexPart> parts,
   out.inverse_ = {inverse, num_global_ids};
   out.joined_ids_ = std::move(ids);
   return out;
-}
-
-std::string_view DbIndexView::Member::name(SeqId seq) const {
-  if (owned_names != nullptr) return owned_names->name(seq);
-  return {name_blob + name_offsets[seq],
-          name_offsets[seq + 1] - name_offsets[seq]};
 }
 
 }  // namespace mublastp

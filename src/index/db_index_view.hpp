@@ -1,16 +1,13 @@
 // Non-owning view over a database index, the common currency of the
 // engines.
 //
-// Two concrete index representations exist: the owned DbIndex (vectors
-// built in memory or copy-loaded from a file) and the MappedDbIndex (spans
-// served straight out of a read-only mmap of the file). Search must
-// drive both identically — same hits, same HSPs, same telemetry counters —
-// so the engines are written against this view instead of either concrete
-// type. The view is a handful of spans plus scalars: constructing one
+// The engines are written against this view rather than against DbIndex,
+// so that one engine pass can also search several indexes as one
+// database. The view is a handful of spans plus scalars: constructing one
 // allocates only the per-block view array, and every hot-path accessor
-// compiles to the same loads the old DbIndex& code paths produced.
+// compiles to the same loads as reading the index directly.
 //
-// A view can also join the member indexes of one database (a
+// A view can join the member indexes of one database (a
 // cluster::MemberSet's shards or generation members): every member's
 // blocks in member order, each resolving its fragments through its own
 // member's store (members()[block.member()]), sorted ids numbering the
@@ -18,8 +15,7 @@
 //
 // Lifetime: a DbIndexView borrows everything (arena, CSR arrays, names)
 // from the indexes it was built over; they must outlive the view and every
-// engine holding it — the same contract engines already had with
-// `const DbIndex&`.
+// engine holding it.
 #pragma once
 
 #include <algorithm>
@@ -33,108 +29,20 @@
 
 namespace mublastp {
 
-class MappedDbIndex;
 struct DbIndexPart;
 
-/// One index block as spans: same accessor API as DbIndexBlock, backed by
-/// either that block's vectors or a slice of a mapped file.
-class DbBlockView {
- public:
-  DbBlockView() = default;
-  DbBlockView(std::span<const std::uint32_t> offsets,
-              std::span<const std::uint32_t> entries,
-              std::span<const FragmentRef> fragments,
-              std::size_t max_fragment_len, std::size_t total_chars,
-              int offset_bits)
-      : offsets_(offsets),
-        entries_(entries),
-        fragments_(fragments),
-        max_fragment_len_(max_fragment_len),
-        total_chars_(total_chars),
-        offset_bits_(offset_bits) {}
-
-  /// Packed 32-bit entries for `word` (exact word only, no neighbors),
-  /// ordered by (fragment, offset) ascending.
-  std::span<const std::uint32_t> entries(std::uint32_t word) const {
-    return {entries_.data() + offsets_[word],
-            offsets_[word + 1] - offsets_[word]};
-  }
-
-  /// Decodes the block-local fragment id of an entry.
-  std::uint32_t entry_fragment(std::uint32_t entry) const {
-    return entry >> offset_bits_;
-  }
-
-  /// Decodes the in-fragment word offset of an entry.
-  std::uint32_t entry_offset(std::uint32_t entry) const {
-    return entry & ((std::uint32_t{1} << offset_bits_) - 1);
-  }
-
-  /// Fragment descriptors; local id indexes this.
-  std::span<const FragmentRef> fragments() const { return fragments_; }
-
-  /// Longest fragment in the block (bounds the diagonal range).
-  std::size_t max_fragment_len() const { return max_fragment_len_; }
-
-  /// Total residues covered by this block.
-  std::size_t total_chars() const { return total_chars_; }
-
-  /// Total stored positions.
-  std::size_t num_positions() const { return entries_.size(); }
-
-  /// Approximate footprint of the position data (32-bit entries).
-  std::size_t position_bytes() const {
-    return entries_.size() * sizeof(std::uint32_t);
-  }
-
-  /// Bits used for the offset field of packed entries.
-  int offset_bits() const { return offset_bits_; }
-
-  /// Position in DbIndexView::members() of the member whose sequence store
-  /// this block's fragments point into (0 outside a joined view).
-  std::uint32_t member() const { return member_; }
-
- private:
-  friend class DbIndexView;
-  std::span<const std::uint32_t> offsets_;  // kNumWords + 1
-  std::span<const std::uint32_t> entries_;
-  std::span<const FragmentRef> fragments_;
-  std::size_t max_fragment_len_ = 0;
-  std::size_t total_chars_ = 0;
-  int offset_bits_ = 0;
-  std::uint32_t member_ = 0;
-};
-
-/// The engines' read-only window onto an index, whatever owns it.
+/// The engines' read-only window onto one index or a join of several.
 class DbIndexView {
  public:
   /// One member index's sequence store, as its blocks' fragments address
   /// it: FragmentRef::seq is a member-local sorted id.
-  struct Member {
-    std::span<const Residue> arena;
-    std::span<const std::size_t> seq_offsets;  // member sequences + 1
+  struct Member : StoreView {
     SeqId first_seq = 0;  ///< view sorted id of the member's sequence 0
-    // Name storage differs by backing: the owned store keeps std::strings,
-    // the mapped form a blob + offsets. Exactly one of these is active.
-    const SequenceStore* owned_names = nullptr;
-    std::span<const std::uint64_t> name_offsets;
-    const char* name_blob = nullptr;
-
-    /// Residues of member-local sorted sequence `seq`.
-    std::span<const Residue> sequence(SeqId seq) const {
-      return arena.subspan(seq_offsets[seq],
-                           seq_offsets[seq + 1] - seq_offsets[seq]);
-    }
-    /// FASTA header (may be empty) of member-local sorted sequence `seq`.
-    std::string_view name(SeqId seq) const;
   };
 
-  /// View over an owned, in-memory index. Implicit on purpose: existing
-  /// `Engine(index)` call sites keep compiling unchanged.
+  /// View over one index. Implicit on purpose: `Engine(index)` call sites
+  /// compile unchanged.
   DbIndexView(const DbIndex& index);  // NOLINT(google-explicit-constructor)
-
-  /// View over a memory-mapped index file.
-  DbIndexView(const MappedDbIndex& mapped);  // NOLINT
 
   /// One view over the parts' blocks, in part order, whose original ids are
   /// global ids in [0, num_global_ids). A global id no part maps to has a

@@ -470,14 +470,14 @@ CompactResult compact_generations(const std::string& base_path,
   // member's original-order store).
   SequenceStore global;
   for (std::size_t k = 0; k < prev.members.size(); ++k) {
-    const DbIndex member = load_db_index_file(res.member_paths[k]);
-    MUBLASTP_CHECK_KIND(member.db().size() == prev.members[k].num_sequences,
+    const DbIndex member(res.member_paths[k]);
+    MUBLASTP_CHECK_KIND(member.num_sequences() == prev.members[k].num_sequences,
                         ErrorKind::kCorrupt,
                         "member '" + res.member_paths[k] +
                             "' disagrees with the manifest sequence count");
-    for (SeqId local = 0; local < member.db().size(); ++local) {
+    for (SeqId local = 0; local < member.num_sequences(); ++local) {
       const SeqId sorted = member.sorted_id(local);
-      global.add(member.db().sequence(sorted), member.db().name(sorted));
+      global.add(member.sequence(sorted), std::string(member.name(sorted)));
     }
   }
   MUBLASTP_CHECK_KIND(global.size() == prev.total_sequences &&

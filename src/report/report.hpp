@@ -50,9 +50,9 @@ void write_tabular(std::ostream& out, const std::string& query_name,
                    std::span<const Residue> query, const SequenceStore& db,
                    const QueryResult& result, const ScoreMatrix& matrix);
 
-/// Same, but resolving subjects through an index view (mapped or owned);
+/// Same, but resolving subjects through an index view;
 /// `result` subjects are original database ids, remapped internally. Lets
-/// mmap-backed searches report without materializing a SequenceStore.
+/// index-backed searches report without materializing a SequenceStore.
 void write_tabular(std::ostream& out, const std::string& query_name,
                    std::span<const Residue> query, const DbIndexView& db,
                    const QueryResult& result, const ScoreMatrix& matrix);

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <string_view>
 
 namespace mublastp {
 
@@ -29,6 +31,15 @@ inline std::string test_temp_path(const std::string& tag) {
     if (c == '/') c = '_';
   }
   return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+/// Writes `bytes` to test_temp_path(tag) and returns that path.
+inline std::string write_temp_file(const std::string& tag,
+                                   std::string_view bytes) {
+  const std::string path = test_temp_path(tag);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
 }
 
 }  // namespace mublastp

@@ -47,8 +47,8 @@ TEST(DbIndex, RejectsBadConfig) {
 TEST(DbIndex, SortedStoreIsAscendingByLength) {
   const SequenceStore db = small_db(2);
   const DbIndex idx = DbIndex::build(db, {});
-  for (SeqId i = 0; i + 1 < idx.db().size(); ++i) {
-    EXPECT_LE(idx.db().length(i), idx.db().length(i + 1));
+  for (SeqId i = 0; i + 1 < idx.num_sequences(); ++i) {
+    EXPECT_LE(idx.sequence(i).size(), idx.sequence(i + 1).size());
   }
 }
 
@@ -59,7 +59,7 @@ TEST(DbIndex, IdMappingsAreInverse) {
     EXPECT_EQ(idx.sorted_id(idx.original_id(s)), s);
     EXPECT_EQ(idx.original_id(idx.sorted_id(s)), s);
     // The sorted sequence content matches the original.
-    const auto a = idx.db().sequence(idx.sorted_id(s));
+    const auto a = idx.sequence(idx.sorted_id(s));
     const auto b = db.sequence(s);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
@@ -74,7 +74,7 @@ TEST(DbIndex, EveryWordPositionIndexedExactlyOnce) {
 
   // Collect (sorted seq, global offset, word) triples from the index.
   std::multiset<std::tuple<SeqId, std::uint32_t, std::uint32_t>> indexed;
-  for (const DbIndexBlock& block : idx.blocks()) {
+  for (const DbBlockView& block : idx.blocks()) {
     for (std::uint32_t w = 0; w < static_cast<std::uint32_t>(kNumWords);
          ++w) {
       for (const std::uint32_t e : block.entries(w)) {
@@ -85,8 +85,8 @@ TEST(DbIndex, EveryWordPositionIndexedExactlyOnce) {
   }
 
   std::multiset<std::tuple<SeqId, std::uint32_t, std::uint32_t>> expected;
-  for (SeqId s = 0; s < idx.db().size(); ++s) {
-    const auto seq = idx.db().sequence(s);
+  for (SeqId s = 0; s < idx.num_sequences(); ++s) {
+    const auto seq = idx.sequence(s);
     for (std::size_t p = 0; p + kWordLength <= seq.size(); ++p) {
       expected.insert({s, static_cast<std::uint32_t>(p),
                        word_key(seq.data() + p)});
@@ -114,7 +114,7 @@ TEST(DbIndex, BlocksRespectCharacterBudget) {
 TEST(DbIndex, BlockStatsAreConsistent) {
   const SequenceStore db = small_db(6);
   const DbIndex idx = DbIndex::build(db, {});
-  for (const DbIndexBlock& block : idx.blocks()) {
+  for (const DbBlockView& block : idx.blocks()) {
     std::size_t chars = 0;
     std::size_t positions = 0;
     std::size_t max_len = 0;
@@ -135,7 +135,7 @@ TEST(DbIndex, BlockStatsAreConsistent) {
 TEST(DbIndex, EntriesAreOrderedByFragmentThenOffset) {
   const SequenceStore db = small_db(7);
   const DbIndex idx = DbIndex::build(db, {});
-  for (const DbIndexBlock& block : idx.blocks()) {
+  for (const DbBlockView& block : idx.blocks()) {
     for (std::uint32_t w = 0; w < static_cast<std::uint32_t>(kNumWords);
          w += 101) {
       const auto entries = block.entries(w);
@@ -159,9 +159,9 @@ TEST(DbIndex, LongSequencesAreSplitWithOverlap) {
 
   // Collect fragments of the long sequence.
   std::vector<FragmentRef> frags;
-  for (const DbIndexBlock& block : idx.blocks()) {
+  for (const DbBlockView& block : idx.blocks()) {
     for (const FragmentRef& f : block.fragments()) {
-      if (idx.db().length(f.seq) == 20000) frags.push_back(f);
+      if (idx.sequence(f.seq).size() == 20000) frags.push_back(f);
     }
   }
   ASSERT_GT(frags.size(), 1u);
@@ -189,7 +189,7 @@ TEST(DbIndex, OptimalBlockFormula) {
 TEST(DbIndex, PackedEntriesRoundTrip) {
   const SequenceStore db = small_db(9);
   const DbIndex idx = DbIndex::build(db, {});
-  for (const DbIndexBlock& block : idx.blocks()) {
+  for (const DbBlockView& block : idx.blocks()) {
     for (std::uint32_t w = 0; w < static_cast<std::uint32_t>(kNumWords);
          w += 211) {
       for (const std::uint32_t e : block.entries(w)) {
@@ -199,7 +199,7 @@ TEST(DbIndex, PackedEntriesRoundTrip) {
         const FragmentRef& f = block.fragments()[frag];
         ASSERT_LT(off + kWordLength, f.len + 1);
         // The word at the decoded position is the word it is filed under.
-        const auto seq = idx.db().sequence(f.seq);
+        const auto seq = idx.sequence(f.seq);
         EXPECT_EQ(word_key(seq.data() + f.start + off), w);
       }
     }
@@ -214,7 +214,7 @@ TEST(DbIndex, SyntheticDatabaseRoundTrip) {
   const DbIndex idx = DbIndex::build(db, cfg);
   std::size_t total_positions = 0;
   std::size_t total_chars = 0;
-  for (const DbIndexBlock& b : idx.blocks()) {
+  for (const DbBlockView& b : idx.blocks()) {
     total_positions += b.num_positions();
     total_chars += b.total_chars();
   }

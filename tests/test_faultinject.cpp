@@ -9,16 +9,15 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <fstream>
-#include <sstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "cluster/member_set.hpp"
 #include "common/error.hpp"
 #include "common/json_writer.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_io.hpp"
-#include "index/mapped_db_index.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
 #include "temp_path.hpp"
@@ -151,6 +150,34 @@ TEST_F(FaultInject, DisarmedSitesAreNoops) {
   EXPECT_FALSE(MUBLASTP_FI_FAIL("io.read"));
 }
 
+// A failed check ends in " at <file>:<line>", the file named without its
+// directory, so the message (and a stats-v1 reason that quotes it) is the
+// same from every checkout. Checked on a check in this file and on one in
+// the library.
+TEST(CheckFailure, MessageNamesTheFileWithoutItsDirectory) {
+  const auto location = [](const std::function<void()>& fn) {
+    try {
+      fn();
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      const std::size_t at = what.rfind(" at ");
+      return at == std::string::npos ? std::string() : what.substr(at + 4);
+    }
+    return std::string("(no throw)");
+  };
+  const int line = __LINE__ + 1;
+  const auto here = [] { MUBLASTP_CHECK(false, "always fails"); };
+  EXPECT_EQ(location(here), "test_faultinject.cpp:" + std::to_string(line));
+
+  const std::string lib =
+      location([] { (void)DbIndex::optimal_block_bytes(1, 0); });
+  const std::size_t colon = lib.rfind(':');
+  ASSERT_NE(colon, std::string::npos) << lib;
+  EXPECT_EQ(lib.substr(0, colon), "db_index.cpp");
+  EXPECT_EQ(lib.find('/'), std::string::npos) << lib;
+  EXPECT_GT(std::stoi(lib.substr(colon + 1)), 0) << lib;
+}
+
 // --- per-site recovery matrix ----------------------------------------------
 //
 // One fixture owning a small multi-block index on disk plus a query batch,
@@ -186,6 +213,11 @@ class FaultInjectPipeline : public FaultInject {
   }
 
   static const DbIndex& index() { return *index_; }
+  static DbIndexOpenOptions read_options() {
+    DbIndexOpenOptions o;
+    o.mmap = false;
+    return o;
+  }
   static const std::string& path() { return *path_; }
   static const SequenceStore& queries() { return *queries_; }
 
@@ -263,19 +295,18 @@ TEST_F(FaultInjectPipeline, IndexCrcFailsClosedAtEverySection) {
   for (std::size_t nth = 1; nth <= info.sections.size(); ++nth) {
     fi::reset();
     fi::arm("index.crc", nth);
-    expect_kind([&] { (void)load_db_index_file(path()); },
+    expect_kind([&] { DbIndex strict(path(), read_options()); },
                 ErrorKind::kCorrupt,
                 "index.crc strict nth=" + std::to_string(nth));
 
     fi::reset();
     fi::arm("index.crc", nth);
     std::vector<BlockQuarantine> quarantined;
-    IndexLoadOptions opts;
+    DbIndexOpenOptions opts = read_options();
     opts.tolerate_block_corruption = true;
-    opts.quarantined = &quarantined;
     const std::string what = expect_kind(
-        [&] { (void)load_db_index_file(path(), opts); }, ErrorKind::kCorrupt,
-        "index.crc tolerant nth=" + std::to_string(nth));
+        [&] { quarantined = DbIndex(path(), opts).quarantined(); },
+        ErrorKind::kCorrupt, "index.crc tolerant nth=" + std::to_string(nth));
     EXPECT_TRUE(quarantined.empty());
     if (what.find("no per-block checksum") != std::string::npos) {
       saw_unlocalized = true;
@@ -285,20 +316,19 @@ TEST_F(FaultInjectPipeline, IndexCrcFailsClosedAtEverySection) {
       << "no section exercised the cannot-localize tolerant path";
 }
 
-// Site "index.open": both loaders fail with kIo; Nth-call arming fails the
+// Site "index.open": both opens fail with kIo; Nth-call arming fails the
 // Nth open only.
 TEST_F(FaultInjectPipeline, IndexOpenFailsIo) {
   fi::arm("index.open", 1);
-  expect_kind([&] { (void)load_db_index_file(path()); }, ErrorKind::kIo,
-              "index.open copy");
+  expect_kind([&] { DbIndex m(path(), read_options()); }, ErrorKind::kIo,
+              "index.open read");
   fi::reset();
   fi::arm("index.open", 1);
-  expect_kind([&] { MappedDbIndex m(path()); }, ErrorKind::kIo,
-              "index.open mmap");
+  expect_kind([&] { DbIndex m(path()); }, ErrorKind::kIo, "index.open mmap");
   fi::reset();
   fi::arm("index.open", 2);
-  EXPECT_NO_THROW((void)load_db_index_file(path()));  // 1st open fine
-  expect_kind([&] { (void)load_db_index_file(path()); }, ErrorKind::kIo,
+  EXPECT_NO_THROW(DbIndex first(path(), read_options()));  // 1st open fine
+  expect_kind([&] { DbIndex m(path(), read_options()); }, ErrorKind::kIo,
               "index.open second open");
 }
 
@@ -306,29 +336,71 @@ TEST_F(FaultInjectPipeline, IndexOpenFailsIo) {
 // succeeds (single-shot), which is the tool's retry recovery.
 TEST_F(FaultInjectPipeline, IndexMmapFailsResourceThenRetrySucceeds) {
   fi::arm("index.mmap", 1);
-  expect_kind([&] { MappedDbIndex m(path()); }, ErrorKind::kResource,
+  expect_kind([&] { DbIndex m(path()); }, ErrorKind::kResource,
               "index.mmap");
-  EXPECT_NO_THROW(MappedDbIndex retry(path()));
+  EXPECT_NO_THROW(DbIndex retry(path()));
+}
+
+// Site "index.mmap" on two calls in a row: a degraded open maps, retries
+// once, then reads the file, and the member searches exactly like a clean
+// open. A strict open fails with the map's kResource instead.
+TEST_F(FaultInjectPipeline, IndexMmapTwiceFallsBackToReadingTheFile) {
+  const cluster::MemberSetOptions degraded_opts;
+  stats::DegradedStats clean_degraded;
+  const cluster::MemberSet clean =
+      cluster::MemberSet::open_index(path(), degraded_opts, &clean_degraded);
+  EXPECT_EQ(clean.load_stats(0).mode, "mmap");
+  const cluster::MemberSearchResult want = clean.search(queries(), 1);
+
+  fi::arm_from_spec("index.mmap:1,index.mmap:2");
+  stats::DegradedStats degraded;
+  const cluster::MemberSet set =
+      cluster::MemberSet::open_index(path(), degraded_opts, &degraded);
+  EXPECT_EQ(set.load_stats(0).mode, "copy");
+  EXPECT_EQ(degraded.load_retries, 2u);
+  EXPECT_EQ(fi::call_count("index.mmap"), 2u);
+  const cluster::MemberSearchResult got = set.search(queries(), 1);
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t q = 0; q < got.results.size(); ++q) {
+    const QueryResult& a = want.results[q];
+    const QueryResult& b = got.results[q];
+    EXPECT_EQ(a.ungapped, b.ungapped) << "query " << q;
+    EXPECT_TRUE(a.stats == b.stats) << "query " << q;
+    ASSERT_EQ(a.alignments.size(), b.alignments.size()) << "query " << q;
+    for (std::size_t i = 0; i < a.alignments.size(); ++i) {
+      EXPECT_EQ(a.alignments[i].subject, b.alignments[i].subject);
+      EXPECT_EQ(a.alignments[i].score, b.alignments[i].score);
+      EXPECT_EQ(a.alignments[i].ops, b.alignments[i].ops);
+      EXPECT_EQ(a.alignments[i].evalue, b.alignments[i].evalue);
+    }
+  }
+
+  fi::reset();
+  fi::arm_from_spec("index.mmap:1,index.mmap:2");
+  cluster::MemberSetOptions strict;
+  strict.strict = true;
+  expect_kind(
+      [&] { (void)cluster::MemberSet::open_index(path(), strict, nullptr); },
+      ErrorKind::kResource, "index.mmap strict");
 }
 
 // Site "index.prefault": a SIGBUS-shaped fault during prefault is kIo; the
 // retry succeeds.
 TEST_F(FaultInjectPipeline, IndexPrefaultFailsIoThenRetrySucceeds) {
-  MappedDbIndexOptions opts;
+  DbIndexOpenOptions opts;
   opts.prefault = true;
   fi::arm("index.prefault", 1);
-  expect_kind([&] { MappedDbIndex m(path(), opts); }, ErrorKind::kIo,
+  expect_kind([&] { DbIndex m(path(), opts); }, ErrorKind::kIo,
               "index.prefault");
-  EXPECT_NO_THROW(MappedDbIndex retry(path(), opts));
+  EXPECT_NO_THROW(DbIndex retry(path(), opts));
 }
 
-// Site "io.read": a mid-stream read failure on the index is kIo.
+// Site "io.read": a failed read of the index file (the --no-mmap open) is
+// kIo.
 TEST_F(FaultInjectPipeline, IoReadOnIndexStreamFailsIo) {
-  std::ifstream in(path(), std::ios::binary);
-  ASSERT_TRUE(in.good());
   fi::arm("io.read", 1);
-  expect_kind([&] { (void)load_db_index(in); }, ErrorKind::kIo,
-              "io.read index stream");
+  expect_kind([&] { DbIndex m(path(), read_options()); }, ErrorKind::kIo,
+              "io.read index read");
 }
 
 // Degraded runs surface in the stats-v1 snapshot: the "degraded" object

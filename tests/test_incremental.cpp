@@ -25,7 +25,6 @@
 #include "common/rng.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_io.hpp"
-#include "index/mapped_db_index.hpp"
 #include "report/report.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
@@ -216,7 +215,7 @@ TEST_F(Incremental, ChainTelemetryIsOnePassOverEveryMembersBlocks) {
   ASSERT_EQ(chain.member_count(), 2u);
   std::size_t member_blocks = 0;
   for (std::uint32_t k = 0; k < chain.member_count(); ++k) {
-    member_blocks += MappedDbIndex(chain.member_path(k)).blocks().size();
+    member_blocks += DbIndex(chain.member_path(k)).blocks().size();
   }
   EXPECT_GT(member_blocks, 2u);
 
@@ -458,9 +457,9 @@ TEST_F(Incremental, CompactCollapsesToOneCanonicalMemberAndGcs) {
 
   // The canonical member is a plain single index: loadable directly, with
   // the combined counts.
-  const DbIndex canonical = load_db_index_file(compacted.compact_path);
-  EXPECT_EQ(canonical.db().size(), db.size());
-  EXPECT_EQ(canonical.db().total_residues(), db.total_residues());
+  const DbIndex canonical(compacted.compact_path);
+  EXPECT_EQ(canonical.num_sequences(), db.size());
+  EXPECT_EQ(canonical.total_residues(), db.total_residues());
 }
 
 TEST_F(Incremental, GcFailureAfterCompactLeavesValidNewGeneration) {

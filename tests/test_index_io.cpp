@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -21,32 +23,43 @@ DbIndex make_index(std::uint64_t seed, std::size_t residues = 100000) {
   return DbIndex::build(db, cfg);
 }
 
+std::string bytes_of(const DbIndex& index) {
+  return {reinterpret_cast<const char*>(index.image().data()),
+          index.image().size()};
+}
+
+// Writes `bytes` to a file and reads it back (the --no-mmap open).
+DbIndex read_back(const std::string& bytes) {
+  DbIndexOpenOptions read;
+  read.mmap = false;
+  return DbIndex(write_temp_file("bytes.mbi", bytes), read);
+}
+
 TEST(DbIndexIo, RoundTripPreservesStructure) {
   const DbIndex original = make_index(31);
-  std::stringstream buf;
-  save_db_index(buf, original);
-  const DbIndex loaded = load_db_index(buf);
+  const DbIndex loaded = read_back(bytes_of(original));
+  EXPECT_TRUE(std::ranges::equal(loaded.image(), original.image()));
 
-  ASSERT_EQ(loaded.db().size(), original.db().size());
-  EXPECT_EQ(loaded.db().total_residues(), original.db().total_residues());
+  ASSERT_EQ(loaded.num_sequences(), original.num_sequences());
+  EXPECT_EQ(loaded.total_residues(), original.total_residues());
   ASSERT_EQ(loaded.blocks().size(), original.blocks().size());
   EXPECT_EQ(loaded.config().block_bytes, original.config().block_bytes);
   EXPECT_EQ(loaded.config().neighbor_threshold,
             original.config().neighbor_threshold);
 
-  for (SeqId i = 0; i < loaded.db().size(); ++i) {
-    EXPECT_EQ(loaded.db().name(i), original.db().name(i));
+  for (SeqId i = 0; i < loaded.num_sequences(); ++i) {
+    EXPECT_EQ(loaded.name(i), original.name(i));
     EXPECT_EQ(loaded.original_id(i), original.original_id(i));
     EXPECT_EQ(loaded.sorted_id(i), original.sorted_id(i));
-    const auto a = loaded.db().sequence(i);
-    const auto b = original.db().sequence(i);
+    const auto a = loaded.sequence(i);
+    const auto b = original.sequence(i);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
   }
 
   for (std::size_t bi = 0; bi < loaded.blocks().size(); ++bi) {
-    const DbIndexBlock& lb = loaded.blocks()[bi];
-    const DbIndexBlock& ob = original.blocks()[bi];
+    const DbBlockView& lb = loaded.blocks()[bi];
+    const DbBlockView& ob = original.blocks()[bi];
     EXPECT_EQ(lb.num_positions(), ob.num_positions());
     EXPECT_EQ(lb.total_chars(), ob.total_chars());
     EXPECT_EQ(lb.max_fragment_len(), ob.max_fragment_len());
@@ -68,9 +81,7 @@ TEST(DbIndexIo, LoadedIndexSearchesIdentically) {
   DbIndexConfig cfg;
   cfg.block_bytes = 64 * 1024;
   const DbIndex original = DbIndex::build(db, cfg);
-  std::stringstream buf;
-  save_db_index(buf, original);
-  const DbIndex loaded = load_db_index(buf);
+  const DbIndex loaded = read_back(bytes_of(original));
 
   Rng rng(34);
   const SequenceStore queries = synth::sample_queries(db, 3, 128, rng);
@@ -93,36 +104,28 @@ TEST(DbIndexIo, FileRoundTrip) {
   const DbIndex original = make_index(35, 50000);
   const std::string path = test_temp_path("index.mbi");
   save_db_index_file(path, original);
-  const DbIndex loaded = load_db_index_file(path);
-  EXPECT_EQ(loaded.db().size(), original.db().size());
+  const DbIndex loaded(path);
+  EXPECT_EQ(loaded.num_sequences(), original.num_sequences());
   EXPECT_EQ(loaded.blocks().size(), original.blocks().size());
+  std::remove(path.c_str());
 }
 
 TEST(DbIndexIo, RejectsBadMagic) {
-  std::stringstream buf;
-  buf << "NOTANINDEX_____________";
-  EXPECT_THROW(load_db_index(buf), Error);
+  EXPECT_THROW(read_back("NOTANINDEX_____________"), Error);
 }
 
 TEST(DbIndexIo, RejectsWrongVersion) {
-  const DbIndex original = make_index(36, 50000);
-  std::stringstream buf;
-  save_db_index(buf, original);
-  std::string bytes = buf.str();
+  std::string bytes = bytes_of(make_index(36, 50000));
   bytes[4] = 99;  // clobber the version field
-  std::stringstream bad(bytes);
-  EXPECT_THROW(load_db_index(bad), Error);
+  EXPECT_THROW(read_back(bytes), Error);
 }
 
 TEST(DbIndexIo, RejectsTruncatedFile) {
-  const DbIndex original = make_index(37, 50000);
-  std::stringstream buf;
-  save_db_index(buf, original);
-  const std::string bytes = buf.str();
+  const std::string bytes = bytes_of(make_index(37, 50000));
   for (const double frac : {0.1, 0.5, 0.9, 0.999}) {
-    std::stringstream cut(
-        bytes.substr(0, static_cast<std::size_t>(bytes.size() * frac)));
-    EXPECT_THROW(load_db_index(cut), Error) << "frac " << frac;
+    const std::string cut =
+        bytes.substr(0, static_cast<std::size_t>(bytes.size() * frac));
+    EXPECT_THROW(read_back(cut), Error) << "frac " << frac;
   }
 }
 
@@ -134,22 +137,18 @@ TEST(DbIndexIo, ParallelBuildIsByteIdenticalToSerial) {
   serial_cfg.build_threads = 1;
   DbIndexConfig parallel_cfg = serial_cfg;
   parallel_cfg.build_threads = 4;
-  std::stringstream a;
-  save_db_index(a, DbIndex::build(db, serial_cfg));
-  std::stringstream b;
-  save_db_index(b, DbIndex::build(db, parallel_cfg));
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_TRUE(std::ranges::equal(DbIndex::build(db, serial_cfg).image(),
+                                 DbIndex::build(db, parallel_cfg).image()));
 }
 
 TEST(DbIndexIo, RejectsMissingFile) {
-  EXPECT_THROW(load_db_index_file("/nonexistent/index.mbi"), Error);
+  DbIndexOpenOptions read;
+  read.mmap = false;
+  EXPECT_THROW(DbIndex("/nonexistent/index.mbi", read), Error);
 }
 
 TEST(DbIndexIo, CorruptFragmentRangeDetected) {
-  const DbIndex original = make_index(38, 50000);
-  std::stringstream buf;
-  save_db_index(buf, original);
-  std::string bytes = buf.str();
+  const std::string bytes = bytes_of(make_index(38, 50000));
   // Flip bytes near the end (inside block data) until the loader objects;
   // structural validation must catch gross corruption rather than crash.
   bool threw = false;
@@ -159,10 +158,8 @@ TEST(DbIndexIo, CorruptFragmentRangeDetected) {
          i < mutated.size() - back + 16 && i < mutated.size(); ++i) {
       mutated[i] = static_cast<char>(0xFF);
     }
-    std::stringstream bad(mutated);
     try {
-      const DbIndex loaded = load_db_index(bad);
-      (void)loaded;
+      (void)read_back(mutated);
     } catch (const Error&) {
       threw = true;
     }

@@ -2,8 +2,9 @@
 // truncation at and inside every section, a flipped byte in every section,
 // a clobbered header field — must surface as a mublastp::Error naming the
 // offending part of the file. Never a crash, never a partial index. The
-// battery drives BOTH loaders (the copy loader and MappedDbIndex) over the
-// same corrupted bytes; the CI sanitizer job runs this under ASan/UBSan.
+// battery opens the same corrupted bytes both ways (mapped, and read into
+// memory as --no-mmap does); the CI sanitizer job runs this under
+// ASan/UBSan.
 #include "index/db_index_io.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +25,6 @@
 #include "common/error.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_format.hpp"
-#include "index/mapped_db_index.hpp"
 #include "synth/synth.hpp"
 #include "temp_path.hpp"
 
@@ -44,6 +43,20 @@ struct FileHeaderV3 {
 };
 static_assert(sizeof(FileHeaderV3) == kSectionedHeaderBytes);
 
+// Writes `data` to a file and opens it with `options`.
+DbIndex open_bytes(const std::string& data, DbIndexOpenOptions options) {
+  const std::string path = write_temp_file("case.mbi", data);
+  DbIndex index(path, options);
+  std::remove(path.c_str());
+  return index;
+}
+
+DbIndexOpenOptions read_options() {
+  DbIndexOpenOptions o;
+  o.mmap = false;
+  return o;
+}
+
 // One saved index, parsed section table and all, shared by every test.
 class IndexIoCorrupt : public ::testing::Test {
  protected:
@@ -53,9 +66,9 @@ class IndexIoCorrupt : public ::testing::Test {
     DbIndexConfig cfg;
     cfg.block_bytes = 8 * 1024;  // several blocks -> non-trivial sections
     index_ = new DbIndex(DbIndex::build(db, cfg));
-    std::stringstream buf;
-    save_db_index(buf, *index_);
-    bytes_ = new std::string(buf.str());
+    bytes_ = new std::string(
+        reinterpret_cast<const char*>(index_->image().data()),
+        index_->image().size());
 
     FileHeaderV3 header;
     std::memcpy(&header, bytes_->data(), sizeof(header));
@@ -76,26 +89,15 @@ class IndexIoCorrupt : public ::testing::Test {
   static const std::string& bytes() { return *bytes_; }
   static const std::vector<SectionRecord>& table() { return *table_; }
 
-  // Writes `data` to a temp file and asserts that BOTH load paths (copy
-  // loader and verified mmap) reject it with an Error mentioning
-  // `expect_substr` (empty = any Error). Returns the messages for logging.
+  // Asserts that both opens of `data` (read and mapped) reject it with an
+  // Error mentioning `expect_substr` (empty = any Error).
   static void expect_rejected(const std::string& data,
                               const std::string& expect_substr,
                               const std::string& context) {
-    const std::string path = test_temp_path("case.mbi");
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    }
-    check_throws([&] { (void)load_db_index_file(path); }, expect_substr,
-                 context + " [copy loader]");
-    check_throws([&] { MappedDbIndex mapped(path); }, expect_substr,
-                 context + " [mmap loader]");
-    // The stream entry point must agree with the file entry point.
-    std::stringstream in(data);
-    check_throws([&] { (void)load_db_index(in); }, expect_substr,
-                 context + " [stream loader]");
-    std::remove(path.c_str());
+    check_throws([&] { (void)open_bytes(data, read_options()); },
+                 expect_substr, context + " [read]");
+    check_throws([&] { (void)open_bytes(data, {}); }, expect_substr,
+                 context + " [mmap]");
   }
 
   template <typename Fn>
@@ -231,34 +233,34 @@ TEST_F(IndexIoCorrupt, ImplausibleSectionCount) {
 TEST_F(IndexIoCorrupt, EmptyFile) {
   const std::string path = test_temp_path("empty.mbi");
   { std::ofstream out(path, std::ios::binary | std::ios::trunc); }
-  check_throws([&] { (void)load_db_index_file(path); }, "empty index file",
-               "zero-byte file [copy loader]");
-  check_throws([&] { MappedDbIndex mapped(path); }, "", "zero-byte [mmap]");
+  check_throws([&] { DbIndex read(path, read_options()); },
+               "empty index file", "zero-byte file [read]");
+  check_throws([&] { DbIndex mapped(path); }, "", "zero-byte [mmap]");
   std::remove(path.c_str());
 }
 
 TEST_F(IndexIoCorrupt, DirectoryPath) {
   const std::string dir = test_temp_path("dir.mbi");
   std::filesystem::create_directory(dir);
-  check_throws([&] { (void)load_db_index_file(dir); }, "directory",
-               "directory path [copy loader]");
-  check_throws([&] { MappedDbIndex mapped(dir); }, "", "directory [mmap]");
+  check_throws([&] { DbIndex read(dir, read_options()); }, "directory",
+               "directory path [read]");
+  check_throws([&] { DbIndex mapped(dir); }, "", "directory [mmap]");
   std::filesystem::remove(dir);
 }
 
 TEST_F(IndexIoCorrupt, MissingFile) {
   check_throws(
-      [&] { (void)load_db_index_file("/nonexistent/db.mbi"); },
-      "cannot open index file", "missing file [copy loader]");
-  check_throws([&] { MappedDbIndex mapped("/nonexistent/db.mbi"); }, "",
+      [&] { DbIndex read("/nonexistent/db.mbi", read_options()); },
+      "cannot open index file", "missing file [read]");
+  check_throws([&] { DbIndex mapped("/nonexistent/db.mbi"); }, "",
                "missing file [mmap]");
 }
 
 TEST_F(IndexIoCorrupt, MmapRejectsV2Files) {
   // Format v2, the retired streamed layout, has the same magic and keeps its
-  // version at the same offset. Its reader is gone, so the zero-copy loader
-  // (and with it the copy and stream loaders) must refuse such a file by its
-  // version, before reading anything laid out after it.
+  // version at the same offset. Its reader is gone, so both opens must
+  // refuse such a file by its version, before reading anything laid out
+  // after it.
   std::string v2 = bytes();
   const std::uint32_t version = 2;
   std::memcpy(v2.data() + offsetof(FileHeaderV3, version), &version,
@@ -347,14 +349,14 @@ class IndexIoDegraded : public IndexIoCorrupt {
            (before + meta[b].num_entries / 2) * sizeof(std::uint32_t);
   }
 
-  // Loads `data` tolerantly through the copy loader; fills `quarantined`.
+  // Opens `data` tolerantly through the read path; fills `quarantined`.
   static DbIndex load_degraded(const std::string& data,
                                std::vector<BlockQuarantine>& quarantined) {
-    std::stringstream in(data);
-    IndexLoadOptions options;
+    DbIndexOpenOptions options = read_options();
     options.tolerate_block_corruption = true;
-    options.quarantined = &quarantined;
-    return load_db_index(in, options);
+    DbIndex index = open_bytes(data, options);
+    quarantined = index.quarantined();
+    return index;
   }
 };
 
@@ -376,19 +378,13 @@ TEST_F(IndexIoDegraded, SingleBlockCorruptionIsQuarantined) {
   EXPECT_TRUE(degraded.blocks()[bad].fragments().empty());
   EXPECT_FALSE(degraded.blocks()[bad + 1].fragments().empty());
 
-  // The mmap loader must agree byte-for-byte on the quarantine decision.
-  const std::string path = test_temp_path("degraded.mbi");
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-  }
-  MappedDbIndexOptions mopts;
+  // The mapped open must agree byte-for-byte on the quarantine decision.
+  DbIndexOpenOptions mopts;
   mopts.tolerate_block_corruption = true;
-  const MappedDbIndex mapped(path, mopts);
+  const DbIndex mapped = open_bytes(mutated, mopts);
   ASSERT_EQ(mapped.quarantined().size(), 1u);
   EXPECT_EQ(mapped.quarantined()[0].block, bad);
   EXPECT_TRUE(DbIndexView(mapped).blocks()[bad].fragments().empty());
-  std::remove(path.c_str());
 }
 
 // The acceptance scenario: a multi-block index with one corrupted block
@@ -420,8 +416,8 @@ TEST_F(IndexIoDegraded, SurvivingBlocksProduceExactlyTheirHits) {
   SequenceStore queries;
   const FragmentRef& in_bad = index_->blocks()[bad].fragments().front();
   const FragmentRef& in_good = index_->blocks()[0].fragments().front();
-  queries.add(index_->db().sequence(in_bad.seq), "from-corrupted-block");
-  queries.add(index_->db().sequence(in_good.seq), "from-surviving-block");
+  queries.add(index_->sequence(in_bad.seq), "from-corrupted-block");
+  queries.add(index_->sequence(in_good.seq), "from-surviving-block");
   SearchParams params;
   params.max_alignments = 1000;  // keep culling out of the comparison
 
@@ -523,10 +519,7 @@ TEST_F(IndexIoDegraded, PreBlockCrcFilesAreNotQuarantinable) {
   std::memcpy(mutated.data(), &header, sizeof(header));
 
   // Sanity: the rewrite itself still loads strictly.
-  {
-    std::stringstream in(mutated);
-    EXPECT_NO_THROW((void)load_db_index(in));
-  }
+  EXPECT_NO_THROW((void)open_bytes(mutated, read_options()));
   const std::size_t at = entries_byte_of_block(1);
   mutated[at] = static_cast<char>(mutated[at] ^ 0x40);
   std::vector<BlockQuarantine> quarantined;

@@ -1,22 +1,24 @@
 // Round-trip property battery for index format v3: for a spread of
-// database shapes, an index that goes through save -> load (stream or
-// file) or save -> mmap must drive the engine to BIT-IDENTICAL results and
-// telemetry counters as the in-memory original.
+// database shapes, a built index, its saved file, and a mapped and a read
+// open of that file are one image, and all of them drive the engine to
+// BIT-IDENTICAL results and telemetry counters.
 #include "index/db_index_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/sectioned_file.hpp"
 #include "core/mublastp_engine.hpp"
-#include "index/mapped_db_index.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
 #include "temp_path.hpp"
@@ -68,6 +70,20 @@ DbIndex build_shape(const Shape& s, SequenceStore* db_out = nullptr) {
   cfg.long_seq_overlap = s.long_seq_overlap;
   if (db_out != nullptr) *db_out = db;
   return DbIndex::build(db, cfg);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// The --no-mmap open.
+DbIndexOpenOptions read_options() {
+  DbIndexOpenOptions o;
+  o.mmap = false;
+  return o;
 }
 
 // Result of driving one engine over a query set with telemetry on.
@@ -123,33 +139,23 @@ TEST_P(IndexIoRoundTrip, AllLoadPathsSearchIdentically) {
   const SequenceStore queries = synth::sample_queries(db, 3, 96, rng);
   const RunOutput ref = drive(MuBlastpEngine(original), queries);
 
-  // Stream round-trip (v3 copy loader).
-  std::stringstream buf;
-  save_db_index(buf, original);
-  const DbIndex stream_loaded = load_db_index(buf);
-  expect_identical(ref, drive(MuBlastpEngine(stream_loaded), queries),
-                   "stream-loaded");
-
-  // File round-trip (copy loader) and mmap round-trip (zero-copy loader)
-  // over the same bytes.
+  // One image, two byte sources: the saved file holds the built image, and
+  // a mapped open and a read open of the file both serve exactly it.
   const std::string path = test_temp_path("index.mbi");
   save_db_index_file(path, original);
-  const DbIndex file_loaded = load_db_index_file(path);
-  expect_identical(ref, drive(MuBlastpEngine(file_loaded), queries),
-                   "file-loaded");
+  const std::string file = read_file(path);
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(std::span(file)),
+                                 original.image()));
   {
-    const MappedDbIndex mapped(path);
+    const DbIndex mapped(path);
+    EXPECT_TRUE(std::ranges::equal(mapped.image(), original.image()));
+    EXPECT_EQ(mapped.num_sequences(), original.num_sequences());
     expect_identical(ref, drive(MuBlastpEngine(mapped), queries), "mapped");
-    EXPECT_EQ(mapped.num_sequences(), original.db().size());
-    EXPECT_GT(mapped.file_bytes(), 0u);
   }
   {
-    // Unverified open must serve the same data (it only skips checks).
-    MappedDbIndex::Options opts;
-    opts.verify_checksums = false;
-    const MappedDbIndex lazy(path, opts);
-    expect_identical(ref, drive(MuBlastpEngine(lazy), queries),
-                     "mapped-unverified");
+    const DbIndex read(path, read_options());
+    EXPECT_TRUE(std::ranges::equal(read.image(), original.image()));
+    expect_identical(ref, drive(MuBlastpEngine(read), queries), "read");
   }
 
   std::remove(path.c_str());
@@ -176,10 +182,10 @@ TEST(IndexIoRoundTrip, SingleSequenceDatabase) {
 
   const std::string path = test_temp_path("single_seq.mbi");
   save_db_index_file(path, original);
-  const DbIndex loaded = load_db_index_file(path);
-  EXPECT_EQ(loaded.db().name(0), "");
+  const DbIndex loaded(path, read_options());
+  EXPECT_EQ(loaded.name(0), "");
   expect_identical(ref, drive(MuBlastpEngine(loaded), queries), "file");
-  const MappedDbIndex mapped(path);
+  const DbIndex mapped(path);
   EXPECT_EQ(DbIndexView(mapped).name(0), "");
   expect_identical(ref, drive(MuBlastpEngine(mapped), queries), "mapped");
   std::remove(path.c_str());
@@ -208,10 +214,9 @@ TEST(IndexIoRoundTrip, SingleLongFragmentedSequence) {
   const RunOutput ref = drive(MuBlastpEngine(original), queries);
   const std::string path = test_temp_path("long_frag.mbi");
   save_db_index_file(path, original);
-  expect_identical(ref,
-                   drive(MuBlastpEngine(load_db_index_file(path)), queries),
-                   "file");
-  const MappedDbIndex mapped(path);
+  const DbIndex read(path, read_options());
+  expect_identical(ref, drive(MuBlastpEngine(read), queries), "file");
+  const DbIndex mapped(path);
   expect_identical(ref, drive(MuBlastpEngine(mapped), queries), "mapped");
   std::remove(path.c_str());
 }
@@ -230,18 +235,11 @@ std::string fixture_path(const char* name) {
 // The database inside a loaded index, back in its original order.
 SequenceStore original_order_store(const DbIndex& loaded) {
   SequenceStore db;
-  for (SeqId orig = 0; orig < loaded.db().size(); ++orig) {
+  for (SeqId orig = 0; orig < loaded.num_sequences(); ++orig) {
     const SeqId sorted = loaded.sorted_id(orig);
-    db.add(loaded.db().sequence(sorted), loaded.db().name(sorted));
+    db.add(loaded.sequence(sorted), std::string(loaded.name(sorted)));
   }
   return db;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
 }
 
 TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
@@ -250,7 +248,7 @@ TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
   // block CRC and the table CRC are in it, so a writer, layout or checksum
   // change shows up here as a byte difference against a file on disk.
   const std::string fixture = fixture_path("tiny_v3.mbi");
-  const DbIndex loaded = load_db_index_file(fixture);
+  const DbIndex loaded(fixture, read_options());
   const SequenceStore original_db = original_order_store(loaded);
   ASSERT_EQ(original_db.size(), 4u);
   EXPECT_EQ(original_db.name(0), "fix_helix");
@@ -264,18 +262,17 @@ TEST(IndexIoRoundTrip, V3FixtureIsByteStable) {
       << "a fresh save differs from the checked-in v3 fixture";
   std::remove(path.c_str());
 
-  // Both loaders accept the fixture with every checksum verified, and both
-  // search exactly like the fresh build.
+  // Both byte sources accept the fixture with every checksum verified, and
+  // both search exactly like the fresh build.
   Rng rng(217);
   const SequenceStore queries = synth::sample_queries(original_db, 2, 24, rng);
   const RunOutput ref = drive(MuBlastpEngine(rebuilt), queries);
-  const MappedDbIndex mapped(fixture);
+  const DbIndex mapped(fixture);
   EXPECT_EQ(mapped.num_sequences(), original_db.size());
   expect_identical(ref, drive(MuBlastpEngine(mapped), queries),
                    "v3 fixture, mapped");
-  expect_identical(ref,
-                   drive(MuBlastpEngine(load_db_index_file(fixture)), queries),
-                   "v3 fixture, copy loader");
+  expect_identical(ref, drive(MuBlastpEngine(loaded), queries),
+                   "v3 fixture, read");
 }
 
 TEST(IndexIoRoundTrip, DescribeReportsEverySection) {

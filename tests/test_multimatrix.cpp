@@ -3,7 +3,8 @@
 // engine-equivalence guarantee must hold for every supported matrix.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "baseline/interleaved_engine.hpp"
 #include "baseline/query_engine.hpp"
@@ -12,6 +13,7 @@
 #include "core/mublastp_engine.hpp"
 #include "index/db_index_io.hpp"
 #include "synth/synth.hpp"
+#include "temp_path.hpp"
 
 namespace mublastp {
 namespace {
@@ -74,9 +76,10 @@ TEST_P(MultiMatrix, FindsSelfMatch) {
 }
 
 TEST_P(MultiMatrix, IndexIoPreservesMatrix) {
-  std::stringstream buf;
-  save_db_index(buf, *index_);
-  const DbIndex loaded = load_db_index(buf);
+  const std::string path = test_temp_path("index.mbi");
+  save_db_index_file(path, *index_);
+  const DbIndex loaded(path);
+  std::remove(path.c_str());
   EXPECT_EQ(loaded.config().matrix, matrix_);
   const MuBlastpEngine a(*index_, params_);
   const MuBlastpEngine b(loaded, params_);

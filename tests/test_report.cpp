@@ -89,11 +89,8 @@ class ReportFixture : public ::testing::Test {
     engine_ = std::make_unique<MuBlastpEngine>(*index_);
     Rng rng(22);
     queries_ = synth::sample_queries(db_, 1, 120, rng);
+    // Subjects are original ids: the reports render against db_.
     result_ = engine_->search(queries_.sequence(0));
-    // Reports address subjects in the index's sorted store.
-    for (GappedAlignment& a : result_.alignments) {
-      a.subject = index_->sorted_id(a.subject);
-    }
     ASSERT_FALSE(result_.alignments.empty());
   }
 
@@ -106,7 +103,7 @@ class ReportFixture : public ::testing::Test {
 
 TEST_F(ReportFixture, TabularHasTwelveColumns) {
   std::ostringstream out;
-  write_tabular(out, "query1", queries_.sequence(0), index_->db(), result_,
+  write_tabular(out, "query1", queries_.sequence(0), db_, result_,
                 blosum62());
   std::istringstream lines(out.str());
   std::string line;
@@ -121,7 +118,7 @@ TEST_F(ReportFixture, TabularHasTwelveColumns) {
 
 TEST_F(ReportFixture, TabularCoordinatesAreOneBasedInclusive) {
   std::ostringstream out;
-  write_tabular(out, "q", queries_.sequence(0), index_->db(), result_,
+  write_tabular(out, "q", queries_.sequence(0), db_, result_,
                 blosum62());
   std::istringstream first_line(out.str());
   std::string field;
@@ -139,14 +136,14 @@ TEST_F(ReportFixture, TopHitIsNearHundredPercentIdentity) {
   // ~100% identity in the tabular output.
   const GappedAlignment& top = result_.alignments.front();
   const auto s = summarize_alignment(queries_.sequence(0),
-                                     index_->db().sequence(top.subject), top,
+                                     db_.sequence(top.subject), top,
                                      blosum62());
   EXPECT_GT(s.percent_identity(), 99.0);
 }
 
 TEST_F(ReportFixture, PairwiseContainsHeadersAndBlocks) {
   std::ostringstream out;
-  write_pairwise(out, "query1", queries_.sequence(0), index_->db(), result_,
+  write_pairwise(out, "query1", queries_.sequence(0), db_, result_,
                  blosum62());
   const std::string text = out.str();
   EXPECT_NE(text.find("Query= query1"), std::string::npos);
@@ -158,7 +155,7 @@ TEST_F(ReportFixture, PairwiseContainsHeadersAndBlocks) {
 
 TEST_F(ReportFixture, PairwiseWrapsAtRequestedWidth) {
   std::ostringstream out;
-  write_pairwise(out, "q", queries_.sequence(0), index_->db(), result_,
+  write_pairwise(out, "q", queries_.sequence(0), db_, result_,
                  blosum62(), 30);
   std::istringstream lines(out.str());
   std::string line;
@@ -178,7 +175,7 @@ TEST_F(ReportFixture, PairwiseWrapsAtRequestedWidth) {
 TEST_F(ReportFixture, PairwiseEmptyResultSaysNoHits) {
   QueryResult empty;
   std::ostringstream out;
-  write_pairwise(out, "q", queries_.sequence(0), index_->db(), empty,
+  write_pairwise(out, "q", queries_.sequence(0), db_, empty,
                  blosum62());
   EXPECT_NE(out.str().find("No hits found"), std::string::npos);
 }

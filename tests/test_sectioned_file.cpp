@@ -169,7 +169,7 @@ TEST(SectionedSweep, EveryIndexBitBeforeTheFirstPayload) {
   const std::size_t first_payload = 448;
   expect_every_flip_corrupt(fixture, first_payload,
                             [](std::span<const std::byte> b) {
-                              (void)parse_db_index_v3(b);
+                              (void)parse_db_index_v3(b, {});
                             });
 }
 

@@ -40,11 +40,10 @@ double mb(std::size_t bytes) {
 /// The full single-index report (file sections, blocks, word lists, cache
 /// budget) — one call per chain member.
 void describe_index(const std::string& path, int threads, std::size_t l3) {
-  // File-level description first: the checksummed section table the mmap
-  // loader navigates by.
+  // File-level description first: the checksummed section table the open
+  // navigates by.
   const DbIndexFileInfo finfo = describe_db_index_file(path);
-  const DbIndex index = load_db_index_file(path);
-  const SequenceStore& db = index.db();
+  const DbIndex index(path);
   const NeighborTable neighbors(*index.config().matrix,
                                 index.config().neighbor_threshold);
 
@@ -59,8 +58,8 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
                 s.name.c_str(), static_cast<unsigned long long>(s.offset),
                 static_cast<unsigned long long>(s.length), s.crc32);
   }
-  std::printf("sequences         : %zu (%zu residues)\n", db.size(),
-              db.total_residues());
+  std::printf("sequences         : %zu (%zu residues)\n",
+              index.num_sequences(), index.total_residues());
   std::printf("neighbor threshold: T=%d (%zu word-neighbor pairs, avg "
               "%.1f/word)\n",
               neighbors.threshold(), neighbors.total_neighbors(),
@@ -74,7 +73,7 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
   std::size_t entry_bytes = 0;
   std::size_t offset_bytes = 0;
   std::size_t max_block_positions = 0;
-  for (const DbIndexBlock& b : index.blocks()) {
+  for (const DbBlockView& b : index.blocks()) {
     positions += b.num_positions();
     frags += b.fragments().size();
     entry_bytes += b.position_bytes();
@@ -85,14 +84,14 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
               index.blocks().size(), frags, positions);
   std::printf("footprint         : %.1f MB entries + %.1f MB offsets + "
               "%.1f MB residues\n",
-              mb(entry_bytes), mb(offset_bytes), mb(db.total_residues()));
+              mb(entry_bytes), mb(offset_bytes), mb(index.total_residues()));
 
   // Per-block table (first few + largest).
   std::printf("\n%-6s %10s %10s %12s %10s\n", "block", "frags",
               "positions", "chars", "maxfrag");
   const std::size_t show = std::min<std::size_t>(index.blocks().size(), 8);
   for (std::size_t i = 0; i < show; ++i) {
-    const DbIndexBlock& b = index.blocks()[i];
+    const DbBlockView& b = index.blocks()[i];
     std::printf("%-6zu %10zu %10zu %12zu %10zu\n", i, b.fragments().size(),
                 b.num_positions(), b.total_chars(), b.max_fragment_len());
   }
@@ -101,9 +100,9 @@ void describe_index(const std::string& path, int threads, std::size_t l3) {
   }
 
   // Word-list population statistics of the largest block.
-  const DbIndexBlock& big = *std::max_element(
+  const DbBlockView& big = *std::max_element(
       index.blocks().begin(), index.blocks().end(),
-      [](const DbIndexBlock& a, const DbIndexBlock& b) {
+      [](const DbBlockView& a, const DbBlockView& b) {
         return a.num_positions() < b.num_positions();
       });
   std::size_t empty_words = 0;

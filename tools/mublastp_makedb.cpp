@@ -43,7 +43,7 @@
 // self-contained shard indexes written as <out>.shard0..<out>.shardN-1,
 // and <out> becomes a MUSHARD01 manifest tying them together (see
 // docs/SHARDING.md). mublastp_search --shards-manifest=<out> searches them
-// as one database.
+// as one database. --stats is refused with --shards (exit 2).
 //
 // --inject=site:Nth[:errno] arms a fault-injection site (see
 // docs/ROBUSTNESS.md); exit codes map the typed error taxonomy:
@@ -226,6 +226,10 @@ int main(int argc, char** argv) {
     shards = arg_number<std::size_t>(argc, argv, "shards", 0, 0, kMaxShards);
     if (shards > 0 && (!append_path.empty() || compact)) {
       throw UsageError("--shards is exclusive with --append/--compact");
+    }
+    if (shards > 0 && !stats_mode.empty()) {
+      throw UsageError("--stats is not available with --shards (a sharded"
+                       " build prints no stats)");
     }
     build_threads =
         arg_number(argc, argv, "build-threads", 0, 0, kMaxThreads);

@@ -56,12 +56,13 @@
 //
 // Index loading: index files are memory-mapped by default (zero-copy;
 // pages shared with other processes serving the same database); --no-mmap
-// copy-loads them instead.
+// reads each file into memory instead. Either way the search runs on the
+// same validated image.
 //
 // Degraded mode (the default; see docs/ROBUSTNESS.md): an index block whose
 // checksum fails is quarantined and the search continues over the surviving
 // blocks; a failed mmap load is retried once after a short backoff and then
-// falls back to the copy loader; worker failures inside one block quarantine
+// falls back to reading the file; worker failures inside one block quarantine
 // that block. A shard or chain member that cannot be used at all (index
 // rot, a dead worker, an injected fault) is quarantined whole and named in
 // the "quarantined_shards" list. Any degradation marks the run partial

@@ -32,9 +32,9 @@
 // the result lists AND the pipeline counters (hits, two-hit pairs, ungapped
 // alignments, gapped extensions must be identical across engines; ungapped
 // extension counts additionally match across the database-indexed engines).
-// The mmap run saves the index to a temporary file, reopens it zero-copy
-// through MappedDbIndex and must be indistinguishable from the in-memory
-// engine — the round-trip guarantee of index format v3. The SIMD runs must
+// The mmap run saves the index to a temporary file, maps it back as a
+// DbIndex and must be indistinguishable from the freshly built one — the
+// round-trip guarantee of index format v3. The SIMD runs must
 // match their scalar twins on EVERY counter, execution-strategy ones
 // included.
 //
@@ -58,7 +58,6 @@
 #include "index/db_index.hpp"
 #include "index/db_index_io.hpp"
 #include "index/generation.hpp"
-#include "index/mapped_db_index.hpp"
 #include "simd/dispatch.hpp"
 #include "stats/stats.hpp"
 #include "synth/synth.hpp"
@@ -171,13 +170,13 @@ int main(int argc, char** argv) {
     nopf_simd.prefilter = false;
     const MuBlastpEngine mu_alg1_simd(index, {}, nopf_simd);
 
-    // The owned-vs-mapped equivalence check: round-trip the index through a
+    // The built-vs-mapped equivalence check: round-trip the index through a
     // v3 file and drive the same engine off the read-only mapping.
     const std::filesystem::path tmp_index =
         std::filesystem::temp_directory_path() /
         ("mublastp_verify_" + std::to_string(::getpid()) + ".mbi");
     save_db_index_file(tmp_index.string(), index);
-    const MappedDbIndex mapped(tmp_index.string());
+    const DbIndex mapped(tmp_index.string());
     // The mapping keeps the pages alive after the unlink (POSIX), so the
     // temp file cannot leak even if a later check throws.
     std::filesystem::remove(tmp_index);

@@ -6,9 +6,10 @@
 #
 #   CHECK=equal  (tool_search_sharded_matches_unsharded): the tabular report
 #     of the single index, of the shards under both --shard-mode values and
-#     of the chain must be byte-identical. Two query sets run at 4 threads:
-#     QUERY (one query, fewer than the threads) and 8 queries drawn with
-#     SYNTHGEN.
+#     of the chain must be byte-identical, and so must the single index,
+#     the thread-mode shards and the chain opened with --no-mmap. Two query
+#     sets run at 4 threads: QUERY (one query, fewer than the threads) and
+#     8 queries drawn with SYNTHGEN.
 #   CHECK=budget (tool_search_time_budget_every_layout): --time-budget=
 #     0.000001 must trip on the single index, the thread-mode shards and the
 #     chain: exit 3 with time_budget_trips > 0 in stats-v1.
@@ -16,7 +17,8 @@
 #     and the chain run one engine pass over every member's blocks, so
 #     their --stats=json must print the single index's counters, nonzero
 #     stage seconds, and a "blocks" count above 0 with that many per_block
-#     rows.
+#     rows. So must the three layouts opened with --no-mmap; the single
+#     index's load mode is then "copy".
 # The chain's --append build and both checks' searches write their stats-v1
 # to WORKDIR/e2e_<CHECK>_<makedb|layout>.json for the tool_stats_schema_*
 # tests, which validate them against docs/mublastp-stats-v1.schema.json.
@@ -66,12 +68,18 @@ set(single_args --index=${INDEX})
 set(shards_thread_args --shards-manifest=${MANIFEST} --shard-mode=thread)
 set(shards_process_args --shards-manifest=${MANIFEST} --shard-mode=process)
 set(chain_args --index=${stem}_chain.mbi)
+# The in-process layouts once more, every member file read into memory.
+set(in_process single shards_thread chain)
+foreach(layout ${in_process})
+  list(APPEND no_mmap_layouts ${layout}_no_mmap)
+  set(${layout}_no_mmap_args ${${layout}_args} --no-mmap)
+endforeach()
 
 if(CHECK STREQUAL "equal")
   run(${SYNTHGEN} --preset=envnr --residues=65536 --out=${stem}_q_db.fasta
       --queries=8 --qlen=64 --qout=${stem}_q8.fasta)
   foreach(queries ${QUERY} ${stem}_q8.fasta)
-    foreach(layout ${layouts})
+    foreach(layout ${layouts} ${no_mmap_layouts})
       run(${SEARCH} ${${layout}_args} --query=${queries} --threads=4
           --outfmt=tabular --out=${stem}_${layout}.tab)
       execute_process(
@@ -84,18 +92,20 @@ if(CHECK STREQUAL "equal")
       endif()
     endforeach()
   endforeach()
-  message(STATUS "single, shards (thread, process) and chain output"
-                 " byte-identical for both query sets")
+  message(STATUS "single, shards (thread, process) and chain output,"
+                 " mapped and read, byte-identical for both query sets")
 elseif(CHECK STREQUAL "budget" OR CHECK STREQUAL "stats")
   # Fork-mode shard children run the plain per-query search, without
   # budgets or per-block telemetry; the in-process layouts are checked.
   set(extra "")
   set(want_rc 0)
+  set(checked ${in_process} ${no_mmap_layouts})
   if(CHECK STREQUAL "budget")
     set(extra --time-budget=0.000001)
     set(want_rc 3)
+    set(checked ${in_process})
   endif()
-  foreach(layout single shards_thread chain)
+  foreach(layout ${checked})
     execute_process(
       COMMAND ${SEARCH} ${${layout}_args} --query=${QUERY} --outfmt=none
               --stats=json ${extra}
@@ -126,6 +136,11 @@ elseif(CHECK STREQUAL "budget" OR CHECK STREQUAL "stats")
        stats MATCHES "\"stage_seconds\": {\"hit_detect\": 0,")
       message(FATAL_ERROR "${layout}: ${blocks} blocks, ${nrows} per_block"
                           " rows, or no stage seconds:\n${stats}")
+    endif()
+    # Only a single index prints its load ("index": {"mode": ...}).
+    if(layout STREQUAL "single_no_mmap" AND
+       NOT stats MATCHES "\"index\": {\"mode\": \"copy\"")
+      message(FATAL_ERROR "${layout}: index not read into memory:\n${stats}")
     endif()
   endforeach()
   message(STATUS "CHECK=${CHECK} holds on every in-process layout")
