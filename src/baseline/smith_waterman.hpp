@@ -41,7 +41,7 @@ Score smith_waterman_score(std::span<const Residue> query,
                            const ScoreMatrix& matrix, Score gap_open,
                            Score gap_extend);
 
-/// Same score through the selected kernel: SSE4.2/AVX2 run the Farrar
+/// Same score through the selected kernel: AVX2 runs the Farrar
 /// striped int16 kernel, falling back to the scalar rolling-row code when
 /// the kernel declines (kScalar, empty input, or the int16 saturation
 /// guard). The returned score is identical for every path.

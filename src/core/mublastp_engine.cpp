@@ -176,7 +176,7 @@ void MuBlastpEngine::detect_and_sort(std::span<const Residue> query,
       const simd::HitScan scan{ws.scan_entries.data(),
                                ws.scan_entries.size(),
                                ws.bases.data(),
-                               block.offset_bits(),
+                               static_cast<std::uint32_t>(block.offset_bits()),
                                qoff,
                                qlen - qoff};
       if (options_.prefilter) {

@@ -101,8 +101,8 @@ struct StageStats {
   std::uint64_t gapped_extensions = 0;
   std::uint64_t sorted_records = 0;  ///< records that went through reorder
   /// Banded gapped-kernel tier tallies (one extension = two extension
-  /// halves, each counted once). Zero on scalar runs; identical between
-  /// SSE4.2 and AVX2 because the tier choice is value-driven. These are
+  /// halves, each counted once). Zero on scalar runs; the tier choice is
+  /// value-driven, so they do not depend on the thread split. These are
   /// execution-strategy telemetry, not part of the deterministic
   /// stats::StageCounters set that forced-scalar/vector twins must match.
   std::uint64_t gapped_int8_runs = 0;

@@ -1,6 +1,6 @@
-// Shared implementation of the banded tiered int8/int16 gapped x-drop
-// kernel, instantiated by the per-ISA translation units (kernels_sse42.cpp
-// and kernels_avx2.cpp) with their vector-ops traits.
+// Implementation of the banded tiered int8/int16 gapped x-drop kernel,
+// instantiated by kernels_avx2.cpp with its int8 and int16 vector-ops
+// traits.
 //
 // The kernel computes exactly the adaptive-band affine-gap x-drop DP of
 // core/gapped.cpp (score-only), with two changes of representation that
@@ -122,7 +122,7 @@ struct BandedMatrixCache {
 };
 
 /// One tier of the banded DP. `Ops` supplies the lane type and saturating
-/// vector primitives (see the traits in the ISA translation units).
+/// vector primitives (see the traits in kernels_avx2.cpp).
 /// Returns the extent and sets `overflowed` when the running best hit the
 /// lane maximum — the result must then be discarded and the next tier run.
 template <class Ops>
@@ -277,7 +277,7 @@ GappedExtent banded_xdrop_tier(std::span<const Residue> a,
   return ext;
 }
 
-/// Tier driver shared by the ISA entry points: int8 first, int16 only when
+/// Tier driver of the AVX2 entry point: int8 first, int16 only when
 /// the int8 pass saturated (or was ineligible), scalar fallback when even
 /// int16 cannot represent the result.
 template <class Ops8, class Ops16>

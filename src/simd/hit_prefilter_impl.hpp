@@ -1,6 +1,6 @@
 // Shared scalar pieces of the hit-scan kernels: branchless key decode and
 // two-hit prefilter spans, used whole by the scalar dispatch path and as
-// the sub-tile tail of the SSE4.2/AVX2 kernels.
+// the sub-tile tail of the AVX2 kernels.
 //
 // The prefilter span is the engines' per-entry automaton rewritten without
 // control flow, operating on DiagState's raw representation (stored word =

@@ -12,9 +12,6 @@ std::size_t hit_scan_prefilter(KernelPath path, const HitScan& scan,
   if (path == KernelPath::kAvx2) {
     return detail::hit_prefilter_avx2(scan, filter, out, tallies);
   }
-  if (path == KernelPath::kSse42) {
-    return detail::hit_prefilter_sse42(scan, filter, out, tallies);
-  }
 #endif
   if (tallies) tallies->tail_entries += scan.count;
   return detail::hit_prefilter_scalar_impl(scan, filter, out);
@@ -25,9 +22,6 @@ std::size_t hit_scan_collect(KernelPath path, const HitScan& scan,
 #ifdef MUBLASTP_SIMD_X86
   if (path == KernelPath::kAvx2) {
     return detail::hit_collect_avx2(scan, out, tallies);
-  }
-  if (path == KernelPath::kSse42) {
-    return detail::hit_collect_sse42(scan, out, tallies);
   }
 #endif
   if (tallies) tallies->tail_entries += scan.count;
@@ -41,11 +35,7 @@ std::optional<GappedExtent> xdrop_extend_banded(
 #ifdef MUBLASTP_SIMD_X86
   if (path == KernelPath::kScalar) return std::nullopt;
   const detail::BandedOutcome out =
-      path == KernelPath::kAvx2
-          ? detail::xdrop_banded_avx2(a, b, matrix, gap_open, gap_extend,
-                                      xdrop)
-          : detail::xdrop_banded_sse42(a, b, matrix, gap_open, gap_extend,
-                                       xdrop);
+      detail::xdrop_banded_avx2(a, b, matrix, gap_open, gap_extend, xdrop);
   if (counters) {
     if (out.tier == 1) {
       ++counters->int8_runs;
@@ -77,12 +67,8 @@ std::optional<Score> smith_waterman_score_striped(
   if (path == KernelPath::kScalar || query.empty() || subject.empty()) {
     return std::nullopt;
   }
-  if (path == KernelPath::kAvx2) {
-    return detail::sw_striped_avx2(query, subject, matrix, gap_open,
-                                   gap_extend);
-  }
-  return detail::sw_striped_sse42(query, subject, matrix, gap_open,
-                                  gap_extend);
+  return detail::sw_striped_avx2(query, subject, matrix, gap_open,
+                                 gap_extend);
 #else
   (void)path;
   (void)query;

@@ -30,7 +30,7 @@ struct GappedExtent {
 
 /// Which tier of the banded gapped kernel produced each extension. The
 /// tier choice is value-driven (saturation of the running best), so these
-/// are identical across SSE4.2 and AVX2 — and all zero on scalar runs.
+/// do not depend on the thread split — and are all zero on scalar runs.
 struct GappedKernelCounters {
   std::uint64_t int8_runs = 0;        ///< int8 first pass sufficed
   std::uint64_t int16_reruns = 0;     ///< int8 saturated; int16 re-ran it

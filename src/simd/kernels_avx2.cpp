@@ -286,8 +286,6 @@ std::size_t hit_prefilter_avx2(const HitScan& scan, const HitScanFilter& f,
     // tile (a few entries per word is the common case), so the 4..7-entry
     // remainder still runs vectorized instead of falling to the tail.
     for (; i + 4 <= cn; i += 4) {
-      const __m128i vkey =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(keys + i));
       const __m128i prev =
           _mm_set_epi32(f.last[keys[i + 3]], f.last[keys[i + 2]],
                         f.last[keys[i + 1]], f.last[keys[i]]);

@@ -1,5 +1,5 @@
-// Internals shared by the dispatcher and the per-ISA translation units:
-// the banded gapped kernel's outcome type and the ISA entry points.
+// Internals shared by the dispatcher and the AVX2 translation unit: the
+// banded gapped kernel's outcome type and the AVX2 entry points.
 #pragma once
 
 #include <cstdint>
@@ -27,30 +27,22 @@ struct BandedOutcome {
 
 #ifdef MUBLASTP_SIMD_X86
 
-// ISA entry points. Each is compiled in its own translation unit with the
-// matching -m flag and must only be called after the corresponding CPUID
-// check (simd::kernel_supported).
+// AVX2 entry points. They are compiled in their own translation unit with
+// -mavx2 and must only be called after the CPUID check
+// (simd::kernel_supported).
 
 // Striped Smith-Waterman (score only), int16 lanes with saturating
 // arithmetic. Returns nullopt when the best score came within one matrix
 // entry of int16 saturation — the caller must rerun the scalar kernel (the
 // guard makes returned values exact).
-std::optional<Score> sw_striped_sse42(std::span<const Residue> query,
-                                      std::span<const Residue> subject,
-                                      const ScoreMatrix& matrix,
-                                      Score gap_open, Score gap_extend);
 std::optional<Score> sw_striped_avx2(std::span<const Residue> query,
                                      std::span<const Residue> subject,
                                      const ScoreMatrix& matrix,
                                      Score gap_open, Score gap_extend);
 
 // Banded gapped x-drop extension, tiered int8 -> int16 saturating lanes
-// (see gapped_banded_impl.hpp for the shared implementation and its
-// exactness argument).
-BandedOutcome xdrop_banded_sse42(std::span<const Residue> a,
-                                 std::span<const Residue> b,
-                                 const ScoreMatrix& matrix, Score gap_open,
-                                 Score gap_extend, Score xdrop);
+// (see gapped_banded_impl.hpp for the implementation and its exactness
+// argument).
 BandedOutcome xdrop_banded_avx2(std::span<const Residue> a,
                                 std::span<const Residue> b,
                                 const ScoreMatrix& matrix, Score gap_open,
@@ -59,12 +51,8 @@ BandedOutcome xdrop_banded_avx2(std::span<const Residue> a,
 // Hit-scan kernels (chunked decode + prefetch + vector two-hit prefilter;
 // see hit_prefilter_impl.hpp for the shared scalar spans and exactness
 // argument). Tallies pointers may be null.
-std::size_t hit_prefilter_sse42(const HitScan& scan, const HitScanFilter& f,
-                                HitRecord* out, HitScanTallies* tallies);
 std::size_t hit_prefilter_avx2(const HitScan& scan, const HitScanFilter& f,
                                HitRecord* out, HitScanTallies* tallies);
-std::size_t hit_collect_sse42(const HitScan& scan, HitRecord* out,
-                              HitScanTallies* tallies);
 std::size_t hit_collect_avx2(const HitScan& scan, HitRecord* out,
                              HitScanTallies* tallies);
 

@@ -170,11 +170,8 @@ PipelineSnapshot PipelineStats::snapshot() const {
   s.queries = queries_;
   s.total_seconds = total_seconds_;
   s.workspace_peak_bytes = ws_peak_;
-  s.index_load = index_load_;
-  s.degraded = degraded_;
   s.gapped_kernel = gapped_kernel_;
   s.hit_kernel = hit_kernel_;
-  s.perf_counters = perf_counters_;
   s.per_block = blocks_;
   s.totals = extra_counters_;
   s.stage_seconds = extra_seconds_;

@@ -150,8 +150,8 @@ struct QuarantinedShard {
 /// Tier tallies of the banded gapped-extension kernel: which numeric width
 /// each extension half ran at. Execution-strategy telemetry, not part of
 /// the deterministic StageCounters set — all-zero on scalar runs (and
-/// omitted from the JSON then), identical between SSE4.2 and AVX2 because
-/// the int8 -> int16 -> scalar escalation is value-driven.
+/// omitted from the JSON then). The int8 -> int16 -> scalar escalation is
+/// value-driven, so the tallies do not depend on the thread split.
 struct GappedKernelStats {
   std::uint64_t int8_runs = 0;         ///< halves settled by the int8 pass
   std::uint64_t int16_reruns = 0;      ///< halves re-run at int16 (overflow)
@@ -181,9 +181,9 @@ GappedKernelStats gapped_kernel_of(const S& s) {
 /// Telemetry of the query-specialized hit-detection path: flattened-lookup
 /// build work plus the vector-tile vs scalar-tail split of the hit-scan
 /// kernels. Execution-strategy telemetry like GappedKernelStats, NOT a
-/// deterministic counter set — tile counts differ between the 4-lane
-/// SSE4.2 and 8-lane AVX2 kernels (the hits they produce do not). All-zero
-/// on scalar/traced runs and omitted from the JSON then.
+/// deterministic counter set — tile counts depend on the kernel's lane
+/// widths (the hits it produces do not). All-zero on scalar/traced runs
+/// and omitted from the JSON then.
 struct HitKernelStats {
   std::uint64_t flatten_builds = 0;   ///< FlatNeighborhood (re)builds
   double flatten_seconds = 0.0;       ///< wall time spent building them
@@ -318,7 +318,7 @@ struct ShardsStats {
 /// serializes (docs/mublastp-stats-v1.schema.json).
 struct PipelineSnapshot {
   std::string engine;          ///< "mublastp", "ncbi-db", "ncbi"
-  std::string kernel;          ///< "" (unset), "scalar", "sse42", "avx2"
+  std::string kernel;          ///< "" (unset), "scalar", "avx2"
   int threads = 0;
   std::uint64_t queries = 0;
   StageCounters totals;
@@ -397,19 +397,10 @@ class PipelineStats {
   /// Aggregated view of the run; call after finish_run.
   PipelineSnapshot snapshot() const;
 
-  /// Stamps how the index behind this run was obtained; carried into every
-  /// subsequent snapshot(). Independent of begin_run/finish_run (set it
-  /// once after loading, before or after the searches).
-  void set_index_load(IndexLoadStats s) { index_load_ = std::move(s); }
-
-  /// Stamps the kernel path the run executed with ("scalar", "sse42",
-  /// "avx2"). Engines set it right after begin_run; carried into every
-  /// subsequent snapshot(). Empty means "not recorded" (omitted from JSON).
+  /// Stamps the kernel path the run executed with ("scalar", "avx2").
+  /// Engines set it right after begin_run; carried into every subsequent
+  /// snapshot(). Empty means "not recorded" (omitted from JSON).
   void set_kernel(std::string kernel) { kernel_ = std::move(kernel); }
-
-  /// Stamps how a degraded-mode run deviated (quarantined blocks, budget
-  /// trips, partial flag); carried into every subsequent snapshot().
-  void set_degraded(DegradedStats d) { degraded_ = std::move(d); }
 
   /// Stamps the banded gapped-kernel tier tallies of the run (engines set
   /// it from the summed per-query StageStats right before finish_run);
@@ -417,21 +408,12 @@ class PipelineStats {
   /// gapped DP" and is omitted from the JSON.
   void set_gapped_kernel(GappedKernelStats g) { gapped_kernel_ = g; }
 
-  /// Stamps the per-stage hardware-counter totals sampled by the tracer
-  /// (tools fold trace::Tracer::perf_totals() in after the run); carried
-  /// into every subsequent snapshot(). Zero sampled_spans means "no
-  /// counters" and is omitted from the JSON.
-  void set_perf_counters(PerfCounterStats p) { perf_counters_ = p; }
-
   const std::string& engine() const { return engine_; }
 
  private:
   std::string engine_;
   std::string kernel_;
-  IndexLoadStats index_load_;
-  DegradedStats degraded_;
   GappedKernelStats gapped_kernel_;
-  PerfCounterStats perf_counters_;
   int threads_ = 0;
   std::uint64_t queries_ = 0;
   double total_seconds_ = 0.0;

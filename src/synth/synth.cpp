@@ -136,6 +136,12 @@ DatabaseSpec envnr_like(std::size_t target_residues) {
   return spec;
 }
 
+DatabaseSpec preset(const std::string& name, std::size_t target_residues) {
+  if (name == "sprot") return sprot_like(target_residues);
+  if (name == "envnr") return envnr_like(target_residues);
+  throw Error("unknown preset '" + name + "' (expected sprot or envnr)");
+}
+
 SequenceStore generate_database(const DatabaseSpec& spec, std::uint64_t seed) {
   MUBLASTP_CHECK(spec.mean_length >= spec.median_length,
                  "lognormal needs mean >= median");

@@ -48,6 +48,10 @@ DatabaseSpec sprot_like(std::size_t target_residues = 1 << 22);
 /// Spec matching env_nr's published shape at a reduced scale.
 DatabaseSpec envnr_like(std::size_t target_residues = 1 << 23);
 
+/// The preset a tool names: "sprot" (sprot_like) or "envnr" (envnr_like).
+/// Throws mublastp::Error on any other name.
+DatabaseSpec preset(const std::string& name, std::size_t target_residues);
+
 /// Generates a database. Deterministic for a given (spec, seed).
 SequenceStore generate_database(const DatabaseSpec& spec, std::uint64_t seed);
 

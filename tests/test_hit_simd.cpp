@@ -12,7 +12,8 @@
 // flattened-lookup path on, and that the hit_kernel telemetry is booked.
 //
 // Vector paths only run where the CPU supports them; the fuzz suite keeps
-// the scalar-dispatch coverage (reduced, still green) on scalar-only hosts.
+// the scalar-dispatch coverage on a host without AVX2, and the tests that
+// exercise only the vector kernels skip there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "core/two_hit.hpp"
 #include "index/db_index.hpp"
 #include "index/flat_lookup.hpp"
+#include "kernel_paths.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 #include "synth/synth.hpp"
@@ -34,23 +36,9 @@
 namespace mublastp {
 namespace {
 
-std::vector<simd::KernelPath> vector_paths() {
-  std::vector<simd::KernelPath> paths;
-  for (const simd::KernelPath p :
-       {simd::KernelPath::kSse42, simd::KernelPath::kAvx2}) {
-    if (simd::kernel_supported(p)) paths.push_back(p);
-  }
-  return paths;
-}
-
-// Scalar dispatch is always exercised alongside the vector paths: it must
-// agree with the reference too (it shares no code with the classic loop's
-// DiagState accessors).
-std::vector<simd::KernelPath> all_paths() {
-  std::vector<simd::KernelPath> paths{simd::KernelPath::kScalar};
-  for (const simd::KernelPath p : vector_paths()) paths.push_back(p);
-  return paths;
-}
+// The fuzz tests run scalar dispatch alongside the vector paths
+// (all_kernels()): it must agree with the reference too (it shares no code
+// with the classic loop's DiagState accessors).
 
 // The engines' original per-entry automaton (mublastp_engine.cpp's classic
 // prefilter branch), replicated through the DiagState public API only — an
@@ -187,7 +175,7 @@ ScanCase make_case(Rng& rng) {
 // classic automaton for the emitted record stream, the pair count, and the
 // full raw last-hit array at every round boundary.
 TEST(HitSimdFuzz, PrefilterMatchesClassicAutomaton) {
-  const std::vector<simd::KernelPath> paths = all_paths();
+  const std::vector<simd::KernelPath> paths = all_kernels();
   Rng rng(0x81757e57u);
   std::size_t scans = 0;
   std::vector<HitRecord> ref_out;
@@ -260,7 +248,7 @@ TEST(HitSimdFuzz, PrefilterMatchesClassicAutomaton) {
 // need distinctness — prove it on scans built exactly that way: a disjoint
 // partition of the position universe, concatenated in random order.
 TEST(HitSimdFuzz, FusedScanMatchesClassicAutomaton) {
-  const std::vector<simd::KernelPath> paths = all_paths();
+  const std::vector<simd::KernelPath> paths = all_kernels();
   Rng rng(0xf05edu);
   std::size_t scans = 0;
   std::vector<HitRecord> ref_out;
@@ -349,7 +337,7 @@ TEST(HitSimdFuzz, FusedScanMatchesClassicAutomaton) {
 }
 
 TEST(HitSimdFuzz, CollectMatchesScalarDecode) {
-  const std::vector<simd::KernelPath> paths = all_paths();
+  const std::vector<simd::KernelPath> paths = all_kernels();
   Rng rng(0xc011ec7u);
   std::size_t scans = 0;
   std::vector<HitRecord> ref_out;
@@ -404,12 +392,13 @@ TEST(HitSimdFuzz, TalliesAccountForEveryEntry) {
       &scalar_tallies);
   EXPECT_EQ(scalar_tallies.tiles, 0u);
   EXPECT_EQ(scalar_tallies.tail_entries, list.size());
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
 
-  for (const simd::KernelPath path : vector_paths()) {
+  for (const simd::KernelPath path : vector_kernels()) {
     // The AVX2 prefilter mixes 8-lane tiles with 4-lane sub-tiles, so the
     // per-tile width is a range, not a constant: every entry is either in
     // a tile of 4..8 lanes or in the scalar tail.
-    const std::size_t max_lanes = path == simd::KernelPath::kAvx2 ? 8 : 4;
+    constexpr std::size_t max_lanes = 8;
     simd::HitScanTallies t;
     DiagState st;
     st.resize(c.bases.back());
@@ -543,6 +532,7 @@ void expect_same_result(const QueryResult& ref, const QueryResult& got,
 }
 
 TEST(HitSimdEngine, MuBlastpBitIdenticalAcrossKernels) {
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   const SkewWorkload w = make_skew_workload();
   const DbIndex index = DbIndex::build(w.db, {});
 
@@ -552,7 +542,7 @@ TEST(HitSimdEngine, MuBlastpBitIdenticalAcrossKernels) {
     scalar_opts.kernel = simd::KernelPath::kScalar;
     const MuBlastpEngine scalar_engine(index, {}, scalar_opts);
 
-    for (const simd::KernelPath path : vector_paths()) {
+    for (const simd::KernelPath path : vector_kernels()) {
       MuBlastpOptions opts;
       opts.prefilter = prefilter;
       opts.kernel = path;
@@ -573,11 +563,12 @@ TEST(HitSimdEngine, MuBlastpBitIdenticalAcrossKernels) {
 }
 
 TEST(HitSimdEngine, InterleavedBitIdenticalAcrossKernels) {
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   const SkewWorkload w = make_skew_workload();
   const DbIndex index = DbIndex::build(w.db, {});
   const InterleavedDbEngine scalar_engine(index, {},
                                           simd::KernelPath::kScalar);
-  for (const simd::KernelPath path : vector_paths()) {
+  for (const simd::KernelPath path : vector_kernels()) {
     const InterleavedDbEngine engine(index, {}, path);
     for (std::size_t qi = 0; qi < w.queries.size(); ++qi) {
       const auto& q = w.queries[qi];
@@ -591,6 +582,7 @@ TEST(HitSimdEngine, InterleavedBitIdenticalAcrossKernels) {
 }
 
 TEST(HitSimdEngine, BatchBitIdenticalAcrossKernels) {
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   const SequenceStore db =
       synth::generate_database(synth::sprot_like(100000), 515);
   Rng rng(516);
@@ -603,7 +595,7 @@ TEST(HitSimdEngine, BatchBitIdenticalAcrossKernels) {
   const std::vector<QueryResult> ref =
       scalar_engine.search_batch(queries, 2);
 
-  for (const simd::KernelPath path : vector_paths()) {
+  for (const simd::KernelPath path : vector_kernels()) {
     MuBlastpOptions opts;
     opts.kernel = path;
     const MuBlastpEngine engine(index, {}, opts);
@@ -632,8 +624,9 @@ TEST(HitSimdEngine, TelemetryBooksFlattenAndTiles) {
   // Scalar runs never build the flattened table or run the kernels: the
   // optional hit_kernel object stays empty.
   EXPECT_FALSE(scalar_ps.snapshot().hit_kernel.any());
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
 
-  for (const simd::KernelPath path : vector_paths()) {
+  for (const simd::KernelPath path : vector_kernels()) {
     MuBlastpOptions opts;
     opts.kernel = path;
     const MuBlastpEngine engine(index, {}, opts);

@@ -10,6 +10,7 @@
 #include "core/gapped.hpp"
 #include "core/mublastp_engine.hpp"
 #include "index/db_index.hpp"
+#include "kernel_paths.hpp"
 #include "simd/dispatch.hpp"
 #include "synth/synth.hpp"
 
@@ -168,11 +169,7 @@ TEST_P(SearchProperties, GappedScoreAtLeastUngappedSeed) {
   // A gapped extension seeded by an ungapped segment can only add to the
   // segment's score (the segment's own path is reachable from the anchor),
   // and the bound must hold identically on every kernel path.
-  std::vector<simd::KernelPath> paths = {simd::KernelPath::kScalar};
-  for (const simd::KernelPath p :
-       {simd::KernelPath::kSse42, simd::KernelPath::kAvx2}) {
-    if (simd::kernel_supported(p)) paths.push_back(p);
-  }
+  const std::vector<simd::KernelPath> paths = all_kernels();
   const MuBlastpEngine engine(*index_);
   const SearchParams& params = engine.params();
   for (SeqId q = 0; q < queries_.size(); ++q) {
@@ -194,11 +191,7 @@ TEST_P(SearchProperties, TracebackRescoresToStageThreeScore) {
   // Stage 4 re-runs the winning extension with traceback; re-scoring the
   // recorded transcript must reproduce the stage-3 score exactly — for
   // every kernel path (transcripts are untouched by kernel choice).
-  std::vector<simd::KernelPath> paths = {simd::KernelPath::kScalar};
-  for (const simd::KernelPath p :
-       {simd::KernelPath::kSse42, simd::KernelPath::kAvx2}) {
-    if (simd::kernel_supported(p)) paths.push_back(p);
-  }
+  const std::vector<simd::KernelPath> paths = all_kernels();
   for (const simd::KernelPath path : paths) {
     MuBlastpOptions opts;
     opts.kernel = path;

@@ -1,8 +1,7 @@
 // SIMD subsystem tests: dispatch plumbing and bit-exactness of the striped
 // Smith-Waterman kernel against the scalar reference on randomized and
-// adversarial inputs. Vector paths only run where the host
-// CPU supports them (supported_paths), so the suite passes — with reduced
-// coverage — on any machine.
+// adversarial inputs. The vector-kernel tests skip on a CPU without AVX2
+// (kernel_paths.hpp).
 #include "simd/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include "baseline/smith_waterman.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "kernel_paths.hpp"
 #include "simd/dispatch.hpp"
 
 namespace mublastp {
@@ -23,27 +23,20 @@ std::vector<Residue> rand_seq(std::size_t len, Rng& rng) {
   return s;
 }
 
-std::vector<simd::KernelPath> supported_paths() {
-  std::vector<simd::KernelPath> paths = {simd::KernelPath::kScalar};
-  for (const simd::KernelPath p :
-       {simd::KernelPath::kSse42, simd::KernelPath::kAvx2}) {
-    if (simd::kernel_supported(p)) paths.push_back(p);
-  }
-  return paths;
-}
-
 // ---- Dispatch -------------------------------------------------------------
 
 TEST(SimdDispatch, NameParseRoundTrip) {
-  for (const simd::KernelPath p :
-       {simd::KernelPath::kScalar, simd::KernelPath::kSse42,
-        simd::KernelPath::kAvx2}) {
+  for (const simd::KernelPath p : all_kernels()) {
     EXPECT_EQ(simd::parse_kernel(simd::kernel_name(p)), p);
+  }
+  // A path this CPU cannot run is refused when it is parsed.
+  if (!simd::kernel_supported(simd::KernelPath::kAvx2)) {
+    EXPECT_THROW(simd::parse_kernel("avx2"), Error);
   }
 }
 
 TEST(SimdDispatch, AutoResolvesToDetectedKernel) {
-  EXPECT_EQ(simd::parse_kernel("auto"), simd::detect_kernel());
+  EXPECT_EQ(simd::parse_kernel("auto"), simd::default_kernel());
 }
 
 TEST(SimdDispatch, RejectsUnknownName) {
@@ -54,23 +47,22 @@ TEST(SimdDispatch, RejectsUnknownName) {
 
 TEST(SimdDispatch, ScalarAlwaysSupportedAndDetectSupported) {
   EXPECT_TRUE(simd::kernel_supported(simd::KernelPath::kScalar));
-  EXPECT_TRUE(simd::kernel_supported(simd::detect_kernel()));
+  EXPECT_TRUE(simd::kernel_supported(simd::default_kernel()));
 }
 
-TEST(SimdDispatch, DefaultKernelIsPinnable) {
-  const simd::KernelPath before = simd::default_kernel();
-  simd::set_default_kernel(simd::KernelPath::kScalar);
-  EXPECT_EQ(simd::default_kernel(), simd::KernelPath::kScalar);
-  simd::set_default_kernel(before);
-  EXPECT_EQ(simd::default_kernel(), before);
+TEST(SimdDispatch, DefaultKernelIsAvx2WhereSupported) {
+  EXPECT_EQ(simd::default_kernel(),
+            simd::kernel_supported(simd::KernelPath::kAvx2)
+                ? simd::KernelPath::kAvx2
+                : simd::KernelPath::kScalar);
 }
 
 // ---- Striped Smith-Waterman -----------------------------------------------
 
 TEST(SimdSmithWaterman, StripedMatchesScalarScore) {
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   Rng rng(47);
-  for (const simd::KernelPath path : supported_paths()) {
-    if (path == simd::KernelPath::kScalar) continue;
+  for (const simd::KernelPath path : vector_kernels()) {
     for (int trial = 0; trial < 40; ++trial) {
       const auto q = rand_seq(1 + rng.next_below(180), rng);
       const auto s = rand_seq(1 + rng.next_below(180), rng);
@@ -84,8 +76,9 @@ TEST(SimdSmithWaterman, StripedMatchesScalarScore) {
 }
 
 TEST(SimdSmithWaterman, DispatchedOverloadEqualsScalarOverload) {
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   Rng rng(53);
-  for (const simd::KernelPath path : supported_paths()) {
+  for (const simd::KernelPath path : vector_kernels()) {
     for (int trial = 0; trial < 25; ++trial) {
       const auto q = rand_seq(20 + rng.next_below(150), rng);
       const auto s = rand_seq(20 + rng.next_below(150), rng);
@@ -103,7 +96,7 @@ TEST(SimdSmithWaterman, ScalarPathAndEmptyInputDecline) {
                                                   q, q, blosum62(), 11, 1)
                    .has_value());
   const std::vector<Residue> empty;
-  for (const simd::KernelPath path : supported_paths()) {
+  for (const simd::KernelPath path : all_kernels()) {
     EXPECT_FALSE(
         simd::smith_waterman_score_striped(path, empty, q, blosum62(), 11, 1)
             .has_value());
@@ -113,11 +106,11 @@ TEST(SimdSmithWaterman, ScalarPathAndEmptyInputDecline) {
 TEST(SimdSmithWaterman, IdenticalLongSequencesScoreFullMatch) {
   // Long self-alignment: the best score grows linearly, close to the int16
   // guard for very long inputs — exercises the saturation-or-exact promise.
+  if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel on this CPU";
   Rng rng(61);
   const auto q = rand_seq(2000, rng);
   const Score want = smith_waterman_score(q, q, blosum62(), 11, 1);
-  for (const simd::KernelPath path : supported_paths()) {
-    if (path == simd::KernelPath::kScalar) continue;
+  for (const simd::KernelPath path : vector_kernels()) {
     const auto got =
         simd::smith_waterman_score_striped(path, q, q, blosum62(), 11, 1);
     if (got.has_value()) {

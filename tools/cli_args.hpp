@@ -1,6 +1,6 @@
 // Command-line flags of the mublastp_* tools: --key=VALUE and bare --key.
-// An unknown flag or a bad value is a usage error: the tool prints
-// "error: ..." naming the flag and exits 2.
+// An unknown or repeated flag, or a bad value, is a usage error: the tool
+// prints "error: ..." naming the flag and exits 2.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mublastp::cli {
 
@@ -22,10 +23,12 @@ struct UsageError : std::runtime_error {
 
 /// Checks every argument against the forms a tool reads: "key" for a bare
 /// --key, "key=" for --key=VALUE. Anything else (a typo, a retired flag, a
-/// value on a bare flag) is printed as "error: unknown flag ..." and
-/// returns false; main then exits 2. Each tool's main calls it first.
+/// value on a bare flag) is printed as "error: unknown flag ...", and a key
+/// given twice, in either form, as "error: flag ... given twice"; both
+/// return false, and main then exits 2. Each tool's main calls it first.
 inline bool known_flags(int argc, char** argv,
                         std::initializer_list<std::string_view> forms) {
+  std::vector<std::string_view> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const std::size_t eq = arg.find('=');
@@ -37,11 +40,18 @@ inline bool known_flags(int argc, char** argv,
       std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
       return false;
     }
+    const std::string_view key = arg.substr(0, eq);
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      std::fprintf(stderr, "error: flag '%.*s' given twice\n",
+                   static_cast<int>(key.size()), key.data());
+      return false;
+    }
+    seen.push_back(key);
   }
   return true;
 }
 
-/// The value of the first --key=VALUE, or nullopt when the flag is absent.
+/// The value of --key=VALUE, or nullopt when the flag is absent.
 inline std::optional<std::string> arg_value(int argc, char** argv,
                                             const std::string& key) {
   const std::string prefix = "--" + key + "=";
@@ -76,6 +86,20 @@ T arg_number(int argc, char** argv, const std::string& key, T fallback, T lo,
     throw UsageError(msg.str());
   }
   return x;
+}
+
+/// Reads --key=VALUE (`fallback` when absent) through `parse`, which throws
+/// on a value it does not take; the throw becomes a UsageError naming the
+/// flag.
+template <typename Parse>
+auto arg_parsed(int argc, char** argv, const std::string& key,
+                const std::string& fallback, Parse parse) {
+  const std::string v = arg_str(argc, argv, key, fallback);
+  try {
+    return parse(v);
+  } catch (const std::exception& e) {
+    throw UsageError("--" + key + ": " + e.what());
+  }
 }
 
 inline bool arg_flag(int argc, char** argv, const std::string& key) {

@@ -47,7 +47,9 @@
 //
 // --inject=site:Nth[:errno] arms a fault-injection site (see
 // docs/ROBUSTNESS.md); exit codes map the typed error taxonomy:
-// 0 ok, 1 generic, 2 usage, 4 I/O, 5 corrupt input, 6 resources.
+// 0 ok, 1 generic, 2 usage, 4 I/O, 5 corrupt input, 6 resources. A usage
+// error (a bad value such as an unknown --synth or --strategy, or a flag
+// the tool does not take or given twice) exits 2 before any input is read.
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
@@ -214,8 +216,9 @@ int main(int argc, char** argv) {
   }
   std::size_t shards = 0;
   int build_threads = 0;
-  std::size_t residues = 0;
   std::uint64_t seed = 0;
+  synth::DatabaseSpec spec;
+  cluster::PartitionStrategy strategy{};
   DbIndexConfig config;
   try {
     if (!stats_mode.empty() && stats_mode != "table" &&
@@ -233,8 +236,16 @@ int main(int argc, char** argv) {
     }
     build_threads =
         arg_number(argc, argv, "build-threads", 0, 0, kMaxThreads);
-    residues = arg_number<std::size_t>(argc, argv, "residues", 1 << 22, 1,
-                                       std::size_t{1} << 40);
+    const std::size_t residues = arg_number<std::size_t>(
+        argc, argv, "residues", 1 << 22, 1, std::size_t{1} << 40);
+    if (!synth_preset.empty()) {
+      spec = arg_parsed(argc, argv, "synth", "",
+                        [&](const std::string& name) {
+                          return synth::preset(name, residues);
+                        });
+    }
+    strategy =
+        arg_parsed(argc, argv, "strategy", "rr", cluster::parse_strategy);
     seed = arg_number<std::uint64_t>(
         argc, argv, "seed", 42, 0,
         std::numeric_limits<std::uint64_t>::max());
@@ -260,7 +271,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (stats_mode == "json") g_info = stderr;
-  const std::string strategy_spec = arg_str(argc, argv, "strategy", "rr");
 
   try {
     if (compact) {
@@ -294,9 +304,6 @@ int main(int argc, char** argv) {
       info("read %zu sequences (%zu residues) from %s in %.2fs\n", n,
            db.total_residues(), read_path.c_str(), t.seconds());
     } else {
-      const synth::DatabaseSpec spec = synth_preset == "envnr"
-                                           ? synth::envnr_like(residues)
-                                           : synth::sprot_like(residues);
       db = synth::generate_database(spec, seed);
       info("generated %s: %zu sequences, %zu residues (seed %llu)\n",
            spec.name.c_str(), db.size(), db.total_residues(),
@@ -325,7 +332,7 @@ int main(int argc, char** argv) {
 
     if (shards > 0) {
       make_sharded(db, config, out_path, static_cast<int>(shards),
-                   cluster::parse_strategy(strategy_spec));
+                   strategy);
       return 0;
     }
 

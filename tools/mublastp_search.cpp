@@ -7,7 +7,7 @@
 //                   --query=q.fasta [--threads=N]
 //                   [--outfmt=pairwise|tabular|none] [--max-alignments=K]
 //                   [--stats[=json]] [--no-mmap]
-//                   [--kernel=auto|scalar|sse42|avx2]
+//                   [--kernel=auto|scalar|avx2]
 //                   [--strict] [--inject=site:Nth[:errno]]
 //                   [--time-budget=SEC] [--mem-budget-mb=N]
 //                   [--out=FILE] [--checkpoint=FILE] [--batch-size=16]
@@ -48,11 +48,12 @@
 // 1..1024 (default: the OpenMP thread pool size, omp_get_max_threads),
 // --max-alignments and --batch-size at least 1, --mem-budget-mb small
 // enough that its bytes fit 64 bits, and --time-budget a finite number
-// >= 0. A bad value, or a flag the tool does not take, exits 2 naming the
-// flag. --kernel selects the kernel ("auto" = best the CPU supports, the
-// default) used by hit detection and the banded gapped extension;
-// ungapped extension is scalar on every kernel. Results are bit-identical
-// for every kernel.
+// >= 0. A bad value, or a flag the tool does not take or given twice,
+// exits 2 naming the flag, before the index is opened. --kernel selects
+// the kernel ("auto", the default, is avx2 where the CPU has it, else
+// scalar) used by hit detection and the banded gapped extension; ungapped
+// extension is scalar on every kernel. Results are bit-identical for
+// every kernel.
 //
 // Index loading: index files are memory-mapped by default (zero-copy;
 // pages shared with other processes serving the same database); --no-mmap
@@ -287,7 +288,7 @@ int main(int argc, char** argv) {
                  " [--threads=N] [--outfmt=pairwise|tabular|none]"
                  " [--max-alignments=25] [--stats[=json]]"
                  " [--no-mmap]"
-                 " [--kernel=auto|scalar|sse42|avx2]"
+                 " [--kernel=auto|scalar|avx2]"
                  " [--strict] [--inject=site:Nth]"
                  " [--time-budget=SEC] [--mem-budget-mb=N]"
                  " [--out=FILE] [--checkpoint=FILE] [--batch-size=16]"
@@ -321,6 +322,8 @@ int main(int argc, char** argv) {
       throw UsageError("unknown --progress mode '" + progress_mode +
                        "' (expected --progress or --progress=force)");
     }
+    opts.engine.kernel =
+        arg_parsed(argc, argv, "kernel", "auto", simd::parse_kernel);
     constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     batch_size = arg_number<std::uint64_t>(argc, argv, "batch-size", 16, 1,
                                            kMax);
@@ -361,15 +364,8 @@ int main(int argc, char** argv) {
   // fold into it, after what the open itself reported.
   stats::PipelineSnapshot run;
   try {
-    opts.engine.kernel =
-        simd::parse_kernel(arg_str(argc, argv, "kernel", "auto"));
     if (progress_enabled(argc, argv)) opts.engine.progress = ProgressPrinter{};
     opts.strict = strict;
-    if (!simd::kernel_supported(opts.engine.kernel)) {
-      std::fprintf(stderr, "error: kernel '%s' is not supported on this"
-                   " CPU\n", simd::kernel_name(opts.engine.kernel));
-      return 2;
-    }
     const cluster::LoadMode load_mode =
         copy_load ? cluster::LoadMode::kCopy : cluster::LoadMode::kAuto;
     const std::unique_ptr<trace::Tracer> tracer = make_tracer(argc, argv);

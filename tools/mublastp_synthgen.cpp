@@ -6,8 +6,9 @@
 //   mublastp_synthgen --preset=sprot|envnr --residues=N --seed=S
 //                     --out=db.fasta [--queries=K --qlen=L --qout=q.fasta]
 //
-// Numeric flags take decimal digits only; a bad value, or a flag the tool
-// does not take, exits 2 naming the flag.
+// Numeric flags take decimal digits only; a bad value (an unknown --preset
+// included), or a flag the tool does not take or given twice, exits 2
+// naming the flag.
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -34,13 +35,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::size_t residues = 0;
+  synth::DatabaseSpec spec;
   std::uint64_t seed = 0;
   std::size_t nq = 0;
   std::size_t qlen = 0;
   try {
-    residues = arg_number<std::size_t>(argc, argv, "residues", 1 << 22, 1,
-                                       std::size_t{1} << 40);
+    const std::size_t residues = arg_number<std::size_t>(
+        argc, argv, "residues", 1 << 22, 1, std::size_t{1} << 40);
+    spec = arg_parsed(argc, argv, "preset", "sprot",
+                      [&](const std::string& name) {
+                        return synth::preset(name, residues);
+                      });
     seed = arg_number<std::uint64_t>(
         argc, argv, "seed", 42, 0,
         std::numeric_limits<std::uint64_t>::max());
@@ -54,10 +59,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const std::string preset = arg_str(argc, argv, "preset", "sprot");
-    const synth::DatabaseSpec spec = preset == "envnr"
-                                         ? synth::envnr_like(residues)
-                                         : synth::sprot_like(residues);
     const SequenceStore db = synth::generate_database(spec, seed);
     write_fasta_file(out_path, db);
     std::printf("%s: %zu sequences, %zu residues -> %s\n", spec.name.c_str(),
